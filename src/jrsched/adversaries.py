@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, Job, Objective, ReplenishmentStructure, Schedule, Solution, evaluate_solution
+from .model import Instance, Job, Objective, Solution
 from .offline_dp import dp_fmax_s1
 from .online import (
     ImmediatePolicy,
@@ -30,7 +30,7 @@ from .online import (
     SumCompletionPolicy,
     SumFlowPolicy,
     Trace,
-    compute_blocks,
+    price_run,
     simulate,
 )
 from .oracle import exact_solve
@@ -187,15 +187,9 @@ def adversary_run(
         jobs=result.jobs,
     )
     objective = _OBJECTIVES[spec.kind]
-    online = evaluate_solution(
-        instance,
-        Schedule(result.starts),
-        ReplenishmentStructure(result.events),
-        objective,
-    )
+    online, trace = price_run(instance, result, objective)
     if objective is Objective.MAX_FLOW:
         offline = dp_fmax_s1(instance)
     else:
         offline = exact_solve(instance, objective)
-    trace = Trace(result.records, compute_blocks(instance.jobs, result.events, result.starts))
     return AdversaryOutcome(instance, online, offline, online.total / offline.total, trace)

@@ -41,13 +41,22 @@ from .online import (
     OnlinePolicy,
     SumCompletionPolicy,
     SumFlowPolicy,
+    blocks_to_document,
     delay_releases,
     run_online,
     trace_to_jsonl,
 )
 from .oracle import OracleLimits, exact_solve, exact_solve_fine_grid
 
-_OBJECTIVE_NAMES = {obj.value: obj for obj in Objective}
+# --algo name -> (solver called as f(instance, objective, limits), needs --objective)
+_SOLVERS: dict[str, tuple[Callable[[Instance, Objective | None, OracleLimits], Solution], bool]] = {
+    "oracle": (exact_solve, True),
+    "oracle-fine": (exact_solve_fine_grid, True),
+    "dp-wjcj-unit": (lambda instance, _, __: dp_wjcj_unit(instance), False),
+    "dp-equalp": (lambda instance, objective, _: dp_equalp(instance, objective), True),
+    "dp-fmax-s1": (lambda instance, _, __: dp_fmax_s1(instance), False),
+    "fmax-unit-distinct": (lambda instance, _, __: fmax_unit_distinct(instance), False),
+}
 
 _POLICIES: dict[str, Callable[[int], OnlinePolicy]] = {
     "sum-cj": SumCompletionPolicy,
@@ -77,6 +86,20 @@ def _write_output(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
+
+
+def _make_policy(name: str, order_cost: int) -> OnlinePolicy:
+    try:
+        return _POLICIES[name](order_cost)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
+
+
+def _oracle_limits(args: argparse.Namespace) -> OracleLimits:
+    try:
+        return OracleLimits(max_jobs=args.max_jobs, max_grid_subsets=args.max_grid_subsets)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
 
 
 def _load_instance(path: str) -> Instance:
@@ -109,27 +132,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    limits = OracleLimits(max_jobs=args.max_jobs, max_grid_subsets=args.max_grid_subsets)
-    objective = _OBJECTIVE_NAMES[args.objective] if args.objective else None
+    limits = _oracle_limits(args)
+    objective = Objective(args.objective) if args.objective else None
+    solver, needs_objective = _SOLVERS[args.algo]
+    if needs_objective and objective is None:
+        raise _CliError(f"--objective is required for --algo {args.algo}")
     try:
-        if args.algo == "oracle":
-            if objective is None:
-                raise _CliError("--objective is required for the oracle")
-            solution = exact_solve(instance, objective, limits)
-        elif args.algo == "oracle-fine":
-            if objective is None:
-                raise _CliError("--objective is required for the oracle")
-            solution = exact_solve_fine_grid(instance, objective, limits)
-        elif args.algo == "dp-wjcj-unit":
-            solution = dp_wjcj_unit(instance)
-        elif args.algo == "dp-equalp":
-            if objective is None:
-                raise _CliError("--objective is required for dp-equalp")
-            solution = dp_equalp(instance, objective)
-        elif args.algo == "dp-fmax-s1":
-            solution = dp_fmax_s1(instance)
-        else:
-            solution = fmax_unit_distinct(instance)
+        solution = solver(instance, objective, limits)
     except SolverError as exc:
         raise _CliError(str(exc)) from None
     _write_output(emit_solution(solution), args.output)
@@ -140,7 +149,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     if args.lead_one:
         instance = delay_releases(instance, 1)
-    policy = _POLICIES[args.policy](args.order_cost)
+    policy = _make_policy(args.policy, args.order_cost)
     try:
         solution, trace = run_online(instance, policy, end_signal=not args.no_end_signal)
     except SolverError as exc:
@@ -151,10 +160,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
         "policy": args.policy,
         "K": args.order_cost,
         "solution": solution_to_document(solution),
-        "blocks": [
-            {"t": b.time, "b": b.size, "y": b.arrived_before, "z": b.arrived_at}
-            for b in trace.blocks
-        ],
+        "blocks": blocks_to_document(trace.blocks),
     }
     _write_output(json.dumps(document, indent=2, sort_keys=True), args.output)
     return 0
@@ -165,7 +171,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         spec = AdversarySpec(args.kind, args.order_cost, args.w2)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-    policy = _POLICIES[args.policy](args.order_cost) if args.policy else default_policy(spec)
+    policy = _make_policy(args.policy, args.order_cost) if args.policy else default_policy(spec)
     outcome = adversary_run(spec, policy)
     document = {
         "kind": args.kind,
@@ -225,9 +231,11 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         seed_range = range(int(lo), int(hi))
     except ValueError:
         raise _CliError(f"bad --seeds range {args.seeds!r}, expected LO:HI") from None
+    if args.n < 1:
+        raise _CliError(f"--n must be >= 1, got {args.n}")
     if args.policy == "max-flow" and args.family != "regular":
         raise _CliError("ratio sweeps for max-flow support the regular family only")
-    limits = OracleLimits(max_jobs=args.max_jobs, max_grid_subsets=args.max_grid_subsets)
+    limits = _oracle_limits(args)
     base = GeneratorSpec(
         family=args.family,
         n=args.n,
@@ -240,10 +248,13 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     )
     rows = []
     for seed in seed_range:
-        instance = gen_instance(replace(base, seed=seed))
-        policy = _POLICIES[args.policy](args.order_cost)
-        solution, _ = run_online(instance, policy)
-        offline = _offline_total_for_ratio(instance, args.policy, limits)
+        try:
+            instance = gen_instance(replace(base, seed=seed))
+            policy = _make_policy(args.policy, args.order_cost)
+            solution, _ = run_online(instance, policy)
+            offline = _offline_total_for_ratio(instance, args.policy, limits)
+        except (InstanceError, SolverError) as exc:
+            raise _CliError(f"seed {seed}: {exc}") from None
         rows.append(
             {
                 "seed": seed,
@@ -320,6 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solvers for single-machine scheduling with jointly replenished resources.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default_limits = OracleLimits()
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
@@ -339,15 +351,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="solve an instance offline")
-    p.add_argument(
-        "--algo",
-        required=True,
-        choices=["oracle", "oracle-fine", "dp-wjcj-unit", "dp-equalp", "dp-fmax-s1", "fmax-unit-distinct"],
-    )
-    p.add_argument("--objective", choices=sorted(_OBJECTIVE_NAMES), default=None)
+    p.add_argument("--algo", required=True, choices=list(_SOLVERS))
+    p.add_argument("--objective", choices=sorted(obj.value for obj in Objective), default=None)
     p.add_argument("--input", required=True, help="instance document path, - for stdin")
-    p.add_argument("--max-jobs", type=int, default=8)
-    p.add_argument("--max-grid-subsets", type=int, default=2**20)
+    p.add_argument("--max-jobs", type=int, default=default_limits.max_jobs)
+    p.add_argument("--max-grid-subsets", type=int, default=default_limits.max_grid_subsets)
     add_output(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -384,8 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--seeds", default="0:20", help="seed range LO:HI")
     p.add_argument("--max-release", type=int, default=8)
-    p.add_argument("--max-jobs", type=int, default=8)
-    p.add_argument("--max-grid-subsets", type=int, default=2**20)
+    p.add_argument("--max-jobs", type=int, default=default_limits.max_jobs)
+    p.add_argument("--max-grid-subsets", type=int, default=default_limits.max_grid_subsets)
     p.add_argument("--csv", action="store_true")
     add_output(p)
     p.set_defaults(func=_cmd_ratio)

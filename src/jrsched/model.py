@@ -16,10 +16,11 @@ function, so concurrent use on shared inputs is safe.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Any, Iterable, Mapping
+from functools import cached_property, reduce
+from typing import Any, Callable, Iterable, Mapping
 
 
 class InstanceError(ValueError):
@@ -49,6 +50,18 @@ class Objective(Enum):
             if obj.value == name:
                 return obj
         raise SolutionError(f"unknown objective {name!r}")
+
+
+# Each criterion as (per-job value f(weight, release, completion), how the
+# values combine).  Folding from 0 gives 0 for no jobs and floors the max flow
+# at 0, which only shows when every job completes by its release.
+CRITERIA: dict[Objective, tuple[Callable[[int, int, int], int], Callable[[int, int], int]]] = {
+    Objective.WEIGHTED_COMPLETION: (lambda w, r, c: w * c, operator.add),
+    Objective.TOTAL_COMPLETION: (lambda w, r, c: c, operator.add),
+    Objective.TOTAL_FLOW: (lambda w, r, c: c - r, operator.add),
+    Objective.WEIGHTED_FLOW: (lambda w, r, c: w * (c - r), operator.add),
+    Objective.MAX_FLOW: (lambda w, r, c: c - r, max),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,20 +229,29 @@ class Solution:
             )
 
 
-def ready_at(
-    instance: Instance, structure: ReplenishmentStructure, job_id: int, t: int
-) -> bool:
+def empty_solution(objective: Objective) -> Solution:
+    """The solution of an instance without jobs: nothing scheduled or ordered."""
+    return Solution(Schedule({}), ReplenishmentStructure(()), objective, 0, 0, 0)
+
+
+def job_ready(job: Job, events: Iterable[tuple[int, frozenset[int]]], t: int) -> bool:
     """True iff every resource the job needs was ordered in [release, t]."""
-    job = instance.job(job_id)
     if t < job.release:
         return False
     missing = set(job.resources)
-    for event_time, resources in structure.events:
+    for event_time, resources in events:
         if job.release <= event_time <= t:
             missing -= resources
             if not missing:
                 return True
     return not missing
+
+
+def ready_at(
+    instance: Instance, structure: ReplenishmentStructure, job_id: int, t: int
+) -> bool:
+    """True iff every resource the job needs was ordered in [release, t]."""
+    return job_ready(instance.job(job_id), structure.events, t)
 
 
 def replenishment_cost(instance: Instance, structure: ReplenishmentStructure) -> int:
@@ -239,27 +261,12 @@ def replenishment_cost(instance: Instance, structure: ReplenishmentStructure) ->
 
 def scheduling_cost(instance: Instance, schedule: Schedule, objective: Objective) -> int:
     """Exact value of the selected criterion; every job must be scheduled."""
-    if not instance.jobs:
-        return 0
-    total = 0
-    max_flow = 0
-    for job in instance.jobs:
-        completion = schedule.start_of(job.id) + job.processing
-        if objective is Objective.WEIGHTED_COMPLETION:
-            total += job.weight * completion
-        elif objective is Objective.TOTAL_COMPLETION:
-            total += completion
-        elif objective is Objective.TOTAL_FLOW:
-            total += completion - job.release
-        elif objective is Objective.WEIGHTED_FLOW:
-            total += job.weight * (completion - job.release)
-        else:
-            flow = completion - job.release
-            if flow > max_flow:
-                max_flow = flow
-    if objective is Objective.MAX_FLOW:
-        return max_flow
-    return total
+    job_value, combine = CRITERIA[objective]
+    values = (
+        job_value(job.weight, job.release, schedule.start_of(job.id) + job.processing)
+        for job in instance.jobs
+    )
+    return reduce(combine, values, 0)
 
 
 def evaluate_solution(
@@ -317,7 +324,7 @@ def check_feasible(instance: Instance, solution: Solution) -> FeasibilityReport:
                 Violation("negative-start", (job.id,), f"job {job.id} starts at {start}")
             )
         intervals.append((start, start + job.processing, job.id))
-        if not ready_at(instance, solution.replenishments, job.id, start):
+        if not job_ready(job, solution.replenishments.events, start):
             violations.append(
                 Violation(
                     "not-ready",
@@ -397,36 +404,70 @@ def emit_instance(instance: Instance) -> str:
     return json.dumps(instance_to_document(instance), indent=2, sort_keys=True)
 
 
-def _require(document: Mapping[str, Any], key: str, context: str) -> Any:
+def _require(
+    document: Mapping[str, Any], key: str, context: str, error: type[ValueError] = InstanceError
+) -> Any:
     if key not in document:
-        raise InstanceError(f"{context}: missing field {key!r}")
+        raise error(f"{context}: missing field {key!r}")
     return document[key]
+
+
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass; floats and numeric strings are refused, not truncated
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_int(value: Any, key: str, context: str, error: type[ValueError] = InstanceError) -> int:
+    if not _is_int(value):
+        raise error(f"{context}: field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int_field(
+    document: Mapping[str, Any], key: str, context: str, error: type[ValueError] = InstanceError
+) -> int:
+    return _as_int(_require(document, key, context, error), key, context, error)
+
+
+def _list_field(
+    document: Mapping[str, Any],
+    key: str,
+    context: str,
+    error: type[ValueError] = InstanceError,
+    objects: bool = False,
+) -> list:
+    """The list under ``key``, of integers or, with ``objects``, of JSON objects."""
+    values = _require(document, key, context, error)
+    kind = "objects" if objects else "integers"
+    if not isinstance(values, list):
+        raise error(f"{context}: field {key!r} must be a list of {kind}, got {values!r}")
+    for value in values:
+        if not (isinstance(value, Mapping) if objects else _is_int(value)):
+            raise error(f"{context}: field {key!r} must be a list of {kind}, got entry {value!r}")
+    return values
 
 
 def instance_from_document(document: Mapping[str, Any]) -> Instance:
     if not isinstance(document, Mapping):
         raise InstanceError("instance document must be a JSON object")
-    s = _require(document, "s", "instance")
-    joint = _require(document, "joint_cost", "instance")
-    item_costs = _require(document, "item_costs", "instance")
-    raw_jobs = _require(document, "jobs", "instance")
+    s = _int_field(document, "s", "instance")
+    joint = _int_field(document, "joint_cost", "instance")
+    item_costs = _list_field(document, "item_costs", "instance")
     jobs = []
-    for raw in raw_jobs:
-        job_id = _require(raw, "id", "job")
+    for raw in _list_field(document, "jobs", "instance", objects=True):
+        job_id = _int_field(raw, "id", "job")
+        context = f"job {job_id}"
         jobs.append(
             Job(
-                id=int(job_id),
-                release=int(_require(raw, "release", f"job {job_id}")),
-                processing=int(_require(raw, "processing", f"job {job_id}")),
-                resources=frozenset(int(r) for r in _require(raw, "resources", f"job {job_id}")),
-                weight=int(raw.get("weight", 1)),
+                id=job_id,
+                release=_int_field(raw, "release", context),
+                processing=_int_field(raw, "processing", context),
+                resources=frozenset(_list_field(raw, "resources", context)),
+                weight=_as_int(raw.get("weight", 1), "weight", context),
             )
         )
     return Instance(
-        num_resources=int(s),
-        joint_cost=int(joint),
-        item_costs=tuple(int(c) for c in item_costs),
-        jobs=tuple(jobs),
+        num_resources=s, joint_cost=joint, item_costs=tuple(item_costs), jobs=tuple(jobs)
     )
 
 
@@ -459,25 +500,36 @@ def emit_solution(solution: Solution) -> str:
 def solution_from_document(document: Mapping[str, Any]) -> Solution:
     if not isinstance(document, Mapping):
         raise SolutionError("solution document must be a JSON object")
-    try:
-        objective = Objective.from_name(str(_require(document, "objective", "solution")))
-        starts = {
-            int(job_id): int(start)
-            for job_id, start in _require(document, "starts", "solution").items()
-        }
-        events = tuple(
-            (int(entry["time"]), frozenset(int(r) for r in entry["resources"]))
-            for entry in _require(document, "replenishments", "solution")
+    context = "solution"
+    objective = Objective.from_name(str(_require(document, "objective", context, SolutionError)))
+    raw_starts = _require(document, "starts", context, SolutionError)
+    if not isinstance(raw_starts, Mapping):
+        raise SolutionError(
+            f"{context}: field 'starts' must be an object of job id to start, got {raw_starts!r}"
         )
-        sched = int(_require(document, "scheduling_cost", "solution"))
-        repl = int(_require(document, "replenishment_cost", "solution"))
-        total = int(_require(document, "total", "solution"))
-    except InstanceError as exc:
-        raise SolutionError(str(exc)) from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SolutionError(f"malformed solution document: {exc}") from None
+    starts = {}
+    for job_id, start in raw_starts.items():
+        key = job_id
+        if isinstance(job_id, str):  # JSON object keys are strings
+            try:
+                key = int(job_id)
+            except ValueError:
+                pass
+        if not _is_int(key):
+            raise SolutionError(f"{context}: field 'starts' has a non-integer job id {job_id!r}")
+        starts[key] = _as_int(start, f"starts[{job_id}]", context, SolutionError)
+    events = []
+    for entry in _list_field(document, "replenishments", context, SolutionError, objects=True):
+        time = _int_field(entry, "time", "replenishment", SolutionError)
+        resources = _list_field(entry, "resources", f"replenishment at {time}", SolutionError)
+        events.append((time, frozenset(resources)))
     return Solution(
-        Schedule(starts), ReplenishmentStructure(events), objective, sched, repl, total
+        Schedule(starts),
+        ReplenishmentStructure(tuple(events)),
+        objective,
+        _int_field(document, "scheduling_cost", context, SolutionError),
+        _int_field(document, "replenishment_cost", context, SolutionError),
+        _int_field(document, "total", context, SolutionError),
     )
 
 

@@ -23,23 +23,17 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import (
+    CRITERIA,
     Instance,
     Objective,
     ReplenishmentStructure,
     Schedule,
     Solution,
     SolverError,
+    empty_solution,
     evaluate_solution,
     normalize_replenishments,
 )
-
-
-def _empty_solution(objective: Objective) -> Solution:
-    return Solution(Schedule({}), ReplenishmentStructure(()), objective, 0, 0, 0)
-
-
-def _all_subset_masks(s: int) -> range:
-    return range(1 << s)
 
 
 def _mask_to_resources(mask: int) -> frozenset[int]:
@@ -56,7 +50,6 @@ class _SumState:
 
     weighted_sum: int
     schedule: tuple[tuple[int, int], ...]  # (job id, start)
-    scheduled: frozenset[int]
     events: tuple[tuple[int, frozenset[int]], ...]
 
 
@@ -64,14 +57,14 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     """Optimal weighted total completion time plus ordering cost, unit jobs.
 
     Layers run over the distinct release dates plus one horizon layer.  A
-    state records, per job class (jobs sharing a required resource subset),
-    how many are scheduled, plus the last ordering time and ordering count
-    per resource and the total number of orders.  Expanding a state orders
-    any resource subset at the layer date, then greedily starts the
-    largest-weight ready jobs, as many as fit before the next layer.
+    state records the set of scheduled jobs, the last ordering time and
+    ordering count per resource, and the total number of orders.  Expanding a
+    state orders any resource subset at the layer date, then greedily starts
+    the largest-weight ready jobs, as many as fit before the next layer.
 
-    The state key also carries the set of scheduled jobs.  Counts alone are
-    not a sound dominance key: two histories can reach equal counts having
+    The key holds the scheduled set itself, not just how many jobs of each
+    class (jobs sharing a required resource subset) are done.  Counts alone
+    are not a sound dominance key: two histories can reach equal counts having
     scheduled different weight profiles, and the cheaper prefix may have the
     worse continuation, so merging on counts can lose the optimum.
 
@@ -82,33 +75,27 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
         if job.processing != 1:
             raise SolverError(f"job {job.id} has processing {job.processing}; unit jobs required")
     if not instance.jobs:
-        return _empty_solution(objective)
+        return empty_solution(objective)
 
     s = instance.num_resources
-    grid = instance.release_grid
-    layer_times = grid + (instance.horizon,)
+    n = len(instance.jobs)
+    layer_times = instance.release_grid + (instance.horizon,)
+    # heaviest first, ties to the smaller id, with the 0-based resource indices
+    by_weight = [
+        (job, tuple(r - 1 for r in sorted(job.resources)))
+        for job in sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
+    ]
 
-    class_keys = sorted({tuple(sorted(job.resources)) for job in instance.jobs})
-    class_index = {key: idx for idx, key in enumerate(class_keys)}
-    # members sorted heaviest first, ties to the smaller id
-    class_members: list[list] = [[] for _ in class_keys]
-    for job in instance.jobs:
-        class_members[class_index[tuple(sorted(job.resources))]].append(job)
-    for members in class_members:
-        members.sort(key=lambda job: (-job.weight, job.id))
-    num_classes = len(class_keys)
-    class_sizes = tuple(len(m) for m in class_members)
-
-    start_key = ((0,) * num_classes, (None,) * s, (0,) * s, 0, frozenset())
-    layers: dict[tuple, _SumState] = {start_key: _SumState(0, (), frozenset(), ())}
+    start_key = ((None,) * s, (0,) * s, 0, frozenset())
+    layers: dict[tuple, _SumState] = {start_key: _SumState(0, (), ())}
     if stats is not None:
         stats["states_per_layer"] = [len(layers)]
 
     for k, tau in enumerate(layer_times[:-1]):
         window = layer_times[k + 1] - tau
         nxt: dict[tuple, _SumState] = {}
-        for (alphas, betas, gammas, delta, _), state in layers.items():
-            for mask in _all_subset_masks(s):
+        for (betas, gammas, delta, scheduled), state in layers.items():
+            for mask in range(1 << s):
                 if mask:
                     new_betas = tuple(
                         tau if mask >> i & 1 else betas[i] for i in range(s)
@@ -124,56 +111,48 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
                     new_delta = delta
                     new_events = state.events
 
-                ready: list = []
-                for ell in range(num_classes):
-                    availability = None
-                    for r in class_keys[ell]:
-                        beta = new_betas[r - 1]
-                        if beta is None:
-                            availability = None
-                            break
-                        availability = beta if availability is None else min(availability, beta)
-                    if availability is None:
+                chosen: list = []
+                for job, needs in by_weight:
+                    if job.id in scheduled:
                         continue
-                    for job in class_members[ell]:
-                        if job.id not in state.scheduled and job.release <= availability:
-                            ready.append(job)
-                ready.sort(key=lambda job: (-job.weight, job.id))
-                chosen = ready[:window]
+                    for i in needs:
+                        beta = new_betas[i]
+                        if beta is None or job.release > beta:
+                            break
+                    else:
+                        chosen.append(job)
+                        if len(chosen) == window:
+                            break
 
-                new_counts = list(alphas)
                 new_schedule = list(state.schedule)
                 new_sum = state.weighted_sum
                 for offset, job in enumerate(chosen):
                     start = tau + offset
                     new_schedule.append((job.id, start))
                     new_sum += job.weight * (start + 1)
-                    new_counts[class_index[tuple(sorted(job.resources))]] += 1
 
-                new_scheduled = state.scheduled | {job.id for job in chosen}
-                key = (tuple(new_counts), new_betas, new_gammas, new_delta, new_scheduled)
+                new_scheduled = scheduled | {job.id for job in chosen}
+                key = (new_betas, new_gammas, new_delta, new_scheduled)
                 incumbent = nxt.get(key)
                 if incumbent is None or new_sum < incumbent.weighted_sum:
-                    nxt[key] = _SumState(
-                        new_sum, tuple(new_schedule), new_scheduled, new_events
-                    )
+                    nxt[key] = _SumState(new_sum, tuple(new_schedule), new_events)
         layers = nxt
         if stats is not None:
             stats["states_per_layer"].append(len(layers))
 
-    best: tuple[int, tuple, _SumState] | None = None
-    for (alphas, betas, gammas, delta, _), state in layers.items():
-        if alphas != class_sizes:
+    best: tuple[int, _SumState] | None = None
+    for (betas, gammas, delta, scheduled), state in layers.items():
+        if len(scheduled) != n:
             continue
         repl = instance.joint_cost * delta + sum(
             instance.item_costs[i] * gammas[i] for i in range(s)
         )
         value = state.weighted_sum + repl
         if best is None or value < best[0]:
-            best = (value, (gammas, delta), state)
+            best = (value, state)
     if best is None:
         raise SolverError("dynamic program found no complete schedule")
-    _, _, state = best
+    _, state = best
     schedule = Schedule(dict(state.schedule))
     return evaluate_solution(
         instance, schedule, ReplenishmentStructure(state.events), objective
@@ -204,7 +183,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     if objective not in (Objective.TOTAL_COMPLETION, Objective.MAX_FLOW):
         raise SolverError(f"unsupported objective {objective.value} for the equal-length solver")
     if not instance.jobs:
-        return _empty_solution(objective)
+        return empty_solution(objective)
     p = instance.jobs[0].processing
     for job in instance.jobs:
         if job.processing != p:
@@ -222,6 +201,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     grid = instance.release_grid
     layer_times = sorted({tau + lam * p for tau in grid for lam in range(n + 1)})
     use_max_flow = objective is Objective.MAX_FLOW
+    job_value, combine = CRITERIA[objective]
 
     jobs_by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
     class_keys = sorted({tuple(sorted(job.resources)) for job in instance.jobs})
@@ -276,7 +256,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             # per-class scheduled jobs are always a release-ordered prefix,
             # so the counts identify them exactly
             ready_if: dict[tuple, list] = {}
-            for mask in _all_subset_masks(s):
+            for mask in range(1 << s):
                 if mask:
                     new_betas = tuple(
                         anchor(tau) if mask >> i & 1 else betas[i] for i in range(s)
@@ -284,6 +264,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                     order_cost = instance.joint_cost + sum(
                         instance.item_costs[i] for i in range(s) if mask >> i & 1
                     )
+                    order = ((tau, _mask_to_resources(mask)),)
                 else:
                     new_betas = betas
                     order_cost = 0
@@ -330,29 +311,23 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                         target = idx + 1
                         if target >= len(layer_times):
                             continue
-                    for entry in entries:
-                        crit, cost, schedule, events = entry
-                        new_cost = cost + order_cost
-                        new_events = (
-                            events + ((tau, _mask_to_resources(mask)),) if mask else events
+                    # the block's starts and criterion value do not depend on the entry
+                    block_starts = []
+                    block_value = 0
+                    for k, (job, _) in enumerate(block):
+                        start = tau + k * p
+                        block_starts.append((job.id, start))
+                        block_value = combine(
+                            block_value, job_value(job.weight, job.release, start + p)
                         )
-                        if block:
-                            new_schedule = list(schedule)
-                            t = tau
-                            value = crit
-                            for job, _ in block:
-                                new_schedule.append((job.id, t))
-                                completion = t + p
-                                if use_max_flow:
-                                    flow = completion - job.release
-                                    if flow > value:
-                                        value = flow
-                                else:
-                                    value += completion
-                                t = completion
-                            new_entry = (value, new_cost, tuple(new_schedule), new_events)
-                        else:
-                            new_entry = (crit, new_cost, schedule, new_events)
+                    pairs = tuple(block_starts)
+                    for crit, cost, schedule, events in entries:
+                        new_entry = (
+                            combine(crit, block_value),
+                            cost + order_cost,
+                            schedule + pairs,
+                            events + order if mask else events,
+                        )
                         if complete:
                             consider_complete(new_entry)
                         else:
@@ -389,7 +364,7 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     if instance.num_resources != 1:
         raise SolverError("single-resource solver applied to a multi-resource instance")
     if not instance.jobs:
-        return _empty_solution(objective)
+        return empty_solution(objective)
 
     ordered = sorted(instance.jobs, key=lambda job: (job.release, job.id))
     dates = instance.release_grid
@@ -513,7 +488,7 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
             raise SolverError(f"job {job.id} has processing {job.processing}; unit jobs required")
     n = len(instance.jobs)
     if n == 0:
-        return _empty_solution(objective)
+        return empty_solution(objective)
     releases = sorted(job.release for job in instance.jobs)
     if len(set(releases)) != n:
         raise SolverError("release dates must be pairwise distinct")

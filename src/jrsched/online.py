@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .model import (
     Instance,
@@ -34,6 +34,7 @@ from .model import (
     Solution,
     SolverError,
     evaluate_solution,
+    job_ready,
 )
 
 
@@ -247,16 +248,6 @@ class SimResult:
     records: tuple[TraceRecord, ...]
 
 
-def _ready_under(job: Job, events: list[tuple[int, frozenset[int]]], t: int) -> bool:
-    missing = set(job.resources)
-    for event_time, resources in events:
-        if job.release <= event_time <= t:
-            missing -= resources
-            if not missing:
-                return True
-    return not missing
-
-
 def simulate(
     source: JobSource,
     policy: OnlinePolicy,
@@ -325,7 +316,7 @@ def simulate(
                     )
                 pending_ids.discard(job_id)
                 job = seen[job_id]
-                if not _ready_under(job, events, t):
+                if not job_ready(job, events, t):
                     raise SimulationError(
                         f"t={t}: job {job_id} is not ready, a required resource"
                         " was not ordered within its window"
@@ -409,11 +400,18 @@ def run_online(
         end_signal=end_signal,
         max_time=max_time,
     )
+    return price_run(instance, result, policy.objective)
+
+
+def price_run(
+    instance: Instance, result: SimResult, objective: Objective
+) -> tuple[Solution, Trace]:
+    """Price a simulated run on the instance it realized, with its trace."""
     solution = evaluate_solution(
         instance,
         Schedule(result.starts),
         ReplenishmentStructure(result.events),
-        policy.objective,
+        objective,
     )
     trace = Trace(result.records, compute_blocks(instance.jobs, result.events, result.starts))
     return solution, trace
@@ -497,6 +495,11 @@ def flow_trigger_violations(
 # ---------------------------------------------------------------------------
 # Trace file format (JSON lines)
 
+def blocks_to_document(blocks: Iterable[Block]) -> list[dict[str, Any]]:
+    """Per-order block stats as JSON objects {"t", "b", "y", "z"}."""
+    return [{"t": b.time, "b": b.size, "y": b.arrived_before, "z": b.arrived_at} for b in blocks]
+
+
 def trace_to_jsonl(trace: Trace, solution: Solution) -> str:
     """One record per acted decision, then a summary with blocks and totals."""
     lines = []
@@ -512,10 +515,7 @@ def trace_to_jsonl(trace: Trace, solution: Solution) -> str:
             )
         )
     summary = {
-        "blocks": [
-            {"t": b.time, "b": b.size, "y": b.arrived_before, "z": b.arrived_at}
-            for b in trace.blocks
-        ],
+        "blocks": blocks_to_document(trace.blocks),
         "scheduling_cost": solution.scheduling_cost,
         "replenishment_cost": solution.replenishment_cost,
         "total": solution.total,

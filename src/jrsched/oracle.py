@@ -19,15 +19,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .model import (
+    CRITERIA,
     Instance,
     Objective,
     ReplenishmentStructure,
     Schedule,
     Solution,
     SolverError,
+    empty_solution,
     evaluate_solution,
 )
 
@@ -48,14 +52,6 @@ class OracleLimitError(SolverError):
     """The instance exceeds the configured enumeration caps."""
 
 
-_MINSUM = (
-    Objective.WEIGHTED_COMPLETION,
-    Objective.TOTAL_COMPLETION,
-    Objective.TOTAL_FLOW,
-    Objective.WEIGHTED_FLOW,
-)
-
-
 def _sequence_exact(
     effective: tuple[int, ...],
     jobs_data: tuple[tuple[int, int, int], ...],
@@ -71,16 +67,7 @@ def _sequence_exact(
     releases = tuple(r for r, _, _ in jobs_data)
     procs = tuple(p for _, p, _ in jobs_data)
     weights = tuple(w for _, _, w in jobs_data)
-    is_max_flow = objective is Objective.MAX_FLOW
-
-    def inc(j: int, completion: int) -> int:
-        if objective is Objective.WEIGHTED_COMPLETION:
-            return weights[j] * completion
-        if objective is Objective.TOTAL_COMPLETION:
-            return completion
-        if objective is Objective.TOTAL_FLOW:
-            return completion - releases[j]
-        return weights[j] * (completion - releases[j])
+    job_value, combine = CRITERIA[objective]
 
     best_cost: int | None = None
     best_starts: tuple[int, ...] | None = None
@@ -103,18 +90,10 @@ def _sequence_exact(
             # Every unscheduled job finishes no earlier than its own
             # effective release plus processing, machine aside.
             bound = partial
-            if is_max_flow:
-                for j in range(n):
-                    if not used[j]:
-                        start = now if now > effective[j] else effective[j]
-                        flow = start + procs[j] - releases[j]
-                        if flow > bound:
-                            bound = flow
-            else:
-                for j in range(n):
-                    if not used[j]:
-                        start = now if now > effective[j] else effective[j]
-                        bound += inc(j, start + procs[j])
+            for j in range(n):
+                if not used[j]:
+                    start = now if now > effective[j] else effective[j]
+                    bound = combine(bound, job_value(weights[j], releases[j], start + procs[j]))
             if bound > best_cost:
                 return
         for j in range(n):
@@ -122,11 +101,7 @@ def _sequence_exact(
                 continue
             start = now if now > effective[j] else effective[j]
             completion = start + procs[j]
-            if is_max_flow:
-                flow = completion - releases[j]
-                new_partial = partial if partial > flow else flow
-            else:
-                new_partial = partial + inc(j, completion)
+            new_partial = combine(partial, job_value(weights[j], releases[j], completion))
             used[j] = True
             starts[j] = start
             descend(remaining - 1, completion, new_partial)
@@ -225,10 +200,6 @@ def _enumeration_size(points: int, caps: list[int] | None, s: int) -> int:
     return size
 
 
-def _empty_solution(objective: Objective) -> Solution:
-    return Solution(Schedule({}), ReplenishmentStructure(()), objective, 0, 0, 0)
-
-
 def _solve_over_points(
     instance: Instance,
     objective: Objective,
@@ -239,7 +210,7 @@ def _solve_over_points(
     jobs = instance.jobs
     n = len(jobs)
     if n == 0:
-        return _empty_solution(objective)
+        return empty_solution(objective)
     if n > limits.max_jobs:
         raise OracleLimitError(f"instance has {n} jobs, limit is {limits.max_jobs}")
     if not points:
@@ -269,20 +240,13 @@ def _solve_over_points(
     releases = tuple(job.release for job in jobs)
     procs = tuple(job.processing for job in jobs)
     weights = tuple(job.weight for job in jobs)
-    single = s == 1
     joint = instance.joint_cost
-    use_edd = objective is Objective.MAX_FLOW and single
+    use_edd = objective is Objective.MAX_FLOW and s == 1
+    job_value, combine = CRITERIA[objective]
 
     def sched_lower_bound(eff: tuple[int, ...]) -> int:
-        if objective is Objective.WEIGHTED_COMPLETION:
-            return sum(w * (e + p) for w, e, p in zip(weights, eff, procs))
-        if objective is Objective.TOTAL_COMPLETION:
-            return sum(e + p for e, p in zip(eff, procs))
-        if objective is Objective.TOTAL_FLOW:
-            return sum(e + p - r for e, p, r in zip(eff, procs, releases))
-        if objective is Objective.WEIGHTED_FLOW:
-            return sum(w * (e + p - r) for w, e, p, r in zip(weights, eff, procs, releases))
-        return max(e + p - r for e, p, r in zip(eff, procs, releases))
+        completions = map(operator.add, eff, procs)
+        return reduce(combine, map(job_value, weights, releases, completions), 0)
 
     residual_memo: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
 
@@ -374,7 +338,5 @@ def exact_solve_fine_grid(
     """
     if limits is None:
         limits = OracleLimits()
-    if not instance.jobs:
-        return _empty_solution(objective)
     points = tuple(range(0, instance.horizon + 1))
     return _solve_over_points(instance, objective, limits, points, True)

@@ -87,6 +87,19 @@ class TestSolve:
                                   "max_flow", "--input", "/nope/missing.json"], expect=1)
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "jobs, field",
+        [
+            ([{"id": 1, "release": 2.9, "processing": 1, "resources": [1]}], "release"),
+            ([{"id": 1, "release": 2, "processing": 1, "resources": "1"}], "resources"),
+            ([5], "jobs"),
+        ],
+    )
+    def test_malformed_instance_names_field(self, capsys, tmp_path, jobs, field):
+        path = write(tmp_path, "bad.json", json.dumps({**WALKTHROUGH, "jobs": jobs}))
+        _, err = run_cli(capsys, ["solve", "--algo", "dp-fmax-s1", "--input", path], expect=1)
+        assert f"field '{field}'" in err
+
     def test_unknown_algo_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--algo", "nope", "--input", "x"])
@@ -107,6 +120,20 @@ class TestOnline:
         lines = [json.loads(line) for line in open(trace_path)]
         assert lines[0] == {"t": 4, "replenish": [1], "start": [1]}
         assert lines[-1]["total"] == 10
+
+    def test_blocks_match_trace_summary(self, capsys, tmp_path):
+        unit = {"s": 1, "joint_cost": 3, "item_costs": [0],
+                "jobs": [{"id": i, "release": r, "processing": 1, "resources": [1]}
+                         for i, r in enumerate([0, 0, 1, 5, 6, 6], start=1)]}
+        path = write(tmp_path, "unit.json", json.dumps(unit))
+        trace_path = str(tmp_path / "trace.jsonl")
+        out, _ = run_cli(capsys, ["online", "--policy", "sum-fj", "--K", "3",
+                                  "--input", path, "--trace", trace_path])
+        summary = json.loads(open(trace_path).read().splitlines()[-1])
+        blocks = json.loads(out)["blocks"]
+        assert blocks == [{"t": 0, "b": 2, "y": 0, "z": 2}, {"t": 3, "b": 1, "y": 1, "z": 0},
+                          {"t": 6, "b": 3, "y": 1, "z": 2}]
+        assert blocks == summary["blocks"]
 
     def test_lead_one_shifts_releases(self, capsys, tmp_path):
         single = {"s": 1, "joint_cost": 1, "item_costs": [0],
@@ -167,6 +194,25 @@ class TestRatio:
         rows = json.loads(out)
         assert rows[0]["ratio"] <= 2 ** 0.5 + 1e-9 + 1 / rows[0]["offline"]
 
+    def test_oracle_limit_is_reported(self, capsys):
+        _, err = run_cli(capsys, ["ratio", "--policy", "sum-cj", "--K", "5", "--n", "12",
+                                  "--seeds", "0:1"], expect=1)
+        assert "12 jobs, limit is 8" in err
+
+    def test_n_below_one_rejected(self, capsys):
+        _, err = run_cli(capsys, ["ratio", "--policy", "sum-cj", "--K", "5", "--n", "0"],
+                         expect=1)
+        assert "--n" in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--K", "0"], "order cost"), (["--K", "5", "--max-jobs", "-1"], "oracle limits")],
+    )
+    def test_bad_parameters_rejected(self, capsys, extra, message):
+        _, err = run_cli(capsys, ["ratio", "--policy", "sum-cj", "--n", "3", "--seeds", "0:1",
+                                  *extra], expect=1)
+        assert message in err
+
     def test_max_flow_requires_regular(self, capsys):
         _, err = run_cli(capsys, ["ratio", "--policy", "max-flow", "--K", "2"], expect=1)
         assert "regular" in err
@@ -203,6 +249,17 @@ class TestValidate:
         report = json.loads(out)
         assert report["feasible"] is False
         assert any(v["kind"] == "overlap" for v in report["violations"])
+
+    def test_starts_must_be_an_object(self, capsys, tmp_path):
+        document = {
+            "instance": WALKTHROUGH,
+            "solution": {"objective": "total_completion", "starts": [1],
+                         "replenishments": [], "scheduling_cost": 0,
+                         "replenishment_cost": 0, "total": 0},
+        }
+        path = write(tmp_path, "starts.json", json.dumps(document))
+        _, err = run_cli(capsys, ["validate", "--input", path], expect=1)
+        assert "field 'starts'" in err
 
     def test_cost_mismatch_detected(self, capsys, tmp_path):
         document = {

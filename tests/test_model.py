@@ -95,6 +95,34 @@ class TestParseInstance:
         with pytest.raises(InstanceError, match="malformed"):
             parse_instance("{nope")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("release", 2.9),
+            ("release", "2"),
+            ("processing", True),
+            ("weight", 1.0),
+            ("resources", "1"),
+            ("resources", [1.0]),
+            ("id", "1"),
+        ],
+    )
+    def test_job_field_must_be_integer(self, field, value):
+        job = {"id": 1, "release": 0, "processing": 1, "resources": [1], field: value}
+        doc = {"s": 1, "joint_cost": 0, "item_costs": [0], "jobs": [job]}
+        with pytest.raises(InstanceError, match=f"field '{field}'"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s", 1.5), ("joint_cost", "1"), ("item_costs", [False]), ("item_costs", "0"),
+         ("jobs", [5]), ("jobs", "ab")],
+    )
+    def test_instance_field_types(self, field, value):
+        doc = {"s": 1, "joint_cost": 0, "item_costs": [0], "jobs": [], field: value}
+        with pytest.raises(InstanceError, match=f"field '{field}'"):
+            parse_instance(json.dumps(doc))
+
     def test_roundtrip(self, rng):
         for _ in range(25):
             inst = random_instance(rng, rng.randint(0, 6), s=2, max_processing=3, max_weight=4)
@@ -167,6 +195,13 @@ class TestCosts:
         inst = walkthrough_instance()
         assert scheduling_cost(inst, Schedule({1: 3, 2: 7, 3: 8}), Objective.MAX_FLOW) == 7
 
+    def test_max_flow_floored_at_zero(self):
+        # every job starts more than its processing time before its release
+        inst = walkthrough_instance()
+        early = Schedule({1: -5, 2: 0, 3: 2})
+        assert scheduling_cost(inst, early, Objective.MAX_FLOW) == 0
+        assert scheduling_cost(inst, early, Objective.TOTAL_FLOW) == -1 - 2 - 4
+
     def test_unscheduled_job_rejected(self):
         with pytest.raises(SolutionError, match="job 3"):
             scheduling_cost(walkthrough_instance(), Schedule({1: 0, 2: 4}), Objective.TOTAL_FLOW)
@@ -204,6 +239,26 @@ class TestSolution:
     def test_structure_rejects_empty_subset(self):
         with pytest.raises(SolutionError, match="empty resource set"):
             events((3, set()))
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("starts", [1], "starts"),
+            ("starts", {"x": 0}, "starts"),
+            ("starts", {"1": 0.5}, "starts[1]"),
+            ("replenishments", [5], "replenishments"),
+            ("replenishments", [{"time": "0", "resources": [1]}], "time"),
+            ("replenishments", [{"time": 0, "resources": "1"}], "resources"),
+            ("total", True, "total"),
+        ],
+    )
+    def test_document_field_types(self, field, value, named):
+        doc = {"objective": "max_flow", "starts": {"1": 0},
+               "replenishments": [{"time": 0, "resources": [1]}],
+               "scheduling_cost": 1, "replenishment_cost": 1, "total": 2, field: value}
+        with pytest.raises(SolutionError) as exc:
+            parse_solution(json.dumps(doc))
+        assert f"field '{named}'" in str(exc.value)
 
     def test_solution_roundtrip(self):
         inst = walkthrough_instance()
