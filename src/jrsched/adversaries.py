@@ -19,6 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import (
+    FMAX_GENERAL_GOLDEN,
+    FMAX_REGULAR_4_3,
+    KINDS,
+    SUM_CJ_3_2,
+    SUM_FJ_3_2,
+    WEIGHTED_GOLDEN,
+)
 from .model import Instance, Job, Objective, Solution
 from .offline_dp import dp_fmax_s1
 from .online import (
@@ -34,14 +42,6 @@ from .online import (
     simulate,
 )
 from .oracle import exact_solve
-
-SUM_CJ_3_2 = "sum_cj_3_2"
-WEIGHTED_GOLDEN = "weighted_golden"
-SUM_FJ_3_2 = "sum_fj_3_2"
-FMAX_REGULAR_4_3 = "fmax_regular_4_3"
-FMAX_GENERAL_GOLDEN = "fmax_general_golden"
-
-KINDS = (SUM_CJ_3_2, WEIGHTED_GOLDEN, SUM_FJ_3_2, FMAX_REGULAR_4_3, FMAX_GENERAL_GOLDEN)
 
 _OBJECTIVES = {
     SUM_CJ_3_2: Objective.TOTAL_COMPLETION,

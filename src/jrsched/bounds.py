@@ -18,13 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adversaries import (
-    FMAX_GENERAL_GOLDEN,
-    SUM_CJ_3_2,
-    SUM_FJ_3_2,
-    WEIGHTED_GOLDEN,
-)
 from .model import Instance, SolverError
+
+# The adversary games (see :mod:`jrsched.adversaries`, which plays them).
+# They are named here so that this module imports nothing but the model.
+SUM_CJ_3_2 = "sum_cj_3_2"
+WEIGHTED_GOLDEN = "weighted_golden"
+SUM_FJ_3_2 = "sum_fj_3_2"
+FMAX_REGULAR_4_3 = "fmax_regular_4_3"
+FMAX_GENERAL_GOLDEN = "fmax_general_golden"
+
+KINDS = (SUM_CJ_3_2, WEIGHTED_GOLDEN, SUM_FJ_3_2, FMAX_REGULAR_4_3, FMAX_GENERAL_GOLDEN)
 
 
 def lb_ceiling(instance: Instance) -> int:

@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 
@@ -199,9 +200,15 @@ class ReplenishmentStructure:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Start time per job id.  Overlap checks live in :func:`check_feasible`."""
+    """Start time per job id.  Overlap checks live in :func:`check_feasible`.
 
-    starts: dict[int, int]
+    ``starts`` is a read-only copy of the mapping passed in.
+    """
+
+    starts: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "starts", MappingProxyType(dict(self.starts)))
 
     def start_of(self, job_id: int) -> int:
         try:

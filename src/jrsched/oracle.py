@@ -5,9 +5,11 @@ which that resource is ordered.  Enumerating one time set per resource is in
 bijection with assigning a resource subset to every candidate time point, and
 covers every replenishment structure over those points.  For each structure
 the jobs get effective releases (the first moment all their resources are
-covered) and the residual one-machine problem is solved by exhaustive
-sequencing with earliest-start placement, which is optimal among active
-schedules for every supported criterion.
+covered) and the residual one-machine problem is solved exactly by a subset
+DP over (jobs sequenced, time the machine becomes free) with earliest-start
+placement, which is optimal among active schedules for every supported
+criterion.  Among the optimal orders the DP returns the lexicographically
+smallest start vector (see :func:`_subset_dp`).
 
 Two enumeration grids are offered: the release dates of the jobs (sufficient
 for optimality, used by :func:`exact_solve`) and every integer time up to the
@@ -22,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 from .model import (
     CRITERIA,
@@ -44,8 +47,12 @@ class OracleLimits:
     max_grid_subsets: int = 2**20
 
     def __post_init__(self) -> None:
-        if self.max_jobs < 0 or self.max_grid_subsets < 1:
-            raise ValueError("oracle limits must be positive")
+        if self.max_jobs < 0:
+            raise ValueError(f"oracle limits: max_jobs must be >= 0, got {self.max_jobs}")
+        if self.max_grid_subsets < 1:
+            raise ValueError(
+                f"oracle limits: max_grid_subsets must be >= 1, got {self.max_grid_subsets}"
+            )
 
 
 class OracleLimitError(SolverError):
@@ -60,56 +67,83 @@ def _sequence_exact(
     """Best order of all jobs with starts at max(previous completion, effective).
 
     Returns the exact optimum cost and, among equal-cost orders, the
-    lexicographically smallest start vector.  Branches are cut when an
-    admissible bound already exceeds the incumbent.
+    lexicographically smallest start vector.  Under a sum criterion one pass
+    of :func:`_subset_dp` finds both.  Under max flow a prefix with a higher
+    maximum can still tie at the end, so the first pass finds only the cost
+    and a second pass, carrying no cost and dropping every step whose flow
+    exceeds it, picks the smallest start vector among the optimal orders.
+    """
+    job_value, combine = CRITERIA[objective]
+    if combine is operator.add:
+        return _subset_dp(effective, jobs_data, job_value, combine)
+    optimum, _ = _subset_dp(effective, jobs_data, job_value, combine)
+    _, starts = _subset_dp(effective, jobs_data, job_value, _no_cost, optimum)
+    return optimum, starts
+
+
+def _no_cost(total: int, value: int) -> int:
+    return 0
+
+
+def _subset_dp(
+    effective: tuple[int, ...],
+    jobs_data: tuple[tuple[int, int, int], ...],
+    job_value: Callable[[int, int, int], int],
+    combine: Callable[[int, int], int],
+    cap: int | None = None,
+) -> tuple[int, tuple[int, ...]]:
+    """Smallest (cost, starts) over all job orders, by a forward subset DP.
+
+    As in Held and Karp's DP, the jobs are placed one by one; a state is the
+    set of jobs placed and the time the machine becomes free.  All orders
+    through a state share the same continuations, so a state keeps only its
+    smallest (cost, starts).  Unplaced jobs hold start 0, so partial start
+    vectors compare as the full ones will.
+
+    A state is not expanded when a state of the same set that is free
+    earlier holds a smaller (cost, starts).  Continued by the same jobs,
+    that state starts each of them no later, so it ends no dearer and with
+    the smaller start vector; under max it ends no dearer, which is all the
+    cost-finding pass needs.  Identical jobs are placed in index order only:
+    swapping two of them keeps every cost and gives the lower index the
+    earlier start.  With ``cap`` set, steps whose job value exceeds it are
+    dropped.
     """
     n = len(effective)
-    releases = tuple(r for r, _, _ in jobs_data)
-    procs = tuple(p for _, p, _ in jobs_data)
-    weights = tuple(w for _, _, w in jobs_data)
-    job_value, combine = CRITERIA[objective]
-
-    best_cost: int | None = None
-    best_starts: tuple[int, ...] | None = None
-    starts = [0] * n
-    used = [False] * n
-
-    def descend(remaining: int, now: int, partial: int) -> None:
-        nonlocal best_cost, best_starts
-        if remaining == 0:
-            key = tuple(starts)
-            if (
-                best_cost is None
-                or partial < best_cost
-                or (partial == best_cost and key < best_starts)
-            ):
-                best_cost = partial
-                best_starts = key
-            return
-        if best_cost is not None:
-            # Every unscheduled job finishes no earlier than its own
-            # effective release plus processing, machine aside.
-            bound = partial
-            for j in range(n):
-                if not used[j]:
-                    start = now if now > effective[j] else effective[j]
-                    bound = combine(bound, job_value(weights[j], releases[j], start + procs[j]))
-            if bound > best_cost:
-                return
-        for j in range(n):
-            if used[j]:
-                continue
-            start = now if now > effective[j] else effective[j]
-            completion = start + procs[j]
-            new_partial = combine(partial, job_value(weights[j], releases[j], completion))
-            used[j] = True
-            starts[j] = start
-            descend(remaining - 1, completion, new_partial)
-            used[j] = False
-
-    descend(n, 0, 0)
-    assert best_cost is not None and best_starts is not None
-    return best_cost, best_starts
+    steps = []
+    last_twin: dict[tuple[int, int, int, int], int] = {}
+    for j, (release, proc, weight) in enumerate(jobs_data):
+        key = (effective[j], release, proc, weight)
+        steps.append((j, 1 << j, last_twin.get(key, 0), effective[j], release, proc, weight))
+        last_twin[key] = 1 << j
+    layer: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {0: {0: (0, (0,) * n)}}
+    for _ in range(n):
+        successors: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
+        for mask, states in layer.items():
+            least = None
+            for now, held in sorted(states.items()):
+                if least is not None and least < held:
+                    continue
+                least = held
+                cost, starts = held
+                for j, bit, twin, eff, release, proc, weight in steps:
+                    if mask & bit or mask & twin != twin:
+                        continue
+                    start = now if now > eff else eff
+                    done = start + proc
+                    value = job_value(weight, release, done)
+                    if cap is not None and value > cap:
+                        continue
+                    state = (combine(cost, value), starts[:j] + (start,) + starts[j + 1 :])
+                    bucket = successors.get(mask | bit)
+                    if bucket is None:
+                        successors[mask | bit] = {done: state}
+                    else:
+                        kept = bucket.get(done)
+                        if kept is None or state < kept:
+                            bucket[done] = state
+        layer = successors
+    return min(layer[(1 << n) - 1].values())
 
 
 def _sequence_release_order(

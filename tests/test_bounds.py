@@ -1,12 +1,18 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jrsched
 from jrsched import (
     Instance,
     Job,
     Objective,
     SolverError,
+    adversaries,
+    bounds,
     exact_solve,
     lb_ceiling,
     lb_sqrt,
@@ -124,3 +130,21 @@ class TestRatioCurves:
         # c1 rises and c2 falls around the crossing, so both pin the bound
         assert point.bound == max(point.c1, point.c2)
         assert point.limit == 1.5
+
+
+class TestLeafImport:
+    def test_bounds_imports_no_solver(self):
+        src = str(Path(jrsched.__file__).resolve().parents[1])
+        probe = "import sys, jrsched.bounds; print(' '.join(sorted(sys.modules)))"
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert "jrsched.bounds" in loaded
+        for solver in ("oracle", "offline_dp", "online", "adversaries"):
+            assert f"jrsched.{solver}" not in loaded
+
+    def test_adversaries_reexports_the_kinds(self):
+        assert adversaries.KINDS is bounds.KINDS is jrsched.KINDS
+        for name in ("SUM_CJ_3_2", "WEIGHTED_GOLDEN", "SUM_FJ_3_2",
+                     "FMAX_REGULAR_4_3", "FMAX_GENERAL_GOLDEN"):
+            assert getattr(adversaries, name) == getattr(bounds, name)

@@ -260,6 +260,17 @@ class TestSolution:
             parse_solution(json.dumps(doc))
         assert f"field '{named}'" in str(exc.value)
 
+    def test_schedule_starts_are_read_only(self):
+        with pytest.raises(TypeError):
+            Schedule({1: 0}).starts[1] = 5
+
+    def test_schedule_copies_the_callers_starts(self):
+        starts = {1: 0, 2: 4}
+        schedule = Schedule(starts)
+        starts[1] = 9
+        del starts[2]
+        assert schedule.starts == {1: 0, 2: 4}
+
     def test_solution_roundtrip(self):
         inst = walkthrough_instance()
         sol = evaluate_solution(

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,11 +11,14 @@ from jrsched import (
     OracleLimitError,
     OracleLimits,
     check_feasible,
+    emit_solution,
     exact_solve,
     exact_solve_fine_grid,
     replenishment_cost,
     scheduling_cost,
 )
+from jrsched.generate import GeneratorSpec, gen_instance
+from jrsched.model import CRITERIA
 from jrsched.oracle import _sequence_exact, _sequence_release_order
 from conftest import R1, random_instance, single_job_instance, walkthrough_instance
 
@@ -86,8 +91,10 @@ class TestLimits:
             exact_solve(inst, Objective.TOTAL_COMPLETION, OracleLimits(max_grid_subsets=8))
 
     def test_bad_limits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_jobs must be >= 0, got -1"):
             OracleLimits(max_jobs=-1)
+        with pytest.raises(ValueError, match="max_grid_subsets must be >= 1, got 0"):
+            OracleLimits(max_grid_subsets=0)
 
 
 class TestStructuralInvariants:
@@ -160,3 +167,76 @@ class TestResidualSequencing:
         cost, starts = _sequence_exact(effective, jobs_data, Objective.TOTAL_COMPLETION)
         assert cost == 3
         assert starts == (0, 1)
+
+    def test_matches_brute_force_over_all_orders(self):
+        rng = random.Random(2024)
+        for trial in range(320):
+            n = 1 + trial % 7
+            # every other residual draws from small ranges, so that identical
+            # jobs and equal-cost orders are common
+            small = trial % 2 == 0
+            releases = [rng.randint(0, 3 if small else 8) for _ in range(n)]
+            # effective releases trail the releases by uneven delays, so they
+            # need not be monotone in them
+            effective = tuple(r + rng.choice((0, 0, rng.randint(1, 5))) for r in releases)
+            jobs_data = tuple(
+                (r, rng.randint(1, 2 if small else 4), rng.randint(1, 2 if small else 3))
+                for r in releases
+            )
+            expected = brute_force_sequence(effective, jobs_data)
+            for objective in Objective:
+                assert _sequence_exact(effective, jobs_data, objective) == expected[objective], (
+                    effective, jobs_data, objective
+                )
+
+
+def brute_force_sequence(effective, jobs_data):
+    """Per objective, the smallest (cost, starts) over every order, each job
+    started as early as the machine and its effective release allow."""
+    best = {}
+    for order in itertools.permutations(range(len(effective))):
+        now, starts, completions = 0, [0] * len(effective), []
+        for j in order:
+            release, processing, weight = jobs_data[j]
+            starts[j] = max(now, effective[j])
+            now = starts[j] + processing
+            completions.append((weight, release, now))
+        for objective, (job_value, combine) in CRITERIA.items():
+            cost = 0
+            for weight, release, completion in completions:
+                cost = combine(cost, job_value(weight, release, completion))
+            candidate = (cost, tuple(starts))
+            if objective not in best or candidate < best[objective]:
+                best[objective] = candidate
+    return best
+
+
+def golden_specs():
+    """100 seeded instances: s = 1-3, n = 1-6, p up to 1-4, w up to 3."""
+    for seed in range(100):
+        s = 1 + seed % 3
+        yield GeneratorSpec(
+            seed=seed,
+            n=1 + seed // 3 % 6,
+            num_resources=s,
+            joint_cost=seed % 4,
+            item_cost_max=3,
+            max_release=(9, 6, 4)[s - 1],
+            max_processing=1 + seed % 4,
+            max_weight=3,
+        )
+
+
+# sha256 of the emitted exact_solve solutions below, computed with the
+# permutation branch-and-bound that sequenced the residuals before the subset
+# DP.  Every oracle change must keep every byte, tie-breaks included.
+GOLDEN_DIGEST = "ea021017ff145d1dd3a94569a9b8423811b7d3f7867b0ff1c0b7d2d27c0b4158"
+
+
+def test_exact_solve_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for spec in golden_specs():
+        instance = gen_instance(spec)
+        for objective in Objective:
+            digest.update(emit_solution(exact_solve(instance, objective)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
