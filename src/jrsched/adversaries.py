@@ -88,7 +88,6 @@ class _ReactiveSource(JobSource):
         self.first = Job(1, 0, 1, frozenset({1}), 1)
         self.first_delivered = False
         self.payload: list[Job] | None = None
-        self.delivered: list[Job] = []
 
     def _build_payload(self, started_at: int) -> list[Job]:
         release = started_at + 1
@@ -109,7 +108,6 @@ class _ReactiveSource(JobSource):
             due = [job for job in self.payload if job.release <= t]
             self.payload = [job for job in self.payload if job.release > t]
             out.extend(due)
-        self.delivered.extend(out)
         return out
 
     def finished(self, t: int, view: SimView) -> bool:
@@ -127,17 +125,14 @@ class _RegularStreamSource(JobSource):
     def __init__(self) -> None:
         self.next_release = 1
         self.cap: int | None = None
-        self.delivered: list[Job] = []
 
     def reveal(self, t: int, view: SimView) -> list[Job]:
         if self.cap is None and view.events:
             self.cap = view.events[0][0] + 1
         out = []
         while self.next_release <= t and (self.cap is None or self.next_release <= self.cap):
-            job = Job(self.next_release, self.next_release, 1, frozenset({1}), 1)
-            out.append(job)
+            out.append(Job(self.next_release, self.next_release, 1, frozenset({1}), 1))
             self.next_release += 1
-        self.delivered.extend(out)
         return out
 
     def finished(self, t: int, view: SimView) -> bool:

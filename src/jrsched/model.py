@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
@@ -353,6 +354,16 @@ def check_feasible(instance: Instance, solution: Solution) -> FeasibilityReport:
     return FeasibilityReport(tuple(violations))
 
 
+def release_anchor(grid: tuple[int, ...], t: int) -> int | None:
+    """The latest date of the sorted ``grid`` at or before ``t``, or None.
+
+    No job is released strictly between the anchor and ``t``, so an order at
+    ``t`` covers the same jobs as an order at its anchor.
+    """
+    pos = bisect_right(grid, t)
+    return grid[pos - 1] if pos else None
+
+
 def normalize_replenishments(instance: Instance, solution: Solution) -> Solution:
     """Pull every order back to the latest release date at or before it.
 
@@ -369,12 +380,7 @@ def normalize_replenishments(instance: Instance, solution: Solution) -> Solution
     grid = instance.release_grid
     merged: dict[int, set[int]] = {}
     for event_time, resources in solution.replenishments.events:
-        anchor = None
-        for tau in grid:
-            if tau <= event_time:
-                anchor = tau
-            else:
-                break
+        anchor = release_anchor(grid, event_time)
         if anchor is None:
             continue
         merged.setdefault(anchor, set()).update(resources)

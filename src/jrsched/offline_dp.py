@@ -11,16 +11,25 @@ Four solvers, each exact within its stated problem class:
 - :func:`fmax_unit_distinct` -- fast special case of the above for unit
   jobs with pairwise distinct release dates.
 
-States are deduplicated by a key tuple that determines everything the
-future depends on; per key only undominated partial solutions survive.
-Every solver returns a full :class:`~jrsched.model.Solution` with
-recomputed costs.
+States are deduplicated by a key tuple that holds only what later layers
+read, and per key only undominated partial solutions survive:
+
+- :func:`dp_wjcj_unit` keys on (last order time per resource, scheduled
+  set); costs add up, so the value is the weighted completion time plus the
+  ordering cost so far.
+- :func:`dp_equalp` keys on (scheduled count per class, last order's
+  release anchor per resource).
+- :func:`dp_fmax_s1` keys on (time the machine becomes free, order count).
+
+Ties go to the partial solution found first: a later one replaces the kept
+one only when strictly better, and the answer is the first final state of
+least total, in the order the states were reached.  Every solver returns a
+full :class:`~jrsched.model.Solution` with recomputed costs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .model import (
     CRITERIA,
@@ -33,40 +42,45 @@ from .model import (
     empty_solution,
     evaluate_solution,
     normalize_replenishments,
+    release_anchor,
 )
 
 
-def _mask_to_resources(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+def _order_table(instance: Instance) -> list[tuple[frozenset[int], int]]:
+    """Per resource bit mask: the resources one order covers and its cost."""
+    s = instance.num_resources
+    table = [(frozenset(), 0)]
+    for mask in range(1, 1 << s):
+        resources = frozenset(i + 1 for i in range(s) if mask >> i & 1)
+        table.append((resources, instance.order_cost(resources)))
+    return table
 
 
 # ---------------------------------------------------------------------------
 # Weighted completion time, unit jobs
 
 
-@dataclass
-class _SumState:
-    """Partial solution behind one state key of the min-sum programs."""
-
-    weighted_sum: int
-    schedule: tuple[tuple[int, int], ...]  # (job id, start)
-    events: tuple[tuple[int, frozenset[int]], ...]
-
-
 def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     """Optimal weighted total completion time plus ordering cost, unit jobs.
 
     Layers run over the distinct release dates plus one horizon layer.  A
-    state records the set of scheduled jobs, the last ordering time and
-    ordering count per resource, and the total number of orders.  Expanding a
-    state orders any resource subset at the layer date, then greedily starts
-    the largest-weight ready jobs, as many as fit before the next layer.
+    state is keyed on the last ordering time per resource and the set of
+    scheduled jobs, which is all that later layers read; its value is the
+    weighted completion time plus the ordering cost so far, both of which
+    add up.  Expanding a state orders any resource subset at the layer date,
+    then greedily starts the largest-weight ready jobs, as many as fit before
+    the next layer.
 
     The key holds the scheduled set itself, not just how many jobs of each
     class (jobs sharing a required resource subset) are done.  Counts alone
     are not a sound dominance key: two histories can reach equal counts having
     scheduled different weight profiles, and the cheaper prefix may have the
     worse continuation, so merging on counts can lose the optimum.
+
+    Ties go to the state found first: per key the first state with the
+    smallest value is kept, and the answer is the first complete state with
+    the smallest value, where states are expanded layer by layer, each layer
+    in the order its keys were first reached, resource masks ascending.
 
     ``stats``, when given, receives ``states_per_layer`` for bound checks.
     """
@@ -80,82 +94,60 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     s = instance.num_resources
     n = len(instance.jobs)
     layer_times = instance.release_grid + (instance.horizon,)
+    orders = _order_table(instance)
     # heaviest first, ties to the smaller id, with the 0-based resource indices
     by_weight = [
         (job, tuple(r - 1 for r in sorted(job.resources)))
         for job in sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
     ]
 
-    start_key = ((None,) * s, (0,) * s, 0, frozenset())
-    layers: dict[tuple, _SumState] = {start_key: _SumState(0, (), ())}
+    # key: (last order time per resource, -1 if never, scheduled job ids)
+    # value: (weighted completion plus order cost, schedule, events)
+    layer: dict[tuple, tuple] = {((-1,) * s, frozenset()): (0, (), ())}
     if stats is not None:
-        stats["states_per_layer"] = [len(layers)]
+        stats["states_per_layer"] = [len(layer)]
 
     for k, tau in enumerate(layer_times[:-1]):
         window = layer_times[k + 1] - tau
-        nxt: dict[tuple, _SumState] = {}
-        for (betas, gammas, delta, scheduled), state in layers.items():
-            for mask in range(1 << s):
-                if mask:
-                    new_betas = tuple(
-                        tau if mask >> i & 1 else betas[i] for i in range(s)
-                    )
-                    new_gammas = tuple(
-                        gammas[i] + 1 if mask >> i & 1 else gammas[i] for i in range(s)
-                    )
-                    new_delta = delta + 1
-                    new_events = state.events + ((tau, _mask_to_resources(mask)),)
-                else:
-                    new_betas = betas
-                    new_gammas = gammas
-                    new_delta = delta
-                    new_events = state.events
-
+        nxt: dict[tuple, tuple] = {}
+        for (betas, scheduled), (value, schedule, events) in layer.items():
+            for mask, (resources, order_cost) in enumerate(orders):
+                new_betas = tuple(tau if mask >> i & 1 else betas[i] for i in range(s))
                 chosen: list = []
                 for job, needs in by_weight:
                     if job.id in scheduled:
                         continue
                     for i in needs:
-                        beta = new_betas[i]
-                        if beta is None or job.release > beta:
+                        if job.release > new_betas[i]:
                             break
                     else:
                         chosen.append(job)
                         if len(chosen) == window:
                             break
 
-                new_schedule = list(state.schedule)
-                new_sum = state.weighted_sum
+                new_value = value + order_cost
                 for offset, job in enumerate(chosen):
-                    start = tau + offset
-                    new_schedule.append((job.id, start))
-                    new_sum += job.weight * (start + 1)
-
-                new_scheduled = scheduled | {job.id for job in chosen}
-                key = (new_betas, new_gammas, new_delta, new_scheduled)
+                    new_value += job.weight * (tau + offset + 1)
+                key = (new_betas, scheduled.union(job.id for job in chosen))
                 incumbent = nxt.get(key)
-                if incumbent is None or new_sum < incumbent.weighted_sum:
-                    nxt[key] = _SumState(new_sum, tuple(new_schedule), new_events)
-        layers = nxt
+                if incumbent is None or new_value < incumbent[0]:
+                    placed = tuple((job.id, tau + offset) for offset, job in enumerate(chosen))
+                    nxt[key] = (
+                        new_value,
+                        schedule + placed,
+                        events + ((tau, resources),) if mask else events,
+                    )
+        layer = nxt
         if stats is not None:
-            stats["states_per_layer"].append(len(layers))
+            stats["states_per_layer"].append(len(layer))
 
-    best: tuple[int, _SumState] | None = None
-    for (betas, gammas, delta, scheduled), state in layers.items():
-        if len(scheduled) != n:
-            continue
-        repl = instance.joint_cost * delta + sum(
-            instance.item_costs[i] * gammas[i] for i in range(s)
-        )
-        value = state.weighted_sum + repl
-        if best is None or value < best[0]:
-            best = (value, state)
-    if best is None:
-        raise SolverError("dynamic program found no complete schedule")
-    _, state = best
-    schedule = Schedule(dict(state.schedule))
+    # ordering every resource at the last release always leaves a complete state
+    _, schedule, events = min(
+        (state for (_, scheduled), state in layer.items() if len(scheduled) == n),
+        key=lambda state: state[0],
+    )
     return evaluate_solution(
-        instance, schedule, ReplenishmentStructure(state.events), objective
+        instance, Schedule(dict(schedule)), ReplenishmentStructure(events), objective
     )
 
 
@@ -203,16 +195,10 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     use_max_flow = objective is Objective.MAX_FLOW
     job_value, combine = CRITERIA[objective]
 
+    orders = _order_table(instance)
     jobs_by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
     class_keys = sorted({tuple(sorted(job.resources)) for job in instance.jobs})
     class_index = {key: idx for idx, key in enumerate(class_keys)}
-
-    def anchor(t: int | None) -> int | None:
-        # readiness only depends on the last release at or before the order
-        if t is None:
-            return None
-        pos = bisect_left(grid, t + 1) - 1
-        return None if pos < 0 else grid[pos]
 
     # key: (scheduled count per class, last-order release anchor per resource)
     # entries: Pareto list of (criterion, order cost so far, schedule, events);
@@ -247,6 +233,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             best = (value, entry[2], entry[3])
 
     for idx, tau in enumerate(layer_times):
+        anchor = release_anchor(grid, tau)
         for (alphas, betas), entries in layers[idx].items():
             scheduled_count = sum(alphas)
             if scheduled_count == n:
@@ -256,18 +243,8 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             # per-class scheduled jobs are always a release-ordered prefix,
             # so the counts identify them exactly
             ready_if: dict[tuple, list] = {}
-            for mask in range(1 << s):
-                if mask:
-                    new_betas = tuple(
-                        anchor(tau) if mask >> i & 1 else betas[i] for i in range(s)
-                    )
-                    order_cost = instance.joint_cost + sum(
-                        instance.item_costs[i] for i in range(s) if mask >> i & 1
-                    )
-                    order = ((tau, _mask_to_resources(mask)),)
-                else:
-                    new_betas = betas
-                    order_cost = 0
+            for mask, (resources, order_cost) in enumerate(orders):
+                new_betas = tuple(anchor if mask >> i & 1 else betas[i] for i in range(s))
 
                 cache_key = new_betas
                 ready = ready_if.get(cache_key)
@@ -326,7 +303,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                             combine(crit, block_value),
                             cost + order_cost,
                             schedule + pairs,
-                            events + order if mask else events,
+                            events + ((tau, resources),) if mask else events,
                         )
                         if complete:
                             consider_complete(new_entry)
@@ -353,12 +330,19 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     """Optimal maximum flow time plus ordering cost for a single resource.
 
     Jobs are handled in non-decreasing release order, which is optimal here.
-    Layer j means: the order placed at the j-th distinct release date serves
-    every job released since the previous order.  A state keeps the previous
-    order's date, the start of the current back-to-back run, the first job
-    of that run and the number of orders; only the best flow time survives
-    per such key.  Jobs sharing a release date are grouped into one layer
-    and sequenced consecutively in id order.
+    Layer j means: the orders so far serve every job released up to the j-th
+    distinct release date, the last of them placed at that date.  A state is
+    keyed on the time the machine becomes free and the number of orders,
+    which is all that later layers read; its value is the worst flow time so
+    far.  An order at a later date serves the jobs released since as one
+    back-to-back block, started once both the machine and the order are
+    ready.  Jobs sharing a release date are grouped into one layer and
+    sequenced consecutively in id order.
+
+    Ties go to the state found first: per key the first state with the
+    smallest worst flow is kept, and the answer is the first final state with
+    the smallest total, where states are expanded from each layer in turn, in
+    the order their keys were first reached, target layers ascending.
     """
     objective = Objective.MAX_FLOW
     if instance.num_resources != 1:
@@ -371,75 +355,57 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     date_index = {d: g for g, d in enumerate(dates, start=1)}
     m = len(dates)
     group_end = [0] * (m + 1)  # group_end[g] = flat index one past group g (1-based)
+    prefix_p = [0]
     for idx, job in enumerate(ordered):
         group_end[date_index[job.release]] = idx + 1
-    prefix_p = [0]
-    for job in ordered:
         prefix_p.append(prefix_p[-1] + job.processing)
+    # A block started at b after the first lo jobs completes job k at
+    # b - prefix_p[lo] + prefix_p[k + 1], so its worst flow is b - prefix_p[lo]
+    # plus the largest tail prefix_p[k + 1] - release_k over the block.
+    group_tail = [0] + [
+        max(prefix_p[k + 1] - ordered[k].release for k in range(group_end[g - 1], group_end[g]))
+        for g in range(1, m + 1)
+    ]
 
-    # state key: (previous order date, run start, first job of run, order count)
-    # value: (best flow so far, parent key, parent layer,
-    #         (order time, flat span lo/hi, block start))
+    # state key: (time the machine becomes free, order count)
+    # value: (worst flow so far, parent key, parent layer, start of the block
+    #         served by the order at this layer's date)
     layers: list[dict[tuple, tuple]] = [dict() for _ in range(m + 1)]
-    layers[0][(0, 0, 0, 0)] = (0, None, 0, None)
+    layers[0][(0, 0)] = (0, None, 0, None)
 
     for i in range(m):
-        end_i = group_end[i]
+        lo = group_end[i]
         for key, entry in layers[i].items():
-            alpha, beta, gamma, count = key
+            free, count = key
             fmax = entry[0]
-            run_finish = beta + prefix_p[end_i] - prefix_p[gamma]
+            tail = group_tail[i + 1]
             for j in range(i + 1, m + 1):
+                if group_tail[j] > tail:
+                    tail = group_tail[j]
                 order_time = dates[j - 1]
-                end_j = group_end[j]
-                block_start = run_finish if run_finish > order_time else order_time
-                t = block_start
-                worst = fmax
-                for idx in range(end_i, end_j):
-                    t += ordered[idx].processing
-                    flow = t - ordered[idx].release
-                    if flow > worst:
-                        worst = flow
-                if block_start > run_finish:
-                    new_beta, new_gamma = block_start, end_i
-                else:
-                    new_beta, new_gamma = beta, gamma
-                new_key = (dates[i - 1] if i > 0 else 0, new_beta, new_gamma, count + 1)
+                block_start = free if free > order_time else order_time
+                worst = block_start - prefix_p[lo] + tail
+                if worst < fmax:
+                    worst = fmax
+                new_key = (block_start + prefix_p[group_end[j]] - prefix_p[lo], count + 1)
                 incumbent = layers[j].get(new_key)
                 if incumbent is None or worst < incumbent[0]:
-                    layers[j][new_key] = (
-                        worst,
-                        key,
-                        i,
-                        (order_time, end_i, end_j, block_start),
-                    )
+                    layers[j][new_key] = (worst, key, i, block_start)
 
     order_cost = instance.single_resource_order_cost
-    best_key = None
-    best_value = None
-    for key, entry in layers[m].items():
-        value = entry[0] + order_cost * key[3]
-        if best_value is None or value < best_value:
-            best_value = value
-            best_key = key
-    if best_key is None:
-        raise SolverError("dynamic program found no complete schedule")
+    final = layers[m]
+    key = min(final, key=lambda key: final[key][0] + order_cost * key[1])
 
     starts: dict[int, int] = {}
     times: list[int] = []
-    key = best_key
     layer = m
     while layer > 0:
-        entry = layers[layer][key]
-        _, parent_key, parent_layer, transition = entry
-        order_time, lo, hi, block_start = transition
-        times.append(order_time)
-        t = block_start
-        for idx in range(lo, hi):
-            starts[ordered[idx].id] = t
-            t += ordered[idx].processing
-        key = parent_key
-        layer = parent_layer
+        _, parent_key, parent_layer, t = layers[layer][key]
+        times.append(dates[layer - 1])
+        for job in ordered[group_end[parent_layer]:group_end[layer]]:
+            starts[job.id] = t
+            t += job.processing
+        key, layer = parent_key, parent_layer
     events = tuple((t, frozenset({1})) for t in sorted(times))
     return evaluate_solution(
         instance, Schedule(starts), ReplenishmentStructure(events), objective

@@ -66,7 +66,8 @@ class TestInstanceBounds:
     def test_exact_on_one_job_per_step(self):
         from jrsched import dp_fmax_s1
 
-        for n in (1, 3, 6, 10, 15):
+        # n = 41 is the size the fmax_regular_4_3 game reaches at K = 20
+        for n in (1, 3, 6, 10, 15, 20, 41):
             for order_cost in (1, 3):
                 inst = regular_instance(n, order_cost)
                 assert lb_ceiling(inst) == dp_fmax_s1(inst).total

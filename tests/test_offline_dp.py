@@ -1,3 +1,7 @@
+import hashlib
+import random
+from functools import partial
+
 import pytest
 
 from jrsched import (
@@ -9,6 +13,7 @@ from jrsched import (
     dp_equalp,
     dp_fmax_s1,
     dp_wjcj_unit,
+    emit_solution,
     exact_solve,
     fmax_unit_distinct,
     replenishment_cost,
@@ -208,3 +213,69 @@ class TestUnitDistinct:
             assert fast.total == dp_fmax_s1(inst).total
             assert fast.total == exact_solve(inst, Objective.MAX_FLOW).total
             assert_well_formed(inst, fast)
+
+
+class TestPastOracleCap:
+    """The DPs against each other on sizes the oracle refuses, where states merge."""
+
+    def test_fmax_matches_equalp_on_equal_lengths(self, rng):
+        for n in (9, 10, 11, 12) * 4:
+            inst = random_instance(
+                rng, n, s=1, max_release=10, equal_processing=rng.randint(1, 3)
+            )
+            sol = dp_fmax_s1(inst)
+            assert sol.total == dp_equalp(inst, Objective.MAX_FLOW).total
+            assert_well_formed(inst, sol)
+
+    def test_fmax_matches_unit_distinct(self, rng):
+        for n in range(10, 41, 3):
+            for _ in range(3):
+                inst = random_instance(
+                    rng, n, s=1, max_release=2 * n, distinct_releases=True
+                )
+                sol = dp_fmax_s1(inst)
+                assert sol.total == fmax_unit_distinct(inst).total
+                assert_well_formed(inst, sol)
+
+    def test_wjcj_matches_equalp_on_unit_weights(self, rng):
+        for n in (9, 10, 11) * 4:
+            inst = random_instance(rng, n, s=rng.randint(1, 2))
+            sol = dp_wjcj_unit(inst)
+            assert sol.total == dp_equalp(inst, Objective.TOTAL_COMPLETION).total
+            assert_well_formed(inst, sol)
+
+
+def golden_cases(seed):
+    """(solver, instance) pairs in each DP's class, s = 1-3 and n up to 5
+    (equal lengths), 8 (weighted unit jobs) or 12 (one resource)."""
+    rng = random.Random(seed)
+    equal = random_instance(
+        rng, 1 + seed % 5, s=1 + seed % 2, equal_processing=1 + seed % 3
+    )
+    return (
+        (dp_wjcj_unit, random_instance(
+            rng, 1 + seed % 8, s=1 + seed % 3, max_weight=3, max_release=6
+        )),
+        (partial(dp_equalp, objective=Objective.TOTAL_COMPLETION), equal),
+        (partial(dp_equalp, objective=Objective.MAX_FLOW), equal),
+        (dp_fmax_s1, random_instance(rng, 1 + seed % 12, s=1, max_processing=5)),
+        (fmax_unit_distinct, random_instance(
+            rng, 1 + seed % 12, s=1, max_release=15, distinct_releases=True
+        )),
+    )
+
+
+# sha256 of the emitted DP solutions below, computed after dp_fmax_s1 and
+# dp_wjcj_unit were keyed on only what their later layers read.  Of these
+# 500 outputs, 5 (all dp_wjcj_unit) differ from those of the earlier, wider
+# keys, each with the same total: another optimum won the tie.  Every later
+# DP change must keep every byte, tie-breaks included.
+GOLDEN_DP_DIGEST = "31af9cac1d07a151a0fbb658cda414e1da288ccf24602c3baa08f89075594053"
+
+
+def test_dp_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(100):
+        for solve, instance in golden_cases(seed):
+            digest.update(emit_solution(solve(instance)).encode())
+    assert digest.hexdigest() == GOLDEN_DP_DIGEST
