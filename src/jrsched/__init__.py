@@ -1,7 +1,7 @@
 """Solvers for single-machine scheduling with jointly replenished resources.
 
 Offline: an exact enumeration oracle plus four polynomial dynamic programs.
-Online: a discrete-time simulator that enforces irrevocable decisions, three
+Online: a discrete-event simulator that enforces irrevocable decisions, three
 shipped policies, adaptive adversaries, and lower-bound evaluators.
 
 The names below are loaded on first use, so importing one submodule (say
@@ -44,6 +44,7 @@ _EXPORTS = {
         "MaxFlowGridPolicy",
         "Observation",
         "OnlinePolicy",
+        "PendingView",
         "SimulationError",
         "SumCompletionPolicy",
         "SumFlowPolicy",

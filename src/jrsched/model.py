@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 class InstanceError(ValueError):
@@ -242,16 +242,25 @@ def empty_solution(objective: Objective) -> Solution:
     return Solution(Schedule({}), ReplenishmentStructure(()), objective, 0, 0, 0)
 
 
-def job_ready(job: Job, events: Iterable[tuple[int, frozenset[int]]], t: int) -> bool:
-    """True iff every resource the job needs was ordered in [release, t]."""
+_event_time = operator.itemgetter(0)
+
+
+def job_ready(job: Job, events: Sequence[tuple[int, frozenset[int]]], t: int) -> bool:
+    """True iff every resource the job needs was ordered in [release, t].
+
+    ``events`` is in strictly increasing time order, as in a
+    :class:`ReplenishmentStructure`; only the orders in the window are read.
+    """
     if t < job.release:
         return False
     missing = set(job.resources)
-    for event_time, resources in events:
-        if job.release <= event_time <= t:
-            missing -= resources
-            if not missing:
-                return True
+    for index in range(bisect_left(events, job.release, key=_event_time), len(events)):
+        event_time, resources = events[index]
+        if event_time > t:
+            break
+        missing -= resources
+        if not missing:
+            return True
     return not missing
 
 

@@ -1,11 +1,20 @@
-"""Discrete-time online simulator with irrevocable decisions, plus policies.
+"""Discrete-event online simulator with irrevocable decisions, plus policies.
 
-The clock advances over integer times.  Whenever the machine is idle the
-policy receives an observation (newly arrived jobs, the pending backlog, and
-an end-of-stream flag) and answers with a decision: optionally order a
-resource subset now, and start an ordered list of jobs back to back from
-now.  Started jobs and placed orders are permanent.  While a block of jobs
-runs, the clock jumps to its completion and arrivals accumulate silently.
+Time is integer.  Whenever the machine is idle the policy receives an
+observation (newly arrived jobs, the pending backlog, and an end-of-stream
+flag) and answers with a decision: optionally order a resource subset now,
+and start an ordered list of jobs back to back from now.  Started jobs and
+placed orders are permanent.  While a block of jobs runs, the clock jumps to
+its completion and arrivals accumulate silently.
+
+The clock advances to the next event, not to the next integer.  After a
+decision that neither orders nor starts, the policy names the first time its
+decision can change if nothing arrives (:meth:`OnlinePolicy.wake`) and the
+source the time of its next arrival or of the end of the stream
+(:meth:`JobSource.next_event`); the clock jumps to the earlier of the two.
+Both hooks default to the next integer, so a policy or source without them
+is visited at every step, as before.  The run is the same either way: a
+skipped step is one at which nothing arrives and the policy would wait.
 
 Shipped policies (single resource, unit jobs):
 
@@ -21,9 +30,12 @@ Shipped policies (single resource, unit jobs):
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import math
+from bisect import bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, Mapping
 
 from .model import (
     Instance,
@@ -34,7 +46,6 @@ from .model import (
     Solution,
     SolverError,
     evaluate_solution,
-    job_ready,
 )
 
 
@@ -47,14 +58,82 @@ def triangular(a: int) -> int:
     return a * (a + 1) // 2
 
 
+_ID = attrgetter("id")
+_RELEASE = attrgetter("release")
+_ARRIVAL_ORDER = attrgetter("release", "id")
+
+
+class PendingView(Sequence):
+    """The backlog as a policy sees it: pending jobs in (release, id) order.
+
+    Policies may take its length, index it and iterate over it, and read
+    ``release_sum``, the sum of the pending release dates, in O(1).  The
+    simulator updates it in place, so it is valid only during the ``decide``
+    and ``wake`` calls of the observation that carries it.
+    """
+
+    __slots__ = ("_jobs", "_ids", "_release_sum")
+
+    def __init__(self) -> None:
+        self._jobs: list[Job] = []
+        self._ids: set[int] = set()
+        self._release_sum = 0
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._jobs[index])
+        return self._jobs[index]
+
+    def __iter__(self):
+        return iter(self._jobs)
+
+    def __repr__(self) -> str:
+        return f"PendingView({self._jobs!r})"
+
+    @property
+    def release_sum(self) -> int:
+        return self._release_sum
+
+    def _extend(self, arrived: list[Job]) -> None:
+        """Add new jobs: appended when they come in order, inserted if not."""
+        jobs = self._jobs
+        last = _ARRIVAL_ORDER(jobs[-1]) if jobs else None
+        for job in arrived:
+            key = _ARRIVAL_ORDER(job)
+            if last is not None and key < last:
+                insort(jobs, job, key=_ARRIVAL_ORDER)
+            else:
+                jobs.append(job)
+                last = key
+        self._ids.update(map(_ID, arrived))
+        self._release_sum += sum(map(_RELEASE, arrived))
+
+    def _drop_started(self, count: int) -> None:
+        """Remove the ``count`` jobs whose ids were taken out of ``_ids``."""
+        jobs, ids = self._jobs, self._ids
+        dropped = jobs[:count]
+        if ids.isdisjoint(map(_ID, dropped)):
+            del jobs[:count]
+        else:
+            dropped = [job for job in jobs if job.id not in ids]
+            jobs[:] = [job for job in jobs if job.id in ids]
+        self._release_sum -= sum(map(_RELEASE, dropped))
+
+
 @dataclass(frozen=True, slots=True)
 class Observation:
-    """What a policy sees at one idle decision point."""
+    """What a policy sees at one idle decision point.
+
+    ``pending`` is a live view of the backlog; see :class:`PendingView`.
+    """
 
     now: int
     arrivals: tuple[Job, ...]
     machine_busy_until: int
-    pending: tuple[Job, ...]
+    pending: PendingView
     stream_over: bool
 
 
@@ -108,6 +187,13 @@ class OnlinePolicy:
     def decide(self, obs: Observation) -> Decision:
         raise NotImplementedError
 
+    def wake(self, obs: Observation) -> int | None:
+        """When ``decide(obs)`` has waited: the first time at which it can act
+        if no job arrives, or None if it never can.  Times up to that one are
+        skipped, so it must not be later than the truth.  The default visits
+        the next integer."""
+        return obs.now + 1
+
 
 _RESOURCE_ONE = frozenset({1})
 
@@ -129,6 +215,13 @@ class SumCompletionPolicy(OnlinePolicy):
             return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
         return WAIT
 
+    def wake(self, obs: Observation) -> int | None:
+        """The smallest t with t*b + b(b+1)/2 >= K for the backlog size b."""
+        backlog = len(obs.pending)
+        if not backlog:
+            return None
+        return -((triangular(backlog) - self.order_cost) // backlog)
+
 
 class SumFlowPolicy(OnlinePolicy):
     """Order once accumulated waiting plus the backlog cost reaches K."""
@@ -145,10 +238,18 @@ class SumFlowPolicy(OnlinePolicy):
         backlog = len(obs.pending)
         if not backlog:
             return WAIT
-        waited = sum(obs.now - job.release for job in obs.pending)
+        waited = obs.now * backlog - obs.pending.release_sum
         if waited + triangular(backlog) >= self.order_cost:
             return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
         return WAIT
+
+    def wake(self, obs: Observation) -> int | None:
+        """The smallest t with b*t - sum(r) + b(b+1)/2 >= K for the backlog."""
+        backlog = len(obs.pending)
+        if not backlog:
+            return None
+        waited_at_zero = triangular(backlog) - obs.pending.release_sum
+        return -((waited_at_zero - self.order_cost) // backlog)
 
 
 class MaxFlowGridPolicy(OnlinePolicy):
@@ -186,6 +287,10 @@ class MaxFlowGridPolicy(OnlinePolicy):
             return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
         return WAIT
 
+    def wake(self, obs: Observation) -> int | None:
+        """The next grid time; the end of the stream comes with its own event."""
+        return self._grid_time() if obs.pending else None
+
 
 class ImmediatePolicy(OnlinePolicy):
     """Order and start every pending job as soon as it is seen."""
@@ -197,6 +302,10 @@ class ImmediatePolicy(OnlinePolicy):
         if obs.pending:
             return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
         return WAIT
+
+    def wake(self, obs: Observation) -> int | None:
+        """It waits only on an empty backlog, which only an arrival changes."""
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +332,32 @@ class JobSource:
         """True when no arrival can occur at any time after t."""
         raise NotImplementedError
 
+    def next_event(self, t: int, view: SimView) -> int | None:
+        """The first time after t at which ``reveal`` may deliver a job or
+        ``finished`` may change, or None if neither can.  Times up to that one
+        are skipped, so it must not be later than the truth.  The default
+        visits the next integer."""
+        return t + 1
+
 
 class StaticSource(JobSource):
     def __init__(self, jobs: Iterable[Job]):
-        self.jobs = sorted(jobs, key=lambda job: (job.release, job.id))
+        self.jobs = sorted(jobs, key=_ARRIVAL_ORDER)
+        self.releases = [job.release for job in self.jobs]
         self.cursor = 0
 
     def reveal(self, t: int, view: SimView) -> list[Job]:
-        out = []
-        while self.cursor < len(self.jobs) and self.jobs[self.cursor].release <= t:
-            out.append(self.jobs[self.cursor])
-            self.cursor += 1
-        return out
+        first = self.cursor
+        if first < len(self.jobs) and self.releases[first] <= t:
+            self.cursor = bisect_right(self.releases, t, lo=first)
+        return self.jobs[first:self.cursor]
 
     def finished(self, t: int, view: SimView) -> bool:
         return self.cursor >= len(self.jobs)
+
+    def next_event(self, t: int, view: SimView) -> int | None:
+        """The next release; the stream ends with the last arrival."""
+        return self.releases[self.cursor] if self.cursor < len(self.jobs) else None
 
 
 @dataclass
@@ -261,38 +381,50 @@ def simulate(
     non-empty known resource subset, started jobs must be pending and ready
     under the orders placed so far, and blocks run back to back from now.
     Rejected decisions raise :class:`SimulationError`; nothing is revised.
+
+    The clock advances by next-event time advance.  After a start it jumps
+    to the block's completion.  After an order without a start, and at the
+    step after jobs arrive (where ``stream_over`` can turn true), it moves
+    one step.  After a decision that does nothing it jumps to the earlier of
+    ``policy.wake(obs)`` and ``source.next_event(t, view)``, and at least one
+    step; with ``max_time`` set it jumps no further than ``max_time + 1``,
+    where a stalled run fails.  The observation's ``pending`` view is valid
+    only during that step's ``decide`` and ``wake`` calls.
     """
     policy.reset()
     started: dict[int, int] = {}
     events: list[tuple[int, frozenset[int]]] = []
     records: list[TraceRecord] = []
-    pending: list[Job] = []
+    pending = PendingView()
     seen: dict[int, Job] = {}
+    last_order: dict[int, int] = {}  # resource -> time of its latest order
     view = SimView(started, events, 0)
     t = 0
     while True:
         if view.busy_until > t:
             t = view.busy_until
         arrived = source.reveal(t, view)
-        for job in arrived:
-            if job.id in seen:
-                raise SimulationError(f"source delivered job {job.id} twice")
-            if job.release > t:
-                raise SimulationError(f"source delivered job {job.id} before its release")
-            seen[job.id] = job
-            pending.append(job)
-        pending.sort(key=lambda job: (job.release, job.id))
+        if arrived:
+            for job in arrived:
+                if job.id in seen:
+                    raise SimulationError(f"source delivered job {job.id} twice")
+                if job.release > t:
+                    raise SimulationError(f"source delivered job {job.id} before its release")
+                seen[job.id] = job
+            pending._extend(arrived)
+            arrivals_now = tuple(job for job in arrived if job.release == t)
+        else:
+            arrivals_now = ()
         stream_done = source.finished(t, view)
         if not pending and stream_done:
             break
         if max_time is not None and t > max_time:
             raise SimulationError(f"policy made no progress by time {max_time}")
-        arrivals_now = tuple(job for job in arrived if job.release == t)
         observation = Observation(
             now=t,
             arrivals=arrivals_now,
             machine_busy_until=view.busy_until,
-            pending=tuple(pending),
+            pending=pending,
             stream_over=end_signal and stream_done and not arrivals_now,
         )
         decision = policy.decide(observation)
@@ -305,26 +437,31 @@ def simulate(
                 if not 1 <= r <= num_resources:
                     raise SimulationError(f"t={t}: order names unknown resource {r}")
             events.append((t, subset))
+            for r in subset:
+                last_order[r] = t
 
         if decision.start:
-            pending_ids = {job.id for job in pending}
+            pending_ids = pending._ids
             clock = t
             for job_id in decision.start:
-                if job_id not in pending_ids:
+                try:
+                    pending_ids.remove(job_id)
+                except KeyError:
                     raise SimulationError(
                         f"t={t}: job {job_id} is not pending (unknown, unreleased or already started)"
-                    )
-                pending_ids.discard(job_id)
+                    ) from None
                 job = seen[job_id]
-                if not job_ready(job, events, t):
-                    raise SimulationError(
-                        f"t={t}: job {job_id} is not ready, a required resource"
-                        " was not ordered within its window"
-                    )
+                # ready iff each resource it needs was last ordered at or
+                # after its release (no order lies after t)
+                for r in job.resources:
+                    if last_order.get(r, _NEVER) < job.release:
+                        raise SimulationError(
+                            f"t={t}: job {job_id} is not ready, a required resource"
+                            " was not ordered within its window"
+                        )
                 started[job_id] = clock
                 clock += job.processing
-            started_set = set(decision.start)
-            pending = [job for job in pending if job.id not in started_set]
+            pending._drop_started(len(decision.start))
             view.busy_until = clock
 
         if decision.replenish is not None or decision.start:
@@ -335,8 +472,12 @@ def simulate(
                     tuple(decision.start),
                 )
             )
-        if not decision.start:
+        if decision.start:
+            continue
+        if decision.replenish is not None or arrivals_now:
             t += 1
+        else:
+            t = _next_visit(t, policy.wake(observation), source.next_event(t, view), max_time)
 
     return SimResult(
         jobs=tuple(sorted(seen.values(), key=lambda job: job.id)),
@@ -346,21 +487,52 @@ def simulate(
     )
 
 
+_NEVER = -math.inf  # the last order time of a resource never ordered
+
+
+def _next_visit(t: int, wake: int | None, event: int | None, max_time: int | None) -> int:
+    """The next time to visit after a step that did nothing at ``t``."""
+    times = [x for x in (wake, event) if x is not None]
+    if times:
+        target = max(t + 1, min(times))
+    elif max_time is not None:
+        target = max_time + 1
+    else:
+        target = t + 1
+    return target if max_time is None else min(target, max_time + 1)
+
+
 def _block_members(
     jobs: Sequence[Job],
     times: Sequence[int],
-    starts: dict[int, int],
+    starts: Mapping[int, int],
 ) -> list[list[Job]]:
-    """Partition started jobs by the order interval their start falls into."""
+    """Partition started jobs by the order interval their start falls into.
+
+    One pass over the started jobs in start order (the order a simulated
+    run already has) moves a pointer over the order times; each group lists
+    its jobs in start order.
+    """
     members: list[list[Job]] = [[] for _ in times]
-    for job in jobs:
-        start = starts.get(job.id)
-        if start is None:
-            continue
-        idx = bisect_right(times, start) - 1
-        if idx < 0:
-            raise SimulationError(f"job {job.id} started before the first order")
-        members[idx].append(job)
+    timed = [(starts[job.id], job) for job in jobs if job.id in starts]
+    if not timed:
+        return members
+    timed.sort(key=itemgetter(0))
+    if not times or timed[0][0] < times[0]:
+        first = next(
+            job for job in jobs
+            if job.id in starts and (not times or starts[job.id] < times[0])
+        )
+        raise SimulationError(f"job {first.id} started before the first order")
+    idx = 0
+    group = members[0]
+    bound = times[1] if len(times) > 1 else math.inf
+    for start, job in timed:
+        while start >= bound:
+            idx += 1
+            group = members[idx]
+            bound = times[idx + 1] if idx + 1 < len(times) else math.inf
+        group.append(job)
     return members
 
 

@@ -22,6 +22,7 @@ from jrsched import (
     replenishment_cost,
     scheduling_cost,
 )
+from jrsched.model import job_ready
 from conftest import R1, random_instance, walkthrough_instance
 
 
@@ -168,8 +169,37 @@ class TestReadyAt:
                     for t in range(became_ready, inst.horizon + 2)
                 )
 
+    def test_bisect_matches_linear_scan(self, rng):
+        def linear(job, evs, t):
+            if t < job.release:
+                return False
+            missing = set(job.resources)
+            for event_time, resources in evs:
+                if job.release <= event_time <= t:
+                    missing -= resources
+            return not missing
 
-class TestCosts:
+        job = Job(1, 5, 1, R1)
+        assert job_ready(job, ((5, R1),), 5)  # t == release, order at t
+        assert job_ready(job, ((4, R1), (7, R1)), 7)  # order exactly at t
+        assert not job_ready(job, ((4, R1), (7, R1)), 6)
+        assert not job_ready(job, ((5, R1),), 4)
+        boundary = 0
+        for _ in range(400):
+            s = rng.randint(1, 3)
+            times = sorted(rng.sample(range(0, 30), rng.randint(0, 8)))
+            evs = tuple(
+                (t, frozenset(rng.sample(range(1, s + 1), rng.randint(1, s)))) for t in times
+            )
+            job = Job(1, rng.randint(0, 25), 1, frozenset(rng.sample(range(1, s + 1), rng.randint(1, s))))
+            # every t around the release and every order time, so the cases
+            # t == release and an order exactly at t come up many times
+            for t in {job.release - 1, job.release, job.release + 1, 31, *times}:
+                boundary += t == job.release or t in times
+                assert job_ready(job, evs, t) == linear(job, evs, t), (job, evs, t)
+        assert boundary > 1000
+
+
     def test_replenishment_cost_three_orders(self):
         inst = Instance(1, 1, (2,), (Job(1, 0, 1, R1),))
         q = events((0, {1}), (3, {1}), (7, {1}))

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from jrsched import (
@@ -14,14 +17,25 @@ from jrsched import (
     SumFlowPolicy,
     check_feasible,
     delay_releases,
+    emit_solution,
     exact_solve,
     run_online,
     triangular,
 )
+from jrsched import adversaries
+from jrsched.adversaries import KINDS, WEIGHTED_GOLDEN, AdversarySpec, adversary_run
+from jrsched.model import job_ready
 from jrsched.online import (
     WAIT,
+    JobSource,
+    Observation,
+    SimResult,
+    StaticSource,
+    TraceRecord,
+    _block_members,
     completion_trigger_violations,
     flow_trigger_violations,
+    simulate,
     trace_to_jsonl,
 )
 from conftest import R1, random_instance, regular_instance, single_job_instance
@@ -220,3 +234,334 @@ class TestTraceFormat:
 
     def test_triangular(self):
         assert [triangular(a) for a in range(5)] == [0, 1, 3, 6, 10]
+
+
+# ---------------------------------------------------------------------------
+# Next-event advance against the tick-by-tick loop it replaced
+
+
+class _TuplePending(tuple):
+    """The tick loop's backlog: a tuple, plus the release sum policies read."""
+
+    @property
+    def release_sum(self):
+        return sum(job.release for job in self)
+
+
+class _TickSource(JobSource):
+    """A static stream without ``next_event``, as sources were before it."""
+
+    def __init__(self, jobs):
+        self.jobs = sorted(jobs, key=lambda job: (job.release, job.id))
+        self.cursor = 0
+
+    def reveal(self, t, view):
+        out = []
+        while self.cursor < len(self.jobs) and self.jobs[self.cursor].release <= t:
+            out.append(self.jobs[self.cursor])
+            self.cursor += 1
+        return out
+
+    def finished(self, t, view):
+        return self.cursor >= len(self.jobs)
+
+
+def _tick_simulate(source, policy, num_resources=1, end_signal=True, max_time=None):
+    """The simulator as it was before next-event advance: one step at a time,
+    the backlog re-sorted and readiness re-scanned at every step."""
+    policy.reset()
+    started = {}
+    events = []
+    records = []
+    pending = []
+    seen = {}
+    view = adversaries.SimView(started, events, 0)
+    t = 0
+    while True:
+        if view.busy_until > t:
+            t = view.busy_until
+        arrived = source.reveal(t, view)
+        for job in arrived:
+            if job.id in seen:
+                raise SimulationError(f"source delivered job {job.id} twice")
+            if job.release > t:
+                raise SimulationError(f"source delivered job {job.id} before its release")
+            seen[job.id] = job
+            pending.append(job)
+        pending.sort(key=lambda job: (job.release, job.id))
+        stream_done = source.finished(t, view)
+        if not pending and stream_done:
+            break
+        if max_time is not None and t > max_time:
+            raise SimulationError(f"policy made no progress by time {max_time}")
+        arrivals_now = tuple(job for job in arrived if job.release == t)
+        observation = Observation(
+            now=t,
+            arrivals=arrivals_now,
+            machine_busy_until=view.busy_until,
+            pending=_TuplePending(pending),
+            stream_over=end_signal and stream_done and not arrivals_now,
+        )
+        decision = policy.decide(observation)
+
+        if decision.replenish is not None:
+            subset = frozenset(decision.replenish)
+            if not subset:
+                raise SimulationError(f"t={t}: order names an empty resource subset")
+            for r in subset:
+                if not 1 <= r <= num_resources:
+                    raise SimulationError(f"t={t}: order names unknown resource {r}")
+            events.append((t, subset))
+
+        if decision.start:
+            pending_ids = {job.id for job in pending}
+            clock = t
+            for job_id in decision.start:
+                if job_id not in pending_ids:
+                    raise SimulationError(
+                        f"t={t}: job {job_id} is not pending (unknown, unreleased or already started)"
+                    )
+                pending_ids.discard(job_id)
+                job = seen[job_id]
+                if not job_ready(job, events, t):
+                    raise SimulationError(
+                        f"t={t}: job {job_id} is not ready, a required resource"
+                        " was not ordered within its window"
+                    )
+                started[job_id] = clock
+                clock += job.processing
+            started_set = set(decision.start)
+            pending = [job for job in pending if job.id not in started_set]
+            view.busy_until = clock
+
+        if decision.replenish is not None or decision.start:
+            records.append(
+                TraceRecord(
+                    t,
+                    tuple(sorted(decision.replenish)) if decision.replenish is not None else None,
+                    tuple(decision.start),
+                )
+            )
+        if not decision.start:
+            t += 1
+
+    return SimResult(
+        jobs=tuple(sorted(seen.values(), key=lambda job: job.id)),
+        starts=started,
+        events=tuple(events),
+        records=tuple(records),
+    )
+
+
+class _Counting(OnlinePolicy):
+    """Forwards to a policy and counts its ``decide`` calls; forwards
+    ``wake`` only when asked to, otherwise it keeps the ticking default."""
+
+    def __init__(self, inner, forward_wake=True):
+        self.inner = inner
+        self.name = inner.name
+        self.objective = inner.objective
+        self.calls = 0
+        if forward_wake:
+            self.wake = inner.wake
+
+    def reset(self):
+        self.inner.reset()
+
+    def decide(self, obs):
+        self.calls += 1
+        return self.inner.decide(obs)
+
+
+SHIPPED = (
+    SumCompletionPolicy,
+    SumFlowPolicy,
+    MaxFlowGridPolicy,
+    lambda order_cost: ImmediatePolicy(),
+)
+
+
+def stream_releases(rng, style, n):
+    """Release dates of one seeded stream: dense, sparse, duplicate or all zero."""
+    if style == "dense":
+        return [rng.randint(0, n) for _ in range(n)]
+    if style == "sparse":
+        releases, t = [], 0
+        for _ in range(n):
+            t += rng.randint(0, rng.choice((10, 300, 10_000)))
+            releases.append(t)
+        return releases
+    if style == "duplicate":
+        dates = [rng.randint(0, 3 * n) for _ in range(rng.randint(1, 3))]
+        return [rng.choice(dates) for _ in range(n)]
+    return [0] * n
+
+
+def _streams(seed, per_style, max_n):
+    rng = random.Random(seed)
+    for style in ("dense", "sparse", "duplicate", "zero"):
+        for _ in range(per_style):
+            releases = stream_releases(rng, style, rng.randint(1, max_n))
+            yield unit_jobs_at(releases, rng.choice((1, 2, 5, 10, 100)))
+
+
+def test_event_driven_matches_tick_loop():
+    runs = 0
+    for inst in _streams(606, per_style=6, max_n=7):
+        for make in SHIPPED:
+            for end_signal in (True, False):
+                fast = simulate(StaticSource(inst.jobs), make(inst.joint_cost),
+                                end_signal=end_signal, max_time=10**6)
+                slow = _tick_simulate(_TickSource(inst.jobs), make(inst.joint_cost),
+                                      end_signal=end_signal, max_time=10**6)
+                assert fast == slow, (inst, make, end_signal)
+                runs += 1
+    assert runs == 24 * 8
+
+
+def test_adversary_runs_match_tick_loop(monkeypatch):
+    results = []
+
+    def recording(simulator):
+        def run(*args, **kwargs):
+            results.append(simulator(*args, **kwargs))
+            return results[-1]
+        return run
+
+    for kind in KINDS:
+        for order_cost in (1, 3, 10):
+            spec = AdversarySpec(kind, order_cost, 2 if kind == WEIGHTED_GOLDEN else None)
+            for make in SHIPPED:
+                monkeypatch.setattr(adversaries, "simulate", recording(simulate))
+                fast = adversary_run(spec, make(order_cost))
+                monkeypatch.setattr(adversaries, "simulate", recording(_tick_simulate))
+                slow = adversary_run(spec, make(order_cost))
+                assert results[-2] == results[-1], (spec, make)
+                assert fast == slow
+    assert len(results) == 2 * 5 * 3 * 4
+
+
+def test_policy_without_wake_ticks_as_before():
+    for inst in _streams(607, per_style=3, max_n=6):
+        for make in SHIPPED:
+            fast_policy = _Counting(make(inst.joint_cost), forward_wake=False)
+            slow_policy = _Counting(make(inst.joint_cost), forward_wake=False)
+            fast = simulate(StaticSource(inst.jobs), fast_policy, max_time=10**6)
+            slow = _tick_simulate(_TickSource(inst.jobs), slow_policy, max_time=10**6)
+            assert fast == slow
+            assert fast_policy.calls == slow_policy.calls
+
+
+def test_source_without_next_event_ticks_as_before():
+    for inst in _streams(608, per_style=3, max_n=6):
+        for make in SHIPPED:
+            fast_policy = _Counting(make(inst.joint_cost))
+            slow_policy = _Counting(make(inst.joint_cost))
+            fast = simulate(_TickSource(inst.jobs), fast_policy, max_time=10**6)
+            slow = _tick_simulate(_TickSource(inst.jobs), slow_policy, max_time=10**6)
+            assert fast == slow
+            assert fast_policy.calls == slow_policy.calls
+
+
+def test_waking_policy_that_never_acts_stalls():
+    class NeverActs(SumCompletionPolicy):
+        def decide(self, obs):
+            return WAIT
+
+    class NeverWakes(OnlinePolicy):
+        def decide(self, obs):
+            return WAIT
+
+        def wake(self, obs):
+            return None
+
+    class Recording(StaticSource):
+        def reveal(self, t, view):
+            visits.append(t)
+            return super().reveal(t, view)
+
+    for policy in (NeverActs(5), NeverWakes()):
+        with pytest.raises(SimulationError, match="no progress by time 50"):
+            run_online(single_job_instance(5), policy, max_time=50)
+        visits = []
+        with pytest.raises(SimulationError, match="no progress by time 50"):
+            simulate(Recording(unit_jobs_at((40, 45, 70), 5).jobs), policy, max_time=50)
+        assert max(visits) == 51
+
+
+@pytest.mark.parametrize("make", SHIPPED[:3])
+def test_idle_time_costs_few_decisions(make):
+    for order_cost in (1, 5, 1000):
+        policy = _Counting(make(order_cost))
+        solution, _ = run_online(unit_jobs_at((10**6,), order_cost), policy)
+        assert policy.calls <= 4, (order_cost, policy.calls)
+        assert solution.schedule.starts[1] >= 10**6
+
+
+def test_online_traces_are_pinned():
+    # digest of the tick-by-tick simulator's outputs; any change in a
+    # decision, a tie-break or the pricing moves it
+    digest = hashlib.sha256()
+    rng = random.Random(6006)
+    instances = [
+        unit_jobs_at(range(1, n + 1), k) for n in (1, 2, 6, 13, 40, 200) for k in (1, 2, 5, 10)
+    ]
+    for style in ("dense", "sparse", "duplicate", "zero"):
+        for _ in range(8):
+            releases = stream_releases(rng, style, rng.randint(1, 12))
+            instances.append(unit_jobs_at(releases, rng.choice((1, 2, 5, 10, 100))))
+    for inst in instances:
+        for make in SHIPPED:
+            for end_signal in (True, False):
+                solution, trace = run_online(inst, make(inst.joint_cost), end_signal=end_signal)
+                digest.update(trace_to_jsonl(trace, solution).encode())
+                digest.update(emit_solution(solution).encode())
+    assert digest.hexdigest() == (
+        "142cb9fca9066438f9405e79ab86381856883330d4af7c4735411f06efdaaaea"
+    )
+
+
+def test_backlog_view():
+    seen = []
+
+    class Peek(OnlinePolicy):
+        def decide(self, obs):
+            pending = obs.pending
+            if not pending:
+                return WAIT
+            seen.append((len(pending), [job.id for job in pending], pending[-1:],
+                         pending.release_sum, pending[0] in pending))
+            return Decision(frozenset({1}), tuple(job.id for job in pending))
+
+    class Shuffled(_TickSource):
+        def reveal(self, t, view):
+            return list(reversed(super().reveal(t, view)))
+
+    inst = unit_jobs_at((3, 3, 1, 3), 1)
+    simulate(Shuffled(inst.jobs), Peek())
+    assert seen == [(1, [3], (inst.jobs[2],), 1, True),
+                    (3, [1, 2, 4], (inst.jobs[3],), 9, True)]
+
+
+def test_block_members_match_bisect(rng):
+    from bisect import bisect_right
+
+    for _ in range(300):
+        jobs = [Job(j, 0, 1, R1) for j in range(1, rng.randint(1, 12))]
+        times = sorted(rng.sample(range(0, 40), rng.randint(0, 6)))
+        starts = {job.id: rng.randint(0, 45) for job in jobs if rng.random() < 0.9}
+        expected, error = [[] for _ in times], None
+        for job in jobs:
+            if job.id in starts:
+                idx = bisect_right(times, starts[job.id]) - 1
+                if idx < 0:
+                    error = error or f"job {job.id} started before the first order"
+                else:
+                    expected[idx].append(job)
+        if error:
+            with pytest.raises(SimulationError) as info:
+                _block_members(jobs, times, starts)
+            assert str(info.value) == error
+        else:
+            got = _block_members(jobs, times, starts)
+            assert [sorted(g, key=lambda job: job.id) for g in got] == expected
