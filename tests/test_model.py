@@ -200,6 +200,7 @@ class TestReadyAt:
         assert boundary > 1000
 
 
+class TestCosts:
     def test_replenishment_cost_three_orders(self):
         inst = Instance(1, 1, (2,), (Job(1, 0, 1, R1),))
         q = events((0, {1}), (3, {1}), (7, {1}))
