@@ -118,6 +118,12 @@ class _ReactiveSource(JobSource):
             return False
         return not self.payload
 
+    def next_event(self, t: int, view: SimView) -> int | None:
+        """The payload's release while it is pending.  Before the first start
+        nothing can arrive; the start itself is a decision, after which the
+        clock never skips."""
+        return self.payload[0].release if self.payload else None
+
 
 class _RegularStreamSource(JobSource):
     """One job per step until the first order; then exactly one more job."""
@@ -137,6 +143,10 @@ class _RegularStreamSource(JobSource):
 
     def finished(self, t: int, view: SimView) -> bool:
         return self.cap is not None and self.next_release > self.cap
+
+    def next_event(self, t: int, view: SimView) -> int | None:
+        """The next step while the stream still emits a job per step."""
+        return None if self.finished(t, view) else t + 1
 
 
 def default_policy(spec: AdversarySpec) -> OnlinePolicy:

@@ -3,18 +3,37 @@
 The solver enumerates, for every resource type, the set of time points at
 which that resource is ordered.  Enumerating one time set per resource is in
 bijection with assigning a resource subset to every candidate time point, and
-covers every replenishment structure over those points.  For each structure
-the jobs get effective releases (the first moment all their resources are
-covered) and the residual one-machine problem is solved exactly by a subset
-DP over (jobs sequenced, time the machine becomes free) with earliest-start
-placement, which is optimal among active schedules for every supported
-criterion.  Among the optimal orders the DP returns the lexicographically
-smallest start vector (see :func:`_subset_dp`).
+covers every replenishment structure over those points.  A structure matters
+to the schedule only through the jobs' effective releases (the first moment
+all their resources are covered), and the residual one-machine problem is
+solved exactly by a subset DP over (jobs sequenced, time the machine becomes
+free) with earliest-start placement, which is optimal among active schedules
+for every supported criterion.  Among the optimal orders the DP returns the
+lexicographically smallest start vector (see :func:`_subset_dp`).
+
+The evaluation runs in three steps:
+
+1. A time set holding an order that covers no job first is dropped where
+   that order costs something: the same set without it has the same cover
+   vector and is strictly cheaper (see :func:`_resource_candidates`).
+2. One pass over the structures keeps, for each distinct effective-release
+   vector, its cheapest structure, ties going to the smallest
+   (order times, resource subsets).
+3. The vectors are solved in ascending order of ordering cost plus a lower
+   bound on the scheduling cost, until a bound exceeds the best total.  A
+   vector no earlier anywhere than a solved one of strictly smaller
+   ordering cost is skipped: the residual cost never falls as releases get
+   later, so it costs strictly more.  Each vector is solved at most once.
+
+Each structure left out either costs strictly more than another one or has
+the same effective releases and cost and a larger (order times, resource
+subsets), so the result is the smallest (total, order times, start times,
+resource subsets) over all structures, exactly as a full enumeration finds.
 
 Two enumeration grids are offered: the release dates of the jobs (sufficient
 for optimality, used by :func:`exact_solve`) and every integer time up to the
 horizon (:func:`exact_solve_fine_grid`, a validation variant whose value must
-agree with the coarse grid).
+agree with the coarse grid).  Both go through the same steps.
 """
 
 from __future__ import annotations
@@ -195,6 +214,7 @@ def _resource_candidates(
     item_cost: int,
     n: int,
     size_cap: int | None,
+    idle_order_costs: bool,
 ) -> list[tuple[int, int, tuple[int, ...]]]:
     """All usable ordering-time sets for one resource.
 
@@ -202,26 +222,32 @@ def _resource_candidates(
     ``size_cap`` set, only sets of at most that many points are produced;
     orders that cover no job can always be dropped without raising the cost,
     so capping at the number of jobs needing the resource loses nothing.
+    With ``idle_order_costs`` set, an order that covers no job first costs
+    something, so a set holding one is strictly dearer than the same set
+    without it, which has the same cover vector; such sets are dropped.
+    Without it they stay, since a free order can win the tie on the key.
     """
     m = len(points)
-    out = []
     if size_cap is None:
-        for mask in range(1 << m):
-            times = tuple(points[b] for b in range(m) if mask >> b & 1)
-            cover = _cover_vector(times, needing, n)
-            if cover is not None:
-                out.append((mask, item_cost * len(times), cover))
+        combos = (
+            tuple(b for b in range(m) if mask >> b & 1) for mask in range(1 << m)
+        )
     else:
-        for k in range(0, min(size_cap, m) + 1):
-            for combo in itertools.combinations(range(m), k):
-                times = tuple(points[b] for b in combo)
-                cover = _cover_vector(times, needing, n)
-                if cover is None:
-                    continue
-                mask = 0
-                for b in combo:
-                    mask |= 1 << b
-                out.append((mask, item_cost * k, cover))
+        combos = itertools.chain.from_iterable(
+            itertools.combinations(range(m), k) for k in range(0, min(size_cap, m) + 1)
+        )
+    out = []
+    for combo in combos:
+        times = tuple(points[b] for b in combo)
+        cover = _cover_vector(times, needing, n)
+        if cover is None:
+            continue
+        if idle_order_costs and len({cover[idx] for idx, _ in needing}) < len(times):
+            continue
+        mask = 0
+        for b in combo:
+            mask |= 1 << b
+        out.append((mask, item_cost * len(times), cover))
     return out
 
 
@@ -263,43 +289,21 @@ def _solve_over_points(
             f"{size} replenishment structures exceed the cap {limits.max_grid_subsets}"
         )
 
+    joint = instance.joint_cost
     candidates = [
         _resource_candidates(
-            points, needing[i], instance.item_costs[i], n, caps[i] if size_capped else None
+            points,
+            needing[i],
+            instance.item_costs[i],
+            n,
+            caps[i] if size_capped else None,
+            instance.item_costs[i] > 0 or (s == 1 and joint > 0),
         )
         for i in range(s)
     ]
 
-    jobs_data = tuple((job.release, job.processing, job.weight) for job in jobs)
-    releases = tuple(job.release for job in jobs)
-    procs = tuple(job.processing for job in jobs)
-    weights = tuple(job.weight for job in jobs)
-    joint = instance.joint_cost
-    use_edd = objective is Objective.MAX_FLOW and s == 1
-    job_value, combine = CRITERIA[objective]
-
-    def sched_lower_bound(eff: tuple[int, ...]) -> int:
-        completions = map(operator.add, eff, procs)
-        return reduce(combine, map(job_value, weights, releases, completions), 0)
-
-    residual_memo: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-
-    def residual(eff: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        hit = residual_memo.get(eff)
-        if hit is None:
-            if use_edd:
-                hit = _sequence_release_order(eff, jobs_data)
-            else:
-                hit = _sequence_exact(eff, jobs_data, objective)
-            residual_memo[eff] = hit
-        return hit
-
-    best_total: int | None = None
-    best_key: tuple | None = None
-    best_combo: tuple | None = None
-    best_starts: tuple[int, ...] | None = None
-
-    def combo_key(combo: tuple, starts: tuple[int, ...]) -> tuple:
+    def structure_key(combo: tuple) -> tuple:
+        """(order times, resource subset per time) of one structure."""
         union = 0
         for mask, _, _ in combo:
             union |= mask
@@ -309,8 +313,12 @@ def _solve_over_points(
             for b in range(len(points))
             if union >> b & 1
         )
-        return (times, starts, subsets)
+        return times, subsets
 
+    # The starts depend only on the effective releases, so within one vector
+    # the cheapest structure with the smallest (times, subsets) wins.  A held
+    # structure's key is computed when one of equal cost first needs it.
+    cheapest: dict[tuple[int, ...], tuple[int, tuple, tuple | None]] = {}
     for combo in itertools.product(*candidates):
         union = 0
         repl = 0
@@ -321,26 +329,57 @@ def _solve_over_points(
         eff = combo[0][2]
         for entry in combo[1:]:
             eff = tuple(map(max, eff, entry[2]))
-        if best_total is not None and repl + sched_lower_bound(eff) > best_total:
-            continue
-        sched_cost, starts = residual(eff)
-        total = repl + sched_cost
-        if best_total is None or total < best_total:
-            best_total = total
-            best_key = combo_key(combo, starts)
-            best_combo = combo
-            best_starts = starts
-        elif total == best_total:
-            key = combo_key(combo, starts)
-            if key < best_key:
-                best_key = key
-                best_combo = combo
-                best_starts = starts
-
-    if best_total is None:
+        held = cheapest.get(eff)
+        if held is None or repl < held[0]:
+            cheapest[eff] = (repl, combo, None)
+        elif repl == held[0]:
+            key = structure_key(combo)
+            held_key = held[2] if held[2] is not None else structure_key(held[1])
+            cheapest[eff] = (repl, combo, key) if key < held_key else (repl, held[1], held_key)
+    if not cheapest:
         raise SolverError("no feasible replenishment structure exists")
 
-    times, _, subsets = combo_key(best_combo, best_starts)
+    jobs_data = tuple((job.release, job.processing, job.weight) for job in jobs)
+    releases = tuple(job.release for job in jobs)
+    procs = tuple(job.processing for job in jobs)
+    weights = tuple(job.weight for job in jobs)
+    use_edd = objective is Objective.MAX_FLOW and s == 1
+    job_value, combine = CRITERIA[objective]
+
+    def sched_lower_bound(eff: tuple[int, ...]) -> int:
+        completions = map(operator.add, eff, procs)
+        return reduce(combine, map(job_value, weights, releases, completions), 0)
+
+    # Cheapest bound first: once a bound exceeds the best total, so do all
+    # later ones.  A vector no earlier anywhere than a solved one of strictly
+    # smaller ordering cost has a residual no cheaper, so it costs strictly
+    # more than that one and cannot even tie.
+    queue = sorted(
+        (repl + sched_lower_bound(eff), repl, eff) for eff, (repl, _, _) in cheapest.items()
+    )
+    best: tuple | None = None  # (total, times, starts, subsets)
+    solved: list[tuple[int, tuple[int, ...]]] = []
+    for bound, repl, eff in queue:
+        if best is not None and bound > best[0]:
+            break
+        if any(
+            done_repl < repl and all(map(operator.le, done_eff, eff))
+            for done_repl, done_eff in solved
+        ):
+            continue
+        if use_edd:
+            sched_cost, starts = _sequence_release_order(eff, jobs_data)
+        else:
+            sched_cost, starts = _sequence_exact(eff, jobs_data, objective)
+        solved.append((repl, eff))
+        total = repl + sched_cost
+        if best is None or total <= best[0]:
+            times, subsets = structure_key(cheapest[eff][1])
+            candidate = (total, times, starts, subsets)
+            if best is None or candidate < best:
+                best = candidate
+
+    _, times, best_starts, subsets = best
     events = tuple((t, frozenset(rs)) for t, rs in zip(times, subsets))
     schedule = Schedule({job.id: start for job, start in zip(jobs, best_starts)})
     return evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)
@@ -354,7 +393,8 @@ def exact_solve(
     Restricting orders to release dates loses no optimality: moving an order
     back to the latest release at or before it keeps every served job ready.
     Ties between equal-cost optima are broken toward the lexicographically
-    smallest (order times, start times) pair for reproducible results.
+    smallest (order times, start times by job, resource subset per order
+    time) triple for reproducible results.
     """
     if limits is None:
         limits = OracleLimits()

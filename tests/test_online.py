@@ -23,7 +23,14 @@ from jrsched import (
     triangular,
 )
 from jrsched import adversaries
-from jrsched.adversaries import KINDS, WEIGHTED_GOLDEN, AdversarySpec, adversary_run
+from jrsched.adversaries import (
+    KINDS,
+    SUM_CJ_3_2,
+    SUM_FJ_3_2,
+    WEIGHTED_GOLDEN,
+    AdversarySpec,
+    adversary_run,
+)
 from jrsched.model import job_ready
 from jrsched.online import (
     WAIT,
@@ -496,6 +503,17 @@ def test_idle_time_costs_few_decisions(make):
         solution, _ = run_online(unit_jobs_at((10**6,), order_cost), policy)
         assert policy.calls <= 4, (order_cost, policy.calls)
         assert solution.schedule.starts[1] >= 10**6
+
+
+@pytest.mark.parametrize("kind", (SUM_CJ_3_2, SUM_FJ_3_2))
+def test_adversary_idle_time_costs_few_decisions(kind):
+    # the source waits for the first start and then for its payload's
+    # release, so the clock jumps to the policy's wake times
+    spec = AdversarySpec(kind, 10**6)
+    policy = _Counting(adversaries.default_policy(spec))
+    outcome = adversary_run(spec, policy)
+    assert len(outcome.instance.jobs) == 2
+    assert policy.calls <= 6, policy.calls
 
 
 def test_online_traces_are_pinned():

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -18,8 +21,14 @@ from jrsched import (
     scheduling_cost,
 )
 from jrsched.generate import GeneratorSpec, gen_instance
-from jrsched.model import CRITERIA
-from jrsched.oracle import _sequence_exact, _sequence_release_order
+from jrsched.model import (
+    CRITERIA,
+    ReplenishmentStructure,
+    Schedule,
+    empty_solution,
+    evaluate_solution,
+)
+from jrsched.oracle import _cover_vector, _sequence_exact, _sequence_release_order
 from conftest import R1, random_instance, single_job_instance, walkthrough_instance
 
 
@@ -89,6 +98,25 @@ class TestLimits:
         inst = Instance(1, 1, (0,), tuple(Job(i, i, 1, R1) for i in range(1, 7)))
         with pytest.raises(OracleLimitError, match="cap"):
             exact_solve(inst, Objective.TOTAL_COMPLETION, OracleLimits(max_grid_subsets=8))
+
+    def test_caps_count_the_full_enumeration(self):
+        # one resource, releases 0-4: 2**5 time sets on the release grid;
+        # on the fine grid (0-9) every set of at most five of ten points.
+        # Most of them are dropped or pruned before any residual is solved,
+        # yet the caps count every one, at exactly the same boundary.
+        inst = Instance(1, 1, (1,), tuple(Job(i, i - 1, 1, R1) for i in range(1, 6)))
+        assert inst.horizon == 9
+        fine_sets = sum(math.comb(10, k) for k in range(6))
+        for solve, sets in ((exact_solve, 2**5), (exact_solve_fine_grid, fine_sets)):
+            expected = emit_solution(solve(inst, Objective.TOTAL_COMPLETION))
+            at_cap = solve(inst, Objective.TOTAL_COMPLETION, OracleLimits(max_grid_subsets=sets))
+            assert emit_solution(at_cap) == expected
+            with pytest.raises(OracleLimitError, match=f"^{sets} replenishment structures exceed"):
+                solve(inst, Objective.TOTAL_COMPLETION, OracleLimits(max_grid_subsets=sets - 1))
+            at_cap = solve(inst, Objective.TOTAL_COMPLETION, OracleLimits(max_jobs=5))
+            assert emit_solution(at_cap) == expected
+            with pytest.raises(OracleLimitError, match="^instance has 5 jobs, limit is 4$"):
+                solve(inst, Objective.TOTAL_COMPLETION, OracleLimits(max_jobs=4))
 
     def test_bad_limits(self):
         with pytest.raises(ValueError, match="max_jobs must be >= 0, got -1"):
@@ -240,3 +268,155 @@ def test_exact_solve_outputs_are_pinned():
         for objective in Objective:
             digest.update(emit_solution(exact_solve(instance, objective)).encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+class TestAgainstFullEnumeration:
+    """The oracle against its earlier loop, which enumerated every structure
+    and kept the smallest (total, times, starts, subsets) outright."""
+
+    @pytest.mark.parametrize("fine", (False, True), ids=("release_grid", "fine_grid"))
+    def test_outputs_match_on_tie_heavy_instances(self, fine):
+        solve = exact_solve_fine_grid if fine else exact_solve
+        for spec in tie_heavy_specs(fine):
+            instance = gen_instance(spec)
+            for objective in Objective:
+                expected = emit_solution(full_enumeration(instance, objective, fine))
+                assert emit_solution(solve(instance, objective)) == expected, (spec, objective)
+
+    def test_residual_never_falls_as_releases_rise(self):
+        # the property the dominance skip relies on
+        rng = random.Random(7007)
+        for trial in range(300):
+            n = 1 + trial % 6
+            releases = [rng.randint(0, 5) for _ in range(n)]
+            jobs_data = tuple((r, rng.randint(1, 3), rng.randint(1, 3)) for r in releases)
+            early = tuple(r + rng.randint(0, 2) for r in releases)
+            late = tuple(e + rng.choice((0, 0, 1, rng.randint(1, 4))) for e in early)
+            for objective in Objective:
+                assert (
+                    _sequence_exact(early, jobs_data, objective)[0]
+                    <= _sequence_exact(late, jobs_data, objective)[0]
+                ), (early, late, jobs_data, objective)
+            assert (
+                _sequence_release_order(early, jobs_data)[0]
+                <= _sequence_release_order(late, jobs_data)[0]
+            ), (early, late, jobs_data)
+
+
+def tie_heavy_specs(fine):
+    """Seeded instances with every cost 0, or every cost drawn from {0, 1},
+    and short release ranges, so that optima tie often; s = 1-3."""
+    for seed in range(60 if fine else 150):
+        s = 1 + seed % 3
+        if fine:  # the fine grid enumerates every time up to the horizon
+            n, max_release, max_processing = ((4, 3, 2), (3, 2, 1), (3, 1, 1))[s - 1]
+        else:
+            n, max_release, max_processing = 6, (5, 3, 2)[s - 1], 2
+        costs = seed // 3 % 2
+        yield GeneratorSpec(
+            seed=seed,
+            n=1 + seed // 6 % n,
+            num_resources=s,
+            joint_cost=costs * (seed // 2 % 2),
+            item_cost_max=costs,
+            max_release=max_release,
+            max_processing=max_processing,
+            max_weight=2,
+        )
+
+
+def full_enumeration(instance, objective, fine):
+    """The oracle's enumeration before effective-release grouping: every
+    structure in product order, residuals memoised by effective releases,
+    pruned only when a lower bound exceeds the incumbent."""
+    jobs = instance.jobs
+    n = len(jobs)
+    if n == 0:
+        return empty_solution(objective)
+    points = tuple(range(instance.horizon + 1)) if fine else instance.release_grid
+    s = instance.num_resources
+    needing = [
+        tuple((idx, job.release) for idx, job in enumerate(jobs) if i in job.resources)
+        for i in range(1, s + 1)
+    ]
+    candidates = []
+    for i in range(s):
+        m = len(points)
+        sets = []
+        for k in range(0, min(len(needing[i]), m) + 1 if fine else m + 1):
+            sets.extend(itertools.combinations(range(m), k))
+        options = []
+        for combo in sets:
+            cover = _cover_vector(tuple(points[b] for b in combo), needing[i], n)
+            if cover is not None:
+                options.append((sum(1 << b for b in combo), instance.item_costs[i] * len(combo), cover))
+        candidates.append(options)
+
+    jobs_data = tuple((job.release, job.processing, job.weight) for job in jobs)
+    releases = tuple(job.release for job in jobs)
+    procs = tuple(job.processing for job in jobs)
+    weights = tuple(job.weight for job in jobs)
+    joint = instance.joint_cost
+    use_edd = objective is Objective.MAX_FLOW and s == 1
+    job_value, combine = CRITERIA[objective]
+
+    def sched_lower_bound(eff):
+        completions = map(operator.add, eff, procs)
+        return reduce(combine, map(job_value, weights, releases, completions), 0)
+
+    residual_memo = {}
+
+    def residual(eff):
+        hit = residual_memo.get(eff)
+        if hit is None:
+            if use_edd:
+                hit = _sequence_release_order(eff, jobs_data)
+            else:
+                hit = _sequence_exact(eff, jobs_data, objective)
+            residual_memo[eff] = hit
+        return hit
+
+    best_total = best_key = best_combo = best_starts = None
+
+    def combo_key(combo, starts):
+        union = 0
+        for mask, _, _ in combo:
+            union |= mask
+        times = tuple(points[b] for b in range(len(points)) if union >> b & 1)
+        subsets = tuple(
+            tuple(i + 1 for i in range(s) if combo[i][0] >> b & 1)
+            for b in range(len(points))
+            if union >> b & 1
+        )
+        return (times, starts, subsets)
+
+    for combo in itertools.product(*candidates):
+        union = 0
+        repl = 0
+        for mask, cost_term, _ in combo:
+            union |= mask
+            repl += cost_term
+        repl += joint * union.bit_count()
+        eff = combo[0][2]
+        for entry in combo[1:]:
+            eff = tuple(map(max, eff, entry[2]))
+        if best_total is not None and repl + sched_lower_bound(eff) > best_total:
+            continue
+        sched_cost, starts = residual(eff)
+        total = repl + sched_cost
+        if best_total is None or total < best_total:
+            best_total = total
+            best_key = combo_key(combo, starts)
+            best_combo = combo
+            best_starts = starts
+        elif total == best_total:
+            key = combo_key(combo, starts)
+            if key < best_key:
+                best_key = key
+                best_combo = combo
+                best_starts = starts
+
+    times, _, subsets = combo_key(best_combo, best_starts)
+    events = tuple((t, frozenset(rs)) for t, rs in zip(times, subsets))
+    schedule = Schedule({job.id: start for job, start in zip(jobs, best_starts)})
+    return evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)
