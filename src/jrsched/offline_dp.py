@@ -21,15 +21,22 @@ read, and per key only undominated partial solutions survive:
   release anchor per resource).
 - :func:`dp_fmax_s1` keys on (time the machine becomes free, order count).
 
+A partial solution does not carry its history.  In :func:`dp_wjcj_unit` and
+:func:`dp_equalp` it holds a link (parent link, (job id, start) pairs placed
+by the last step, order event or None), and in :func:`dp_fmax_s1` its parent
+key and layer; the winner's schedule and orders are read back once, at the
+end.  A step that places nothing and orders nothing keeps its parent's link.
+
 Ties go to the partial solution found first: a later one replaces the kept
 one only when strictly better, and the answer is the first final state of
-least total, in the order the states were reached.  Every solver returns a
-full :class:`~jrsched.model.Solution` with recomputed costs.
+least total, in the order the states were reached.  Links change what a
+partial solution stores, not which one wins.  Every solver returns a full
+:class:`~jrsched.model.Solution` with recomputed costs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .model import (
     CRITERIA,
@@ -44,6 +51,20 @@ from .model import (
     normalize_replenishments,
     release_anchor,
 )
+
+
+def _unwind(link: tuple | None) -> tuple[Schedule, ReplenishmentStructure]:
+    """The schedule and orders along a chain of (parent link, (job id, start)
+    pairs, order event or None) links, in the order they were added."""
+    blocks: list[tuple] = []
+    events: list[tuple] = []
+    while link is not None:
+        link, pairs, event = link
+        blocks.append(pairs)
+        if event is not None:
+            events.append(event)
+    starts = {job_id: start for pairs in reversed(blocks) for job_id, start in pairs}
+    return Schedule(starts), ReplenishmentStructure(tuple(reversed(events)))
 
 
 def _order_table(instance: Instance) -> list[tuple[frozenset[int], int]]:
@@ -102,15 +123,16 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     ]
 
     # key: (last order time per resource, -1 if never, scheduled job ids)
-    # value: (weighted completion plus order cost, schedule, events)
-    layer: dict[tuple, tuple] = {((-1,) * s, frozenset()): (0, (), ())}
+    # value: (weighted completion plus order cost, link), where a link is
+    # (parent link, placed (job id, start) pairs, order event or None)
+    layer: dict[tuple, tuple] = {((-1,) * s, frozenset()): (0, None)}
     if stats is not None:
         stats["states_per_layer"] = [len(layer)]
 
     for k, tau in enumerate(layer_times[:-1]):
         window = layer_times[k + 1] - tau
         nxt: dict[tuple, tuple] = {}
-        for (betas, scheduled), (value, schedule, events) in layer.items():
+        for (betas, scheduled), (value, link) in layer.items():
             for mask, (resources, order_cost) in enumerate(orders):
                 new_betas = tuple(tau if mask >> i & 1 else betas[i] for i in range(s))
                 chosen: list = []
@@ -131,24 +153,22 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
                 key = (new_betas, scheduled.union(job.id for job in chosen))
                 incumbent = nxt.get(key)
                 if incumbent is None or new_value < incumbent[0]:
-                    placed = tuple((job.id, tau + offset) for offset, job in enumerate(chosen))
-                    nxt[key] = (
-                        new_value,
-                        schedule + placed,
-                        events + ((tau, resources),) if mask else events,
-                    )
+                    if chosen or mask:
+                        placed = tuple((job.id, tau + offset) for offset, job in enumerate(chosen))
+                        nxt[key] = (new_value, (link, placed, (tau, resources) if mask else None))
+                    else:
+                        nxt[key] = (new_value, link)
         layer = nxt
         if stats is not None:
             stats["states_per_layer"].append(len(layer))
 
     # ordering every resource at the last release always leaves a complete state
-    _, schedule, events = min(
+    _, link = min(
         (state for (_, scheduled), state in layer.items() if len(scheduled) == n),
         key=lambda state: state[0],
     )
-    return evaluate_solution(
-        instance, Schedule(dict(schedule)), ReplenishmentStructure(events), objective
-    )
+    schedule, events = _unwind(link)
+    return evaluate_solution(instance, schedule, events, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +191,18 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     later order unlocks; a release-ordered prefix is always among the
     optimal choices by an exchange argument.  The final structure is pulled
     back onto the release grid, which preserves feasibility and cost.
+
+    Each state keeps a Pareto list of (criterion, order cost so far, link)
+    entries; the completion criterion adds both parts, so one entry
+    suffices there.  The link points to the entry it was extended from and
+    holds only the block's starts and the order placed, so extending an
+    entry copies no history; the winner's schedule and orders are read back
+    from its links once.  The blocks are built once per layer for each
+    (scheduled counts, last orders) pair that some state and order reach,
+    each size extending the one before.  Ties go to the entry found first: a
+    new entry is dropped when a kept one is no worse in both parts, it
+    drops the kept ones it is no worse than, and the answer is the first
+    complete entry of least total.  The links leave every tie as it was.
     """
     if objective not in (Objective.TOTAL_COMPLETION, Objective.MAX_FLOW):
         raise SolverError(f"unsupported objective {objective.value} for the equal-length solver")
@@ -192,133 +224,138 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     n = len(instance.jobs)
     grid = instance.release_grid
     layer_times = sorted({tau + lam * p for tau in grid for lam in range(n + 1)})
+    num_layers = len(layer_times)
     use_max_flow = objective is Objective.MAX_FLOW
     job_value, combine = CRITERIA[objective]
 
     orders = _order_table(instance)
-    jobs_by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
+    # a class is the jobs sharing one resource set; per class, in release
+    # order: (rank in the release order of all jobs, job, class), plus the
+    # releases and the 0-based resources
     class_keys = sorted({tuple(sorted(job.resources)) for job in instance.jobs})
     class_index = {key: idx for idx, key in enumerate(class_keys)}
+    class_jobs: list[list[tuple]] = [[] for _ in class_keys]
+    by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
+    for rank, job in enumerate(by_release):
+        ell = class_index[tuple(sorted(job.resources))]
+        class_jobs[ell].append((rank, job, ell))
+    class_releases = [[job.release for _, job, _ in jobs] for jobs in class_jobs]
+    class_needs = [tuple(r - 1 for r in key) for key in class_keys]
+
+    def blocks_after(idx: int, tau: int, alphas: tuple, new_betas: tuple) -> list[tuple]:
+        """(target key, target layer or None if complete, criterion value,
+        (job id, start) pairs) of each block started at ``tau``."""
+        # per-class scheduled jobs are always a release-ordered prefix, so
+        # the counts identify them exactly; the ready ones follow it up to
+        # the last job released by the class's earliest last order
+        ready: list[tuple] = []
+        classes = 0
+        for ell, needs in enumerate(class_needs):
+            limit = None
+            for i in needs:
+                beta = new_betas[i]
+                if beta is None:
+                    break
+                if limit is None or beta < limit:
+                    limit = beta
+            else:
+                upto = bisect_right(class_releases[ell], limit)
+                if upto > alphas[ell]:
+                    ready += class_jobs[ell][alphas[ell]:upto]
+                    classes += 1
+        if classes > 1:
+            ready.sort()
+        blocks = []
+        # the empty block waits for the next layer
+        if (use_max_flow or not ready) and idx + 1 < num_layers:
+            blocks.append(((alphas, new_betas), idx + 1, 0, ()))
+        if not ready:
+            return blocks
+        new_alphas = list(alphas)
+        pairs = []
+        block_value = 0
+        start = tau
+        remaining = n - sum(alphas)
+        for size, (_, job, ell) in enumerate(ready, start=1):
+            new_alphas[ell] += 1
+            pairs.append((job.id, start))
+            start += p
+            block_value = combine(block_value, job_value(job.weight, job.release, start))
+            if not use_max_flow and size < len(ready):
+                continue
+            if size == remaining:
+                target = None
+            else:
+                # next decision point: first layer at or after the completion
+                target = bisect_left(layer_times, start)
+                if target >= num_layers:
+                    continue
+            blocks.append(((tuple(new_alphas), new_betas), target, block_value, tuple(pairs)))
+        return blocks
 
     # key: (scheduled count per class, last-order release anchor per resource)
-    # entries: Pareto list of (criterion, order cost so far, schedule, events);
-    # one entry suffices for the completion criterion, where both parts add
+    # entries: Pareto list of (criterion, order cost so far, link), where a
+    # link is (parent link, block's (job id, start) pairs, order event or None)
     start_key = ((0,) * len(class_keys), (None,) * s)
     layers: list[dict[tuple, list[tuple]]] = [dict() for _ in layer_times]
-    layers[0][start_key] = [(0, 0, (), ())]
-
-    def insert(bucket: dict, key: tuple, entry: tuple) -> None:
-        entries = bucket.get(key)
-        if entries is None:
-            bucket[key] = [entry]
-            return
-        if use_max_flow:
-            for crit, cost, _, _ in entries:
-                if crit <= entry[0] and cost <= entry[1]:
-                    return
-            entries[:] = [
-                kept for kept in entries if not (entry[0] <= kept[0] and entry[1] <= kept[1])
-            ]
-            entries.append(entry)
-        else:
-            if entry[0] + entry[1] < entries[0][0] + entries[0][1]:
-                entries[0] = entry
-
-    best: tuple[int, tuple, tuple] | None = None  # value, schedule, events
-
-    def consider_complete(entry: tuple) -> None:
-        nonlocal best
-        value = entry[0] + entry[1]
-        if best is None or value < best[0]:
-            best = (value, entry[2], entry[3])
+    layers[0][start_key] = [(0, 0, None)]
+    best: tuple[int, tuple] | None = None  # value, link
 
     for idx, tau in enumerate(layer_times):
         anchor = release_anchor(grid, tau)
+        # blocks per (scheduled counts, last orders), shared by the states
+        # and masks of this layer that reach the same pair
+        blocks_if: dict[tuple, list[tuple]] = {}
         for (alphas, betas), entries in layers[idx].items():
-            scheduled_count = sum(alphas)
-            if scheduled_count == n:
-                for entry in entries:
-                    consider_complete(entry)
-                continue
-            # per-class scheduled jobs are always a release-ordered prefix,
-            # so the counts identify them exactly
-            ready_if: dict[tuple, list] = {}
             for mask, (resources, order_cost) in enumerate(orders):
                 new_betas = tuple(anchor if mask >> i & 1 else betas[i] for i in range(s))
-
-                cache_key = new_betas
-                ready = ready_if.get(cache_key)
-                if ready is None:
-                    ready = []
-                    taken = [0] * len(class_keys)
-                    counts = list(alphas)
-                    for job in jobs_by_release:
-                        ell = class_index[tuple(sorted(job.resources))]
-                        if taken[ell] < counts[ell]:
-                            taken[ell] += 1  # already scheduled prefix
-                            continue
-                        covered = True
-                        for r in job.resources:
-                            beta = new_betas[r - 1]
-                            if beta is None or job.release > beta:
-                                covered = False
-                                break
-                        if covered:
-                            ready.append((job, ell))
-                    ready_if[cache_key] = ready
-
-                block_sizes = range(len(ready) + 1) if use_max_flow else (len(ready),)
-                for size in block_sizes:
-                    block = ready[:size]
-                    new_alphas = list(alphas)
-                    for _, ell in block:
-                        new_alphas[ell] += 1
-                    key = (tuple(new_alphas), new_betas)
-                    if block:
-                        target_time = tau + size * p
-                        complete = scheduled_count + size == n
-                        if not complete:
-                            # next decision point: first layer at or after
-                            # the block's completion
-                            target = bisect_left(layer_times, target_time)
-                            if target >= len(layer_times):
-                                continue
+                blocks = blocks_if.get((alphas, new_betas))
+                if blocks is None:
+                    blocks = blocks_if[alphas, new_betas] = blocks_after(
+                        idx, tau, alphas, new_betas
+                    )
+                event = (tau, resources) if mask else None
+                for key, target, block_value, pairs in blocks:
+                    reuse_link = event is None and not pairs
+                    if target is None:
+                        for crit, cost, link in entries:
+                            value = combine(crit, block_value) + cost + order_cost
+                            if best is None or value < best[0]:
+                                best = (value, (link, pairs, event))
+                        continue
+                    bucket = layers[target]
+                    kept = bucket.get(key)
+                    if use_max_flow:
+                        if kept is None:
+                            kept = bucket[key] = []
+                        for crit, cost, link in entries:
+                            if crit < block_value:
+                                crit = block_value
+                            cost += order_cost
+                            for kept_crit, kept_cost, _ in kept:
+                                if kept_crit <= crit and kept_cost <= cost:
+                                    break
+                            else:
+                                kept[:] = [
+                                    other for other in kept
+                                    if not (crit <= other[0] and cost <= other[1])
+                                ]
+                                kept.append(
+                                    (crit, cost, link if reuse_link else (link, pairs, event))
+                                )
                     else:
-                        complete = False
-                        target = idx + 1
-                        if target >= len(layer_times):
-                            continue
-                    # the block's starts and criterion value do not depend on the entry
-                    block_starts = []
-                    block_value = 0
-                    for k, (job, _) in enumerate(block):
-                        start = tau + k * p
-                        block_starts.append((job.id, start))
-                        block_value = combine(
-                            block_value, job_value(job.weight, job.release, start + p)
-                        )
-                    pairs = tuple(block_starts)
-                    for crit, cost, schedule, events in entries:
-                        new_entry = (
-                            combine(crit, block_value),
-                            cost + order_cost,
-                            schedule + pairs,
-                            events + ((tau, resources),) if mask else events,
-                        )
-                        if complete:
-                            consider_complete(new_entry)
-                        else:
-                            insert(layers[target], key, new_entry)
+                        ((crit, cost, link),) = entries
+                        crit += block_value
+                        cost += order_cost
+                        if kept is None or crit + cost < kept[0][0] + kept[0][1]:
+                            bucket[key] = [
+                                (crit, cost, link if reuse_link else (link, pairs, event))
+                            ]
 
     if best is None:
         raise SolverError("dynamic program found no complete schedule")
-    _, schedule_pairs, events = best
-    solution = evaluate_solution(
-        instance,
-        Schedule(dict(schedule_pairs)),
-        ReplenishmentStructure(events),
-        objective,
-    )
+    schedule, events = _unwind(best[1])
+    solution = evaluate_solution(instance, schedule, events, objective)
     return normalize_replenishments(instance, solution)
 
 

@@ -279,3 +279,53 @@ def test_dp_outputs_are_pinned():
         for solve, instance in golden_cases(seed):
             digest.update(emit_solution(solve(instance)).encode())
     assert digest.hexdigest() == GOLDEN_DP_DIGEST
+
+
+def equalp_pin_cases():
+    """(instance, objective) pairs for dp_equalp past the small golden cases:
+    n = 6-10, s = 1-3, common p = 1-3, every cost from {0}, from {0, 1} or
+    from the default choices, so that optima often tie.  Max flow on three
+    resources stays at n = 6, where it already takes most of the time; ten
+    completion-time instances on two resources with releases up to 8 meet
+    equal totals at one key."""
+    cost_sets = ((0,), (0, 1), (0, 1, 2, 5, 10))
+    both = (Objective.TOTAL_COMPLETION, Objective.MAX_FLOW)
+    # (resources, jobs, latest release, objectives)
+    specs = [(1, n, 6, both) for n in range(6, 11) for _ in cost_sets]
+    specs += [(2, n, 3, both) for n in range(6, 11)]
+    specs += [(3, 6, 2, both), (3, 8, 2, both[:1]), (3, 10, 2, both[:1])]
+    specs += [(2, n, 8, both[:1]) for n in range(6, 11) for _ in range(2)]
+    rng = random.Random(2026)
+    for k, (s, n, max_release, objectives) in enumerate(specs):
+        instance = random_instance(
+            rng, n, s=s, max_release=max_release,
+            equal_processing=1 + k % 3, cost_choices=cost_sets[k % 3],
+        )
+        for objective in objectives:
+            yield instance, objective
+    # two entries of one key lead to tied optima here, so the order of a
+    # key's Pareto entries shows in the output
+    both_resources = frozenset({1, 2})
+    jobs = tuple(
+        Job(job_id, release, 1, resources)
+        for job_id, (release, resources) in enumerate(
+            [(7, both_resources), (0, both_resources), (3, both_resources),
+             (5, frozenset({2})), (2, frozenset({2})), (2, both_resources),
+             (1, both_resources)],
+            start=1,
+        )
+    )
+    yield Instance(2, 0, (1, 0), jobs), Objective.MAX_FLOW
+
+
+# sha256 of the emitted solutions of equalp_pin_cases, computed before the
+# Pareto entries of dp_equalp carried parent links instead of copied
+# histories.  Every byte must stay, tie-breaks included.
+GOLDEN_EQUALP_DIGEST = "2db22de595acf56bb8d801062330c86e025550c8963403f3c242c04710e3cce6"
+
+
+def test_dp_equalp_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for instance, objective in equalp_pin_cases():
+        digest.update(emit_solution(dp_equalp(instance, objective)).encode())
+    assert digest.hexdigest() == GOLDEN_EQUALP_DIGEST
