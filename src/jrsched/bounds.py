@@ -29,6 +29,8 @@ FMAX_REGULAR_4_3 = "fmax_regular_4_3"
 FMAX_GENERAL_GOLDEN = "fmax_general_golden"
 
 KINDS = (SUM_CJ_3_2, WEIGHTED_GOLDEN, SUM_FJ_3_2, FMAX_REGULAR_4_3, FMAX_GENERAL_GOLDEN)
+# The games with a closed-form ratio curve (see :func:`ratio_curve`).
+CURVE_KINDS = (SUM_CJ_3_2, WEIGHTED_GOLDEN, SUM_FJ_3_2, FMAX_GENERAL_GOLDEN)
 
 
 def lb_ceiling(instance: Instance) -> int:

@@ -48,14 +48,25 @@ from .online import (
 )
 from .oracle import OracleLimits, exact_solve, exact_solve_fine_grid
 
-# --algo name -> (solver called as f(instance, objective, limits), needs --objective)
-_SOLVERS: dict[str, tuple[Callable[[Instance, Objective | None, OracleLimits], Solution], bool]] = {
-    "oracle": (exact_solve, True),
-    "oracle-fine": (exact_solve_fine_grid, True),
-    "dp-wjcj-unit": (lambda instance, _, __: dp_wjcj_unit(instance), False),
-    "dp-equalp": (lambda instance, objective, _: dp_equalp(instance, objective), True),
-    "dp-fmax-s1": (lambda instance, _, __: dp_fmax_s1(instance), False),
-    "fmax-unit-distinct": (lambda instance, _, __: fmax_unit_distinct(instance), False),
+# --algo name -> (solver called as f(instance, objective, limits), the objectives it solves)
+_SOLVERS: dict[
+    str, tuple[Callable[[Instance, Objective, OracleLimits], Solution], tuple[Objective, ...]]
+] = {
+    "oracle": (exact_solve, tuple(Objective)),
+    "oracle-fine": (exact_solve_fine_grid, tuple(Objective)),
+    "dp-wjcj-unit": (
+        lambda instance, _, __: dp_wjcj_unit(instance),
+        (Objective.WEIGHTED_COMPLETION,),
+    ),
+    "dp-equalp": (
+        lambda instance, objective, _: dp_equalp(instance, objective),
+        (Objective.TOTAL_COMPLETION, Objective.MAX_FLOW),
+    ),
+    "dp-fmax-s1": (lambda instance, _, __: dp_fmax_s1(instance), (Objective.MAX_FLOW,)),
+    "fmax-unit-distinct": (
+        lambda instance, _, __: fmax_unit_distinct(instance),
+        (Objective.MAX_FLOW,),
+    ),
 }
 
 _POLICIES: dict[str, Callable[[int], OnlinePolicy]] = {
@@ -102,13 +113,6 @@ def _oracle_limits(args: argparse.Namespace) -> OracleLimits:
         raise _CliError(str(exc)) from None
 
 
-def _load_instance(path: str) -> Instance:
-    try:
-        return parse_instance(_read_text(path))
-    except InstanceError as exc:
-        raise _CliError(str(exc)) from None
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(
         family=args.family,
@@ -122,38 +126,33 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         max_weight=args.max_weight,
         tight_name=args.tight_name,
     )
-    try:
-        instance = gen_instance(spec)
-    except InstanceError as exc:
-        raise _CliError(str(exc)) from None
-    _write_output(emit_instance(instance), args.output)
+    _write_output(emit_instance(gen_instance(spec)), args.output)
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.input)
+    instance = parse_instance(_read_text(args.input))
     limits = _oracle_limits(args)
-    objective = Objective(args.objective) if args.objective else None
-    solver, needs_objective = _SOLVERS[args.algo]
-    if needs_objective and objective is None:
-        raise _CliError(f"--objective is required for --algo {args.algo}")
-    try:
-        solution = solver(instance, objective, limits)
-    except SolverError as exc:
-        raise _CliError(str(exc)) from None
-    _write_output(emit_solution(solution), args.output)
+    solver, objectives = _SOLVERS[args.algo]
+    if args.objective is None:
+        if len(objectives) > 1:
+            raise _CliError(f"--objective is required for --algo {args.algo}")
+        (objective,) = objectives
+    else:
+        objective = Objective(args.objective)
+        if objective not in objectives:
+            solved = ", ".join(obj.value for obj in objectives)
+            raise _CliError(f"--algo {args.algo} solves {solved}, not {objective.value}")
+    _write_output(emit_solution(solver(instance, objective, limits)), args.output)
     return 0
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.input)
+    instance = parse_instance(_read_text(args.input))
     if args.lead_one:
         instance = delay_releases(instance, 1)
     policy = _make_policy(args.policy, args.order_cost)
-    try:
-        solution, trace = run_online(instance, policy, end_signal=not args.no_end_signal)
-    except SolverError as exc:
-        raise _CliError(str(exc)) from None
+    solution, trace = run_online(instance, policy, end_signal=not args.no_end_signal)
     if args.trace:
         _write_output(trace_to_jsonl(trace, solution), args.trace)
     document = {
@@ -188,10 +187,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.curve:
-        try:
-            point = bounds.ratio_curve(args.curve, args.order_cost, args.w2)
-        except SolverError as exc:
-            raise _CliError(str(exc)) from None
+        point = bounds.ratio_curve(args.curve, args.order_cost, args.w2)
         document = {
             "kind": args.curve,
             "K": point.order_cost,
@@ -204,25 +200,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     else:
         if not args.input:
             raise _CliError("bounds needs --input or --curve")
-        instance = _load_instance(args.input)
-        try:
-            document = {
-                "lb_ceiling": bounds.lb_ceiling(instance),
-                "lb_sqrt": bounds.lb_sqrt(instance),
-            }
-        except SolverError as exc:
-            raise _CliError(str(exc)) from None
+        instance = parse_instance(_read_text(args.input))
+        document = {
+            "lb_ceiling": bounds.lb_ceiling(instance),
+            "lb_sqrt": bounds.lb_sqrt(instance),
+        }
     _write_output(json.dumps(document, indent=2, sort_keys=True), args.output)
     return 0
-
-
-def _offline_total_for_ratio(instance: Instance, policy_name: str, limits: OracleLimits) -> int:
-    if policy_name == "max-flow":
-        return bounds.lb_ceiling(instance)
-    objective = (
-        Objective.TOTAL_COMPLETION if policy_name == "sum-cj" else Objective.TOTAL_FLOW
-    )
-    return exact_solve(instance, objective, limits).total
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
@@ -252,7 +236,11 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
             instance = gen_instance(replace(base, seed=seed))
             policy = _make_policy(args.policy, args.order_cost)
             solution, _ = run_online(instance, policy)
-            offline = _offline_total_for_ratio(instance, args.policy, limits)
+            # the policy sets the objective; max flow is judged against a bound
+            if solution.objective is Objective.MAX_FLOW:
+                offline = bounds.lb_ceiling(instance)
+            else:
+                offline = exact_solve(instance, solution.objective, limits).total
         except (InstanceError, SolverError) as exc:
             raise _CliError(f"seed {seed}: {exc}") from None
         rows.append(
@@ -287,11 +275,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise _CliError(f"malformed document: {exc}") from None
     if not isinstance(document, dict) or "instance" not in document or "solution" not in document:
         raise _CliError('validate expects {"instance": ..., "solution": ...}')
-    try:
-        instance = instance_from_document(document["instance"])
-        solution = solution_from_document(document["solution"])
-    except (InstanceError, SolutionError) as exc:
-        raise _CliError(str(exc)) from None
+    instance = instance_from_document(document["instance"])
+    solution = solution_from_document(document["solution"])
     report = check_feasible(instance, solution)
     problems = [
         {"kind": v.kind, "jobs": list(v.jobs), "detail": v.detail} for v in report.violations
@@ -379,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="instance lower bounds or ratio curves")
     p.add_argument("--input", default=None)
-    p.add_argument("--curve", choices=KINDS[:3] + KINDS[4:], default=None)
+    p.add_argument("--curve", choices=bounds.CURVE_KINDS, default=None)
     p.add_argument("--K", dest="order_cost", type=int, default=1)
     p.add_argument("--w2", type=float, default=None)
     add_output(p)
@@ -409,9 +394,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the library's input errors end here; a plain ValueError or a
+    # SimulationError is a program fault and keeps its traceback
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, InstanceError, SolutionError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

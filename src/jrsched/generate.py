@@ -30,13 +30,14 @@ class GeneratorSpec:
         if self.family not in FAMILIES:
             raise InstanceError(f"unknown family {self.family!r}")
         if self.family == "tight" and self.tight_name not in TIGHT_NAMES:
-            raise InstanceError(f"unknown tight sub-family {self.tight_name!r}")
-        if self.n < 0 or self.num_resources < 1:
-            raise InstanceError("n must be >= 0 and num_resources >= 1")
-        if min(self.joint_cost, self.item_cost_max, self.max_release) < 0:
-            raise InstanceError("cost and release ranges must be non-negative")
-        if self.family == "random" and self.n and (self.max_processing < 1 or self.max_weight < 1):
-            raise InstanceError("processing and weight ranges must be >= 1")
+            raise InstanceError(f"unknown tight_name {self.tight_name!r}")
+        minimums = dict(n=0, num_resources=1, joint_cost=0, item_cost_max=0, max_release=0)
+        if self.family == "random" and self.n:
+            minimums.update(max_processing=1, max_weight=1)
+        for name, minimum in minimums.items():
+            value = getattr(self, name)
+            if value < minimum:
+                raise InstanceError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _random_instance(spec: GeneratorSpec) -> Instance:

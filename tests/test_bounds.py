@@ -126,6 +126,15 @@ class TestRatioCurves:
         with pytest.raises(SolverError, match="curve"):
             ratio_curve(FMAX_REGULAR_4_3, 10)
 
+    @pytest.mark.parametrize("kind", bounds.KINDS + ("no_such_game",))
+    def test_curve_kinds_are_the_kinds_with_a_curve(self, kind):
+        if kind in bounds.CURVE_KINDS:
+            point = ratio_curve(kind, 10, 0.5)
+            assert point.bound >= 1.0
+        else:
+            with pytest.raises(SolverError, match="no closed-form ratio curve"):
+                ratio_curve(kind, 10, 0.5)
+
     def test_curve_shape(self):
         point = ratio_curve(SUM_CJ_3_2, 50)
         # c1 rises and c2 falls around the crossing, so both pin the bound

@@ -1,8 +1,10 @@
+import hashlib
+import io
 import json
 
 import pytest
 
-from jrsched import parse_instance, parse_solution
+from jrsched import Objective, parse_instance, parse_solution
 from jrsched.cli import main
 
 
@@ -277,3 +279,169 @@ class TestValidate:
         out, _ = run_cli(capsys, ["validate", "--input", path], expect=1)
         kinds = {v["kind"] for v in json.loads(out)["violations"]}
         assert kinds == {"cost-mismatch"}
+
+
+TWO_RESOURCES = {
+    "s": 2,
+    "joint_cost": 1,
+    "item_costs": [1, 1],
+    "jobs": [{"id": 1, "release": 0, "processing": 1, "resources": [1, 2]}],
+}
+
+
+def error_line(err):
+    """The one ``error:`` line a failed command prints on stderr."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestInputErrors:
+    def test_bad_generator_spec(self, capsys):
+        out, err = run_cli(capsys, ["gen", "--n", "-1"], expect=1)
+        assert out == ""
+        assert error_line(err) == "error: n must be >= 0, got -1"
+
+    def test_validate_orders_unknown_resource(self, capsys, tmp_path):
+        document = {
+            "instance": WALKTHROUGH,
+            "solution": {
+                "objective": "total_completion",
+                "starts": {"1": 0, "2": 4, "3": 7},
+                "replenishments": [{"time": 0, "resources": [5]}],
+                "scheduling_cost": 17,
+                "replenishment_cost": 2,
+                "total": 19,
+            },
+        }
+        path = write(tmp_path, "unknown.json", json.dumps(document))
+        out, err = run_cli(capsys, ["validate", "--input", path], expect=1)
+        assert out == ""
+        assert "resource index 5" in error_line(err)
+
+    def test_objective_the_solver_does_not_solve(self, capsys, tmp_path):
+        path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
+        out, err = run_cli(capsys, ["solve", "--algo", "dp-fmax-s1", "--objective",
+                                    "total_completion", "--input", path], expect=1)
+        assert out == ""
+        line = error_line(err)
+        assert "dp-fmax-s1" in line and "total_completion" in line
+
+    def test_objective_required_when_several(self, capsys, tmp_path):
+        path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
+        out, err = run_cli(capsys, ["solve", "--algo", "dp-equalp", "--input", path], expect=1)
+        assert out == ""
+        assert error_line(err) == "error: --objective is required for --algo dp-equalp"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--max-processing", "0"], "max_processing must be >= 1, got 0"),
+            (["online", "--policy", "sum-cj", "--K", "2", "--input", "{two}"],
+             "single resource type"),
+            (["bounds"], "--input or --curve"),
+            (["bounds", "--input", "{two}"], "single resource type"),
+            (["bounds", "--curve", "sum_cj_3_2", "--K", "0"], "order cost must be >= 1"),
+            (["ratio", "--policy", "sum-cj", "--K", "2", "--seeds", "5"], "bad --seeds range"),
+            (["adversary", "--kind", "weighted_golden", "--K", "5"], "w2"),
+            (["validate", "--input", "{not_json}"], "malformed document"),
+            (["validate", "--input", "{no_solution}"], "validate expects"),
+        ],
+    )
+    def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
+        paths = {
+            "two": write(tmp_path, "two.json", json.dumps(TWO_RESOURCES)),
+            "not_json": write(tmp_path, "not.json", "{not json"),
+            "no_solution": write(tmp_path, "half.json", json.dumps({"instance": WALKTHROUGH})),
+        }
+        out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)
+        assert out == ""
+        assert message in error_line(err)
+
+    def test_instance_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(WALKTHROUGH)))
+        out, _ = run_cli(capsys, ["solve", "--algo", "dp-fmax-s1", "--input", "-"])
+        assert parse_solution(out).total == 9
+
+
+# gen arguments of the instances the pinned commands read
+PIN_INSTANCES = {
+    "multi": ["--seed", "3", "--n", "5", "--s", "2"],
+    "single": ["--seed", "5", "--n", "6", "--max-processing", "2", "--joint-cost", "3"],
+    "unit": ["--seed", "7", "--n", "7", "--s", "2", "--max-processing", "1"],
+    "weighted": ["--seed", "8", "--n", "7", "--s", "2", "--max-processing", "1",
+                 "--max-weight", "4"],
+    "stream": ["--seed", "9", "--n", "8", "--max-processing", "1"],
+    "regular": ["--family", "regular", "--n", "7", "--joint-cost", "2"],
+    "three": ["--family", "tight", "--tight-name", "three-jobs", "--joint-cost", "2"],
+}
+
+
+def pinned_commands(paths):
+    """Successful invocations of every command; each --algo on its class."""
+    commands = []
+    for name, objectives in (
+        ("multi", [obj.value for obj in Objective]),
+        ("three", ["total_completion", "max_flow"]),
+    ):
+        commands += [["solve", "--algo", "oracle", "--objective", obj, "--input", paths[name]]
+                     for obj in objectives]
+    commands += [["solve", "--algo", "oracle-fine", "--objective", obj, "--input", paths["three"]]
+                 for obj in ("total_completion", "total_flow", "max_flow")]
+    commands += [["solve", "--algo", "dp-equalp", "--objective", obj, "--input", paths["unit"]]
+                 for obj in ("total_completion", "max_flow")]
+    for algo, objective, names in (
+        ("dp-wjcj-unit", "total_weighted_completion", ("weighted", "unit")),
+        ("dp-fmax-s1", "max_flow", ("single", "three", "regular")),
+        ("fmax-unit-distinct", "max_flow", ("regular",)),
+    ):
+        for name in names:
+            commands.append(["solve", "--algo", algo, "--input", paths[name]])
+            commands.append(["solve", "--algo", algo, "--objective", objective,
+                             "--input", paths[name]])
+    for policy in ("sum-cj", "sum-fj", "max-flow", "immediate"):
+        for name in ("stream", "regular"):
+            commands.append(["online", "--policy", policy, "--K", "3", "--input", paths[name],
+                             "--trace", "-"])
+    commands.append(["online", "--policy", "sum-cj", "--K", "2", "--input", paths["stream"],
+                     "--lead-one", "--no-end-signal"])
+    for kind in ("sum_cj_3_2", "weighted_golden", "sum_fj_3_2", "fmax_regular_4_3",
+                 "fmax_general_golden"):
+        commands.append(["adversary", "--kind", kind, "--K", "5", "--w2", "2"])
+    commands.append(["adversary", "--kind", "sum_cj_3_2", "--K", "5", "--policy", "immediate"])
+    commands += [["bounds", "--input", paths[name]] for name in ("single", "stream")]
+    for kind in ("sum_cj_3_2", "weighted_golden", "sum_fj_3_2", "fmax_general_golden"):
+        commands.append(["bounds", "--curve", kind, "--K", "5", "--w2", "0.5"])
+    for policy, extra in (
+        ("sum-cj", ["--n", "5", "--seeds", "0:3"]),
+        ("sum-fj", ["--n", "5", "--seeds", "2:5"]),
+        ("max-flow", ["--family", "regular", "--n", "6", "--seeds", "0:2"]),
+    ):
+        commands.append(["ratio", "--policy", policy, "--K", "3", *extra])
+        commands.append(["ratio", "--policy", policy, "--K", "3", *extra, "--csv"])
+    commands.append(["validate", "--input", paths["combined"]])
+    return commands
+
+
+# sha256 of the stdout of pinned_commands, gen outputs first, computed before
+# the CLI converted library errors in one place and knew each solver's
+# objectives.  Every successful output must keep every byte.
+GOLDEN_CLI_DIGEST = "adfa0c552d57dc876fa269566a760ebd1c573999a01549c998cd0ca97700c258"
+
+
+def test_cli_outputs_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    paths = {}
+    for name, argv in PIN_INSTANCES.items():
+        out, _ = run_cli(capsys, ["gen", *argv])
+        digest.update(out.encode())
+        paths[name] = write(tmp_path, f"{name}.json", out)
+    solved, _ = run_cli(capsys, ["solve", "--algo", "oracle", "--objective", "total_flow",
+                                 "--input", paths["three"]])
+    combined = {"instance": json.loads(open(paths["three"]).read()),
+                "solution": json.loads(solved)}
+    paths["combined"] = write(tmp_path, "combined.json", json.dumps(combined))
+    for argv in pinned_commands(paths):
+        out, _ = run_cli(capsys, argv)
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_CLI_DIGEST

@@ -163,6 +163,53 @@ class TestSimulator:
         with pytest.raises(SimulationError, match="not pending"):
             run_online(unit_jobs_at((0, 0), 1), Bad())
 
+    def test_rejects_unknown_resource(self):
+        class Bad(OnlinePolicy):
+            def decide(self, obs):
+                return Decision(frozenset({2}), ())
+
+        with pytest.raises(SimulationError, match="t=0: order names unknown resource 2"):
+            run_online(single_job_instance(5), Bad())
+
+    def test_rejects_job_delivered_twice(self):
+        class Repeating(JobSource):
+            # delivers every released job again at every visit
+            def reveal(self, t, view):
+                return [job for job in single_job_instance(5).jobs if job.release <= t]
+
+            def finished(self, t, view):
+                return False
+
+        with pytest.raises(SimulationError, match="source delivered job 1 twice"):
+            simulate(Repeating(), SumCompletionPolicy(5))
+
+    def test_rejects_job_delivered_before_release(self):
+        class Early(StaticSource):
+            def reveal(self, t, view):
+                return list(self.jobs) if t == 0 else []
+
+        with pytest.raises(SimulationError, match="source delivered job 1 before its release"):
+            simulate(Early(unit_jobs_at((3,), 5).jobs), SumCompletionPolicy(5))
+
+    @pytest.mark.parametrize("first, rest", [((2,), [1, 3]), ((3, 1), [2])])
+    def test_start_that_is_not_a_backlog_prefix(self, first, rest):
+        seen = []
+
+        class OutOfOrder(OnlinePolicy):
+            def decide(self, obs):
+                if len(obs.pending) == 3:
+                    return Decision(frozenset({1}), first)
+                if obs.pending and not obs.arrivals:
+                    seen.append(([job.id for job in obs.pending], obs.pending.release_sum))
+                    return Decision(None, tuple(job.id for job in obs.pending))
+                return WAIT
+
+        result = simulate(StaticSource(unit_jobs_at((1, 2, 3), 1).jobs), OutOfOrder())
+        # each job's id is its release date, all three ready from the order at 3
+        assert seen == [(rest, sum(rest))]
+        assert list(result.starts) == [*first, *rest]
+        assert sorted(result.starts.values()) == [3, 4, 5]
+
     def test_stalled_policy_detected(self):
         class Sleeper(OnlinePolicy):
             def decide(self, obs):
@@ -224,6 +271,18 @@ class TestTriggerCertificates:
         # same run judged against a tiny threshold must be flagged
         solution, trace = run_online(inst, SumCompletionPolicy(10))
         assert completion_trigger_violations(inst, solution, trace, 2) != []
+
+
+    def test_flow_certificate_flags_order_at_the_trigger(self):
+        # the flow policy at K = 10 orders its one job at 9: 8 waited + 1 < 10
+        inst = unit_jobs_at((0,), 10)
+        solution, trace = run_online(inst, SumFlowPolicy(10))
+        assert [block.time for block in trace.blocks] == [9]
+        assert flow_trigger_violations(inst, solution, trace, 10) == []
+        # at K = 9 the same backlog had met the trigger one step earlier
+        assert flow_trigger_violations(inst, solution, trace, 9) == [
+            "order at 9: waiting backlog already met the flow trigger at 8"
+        ]
 
 
 class TestTraceFormat:
