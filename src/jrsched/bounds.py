@@ -79,8 +79,8 @@ def _curves(kind: str, order_cost: int, w2: float | None):
 
         return c1, c2, 1.5
     if kind == WEIGHTED_GOLDEN:
-        if w2 is None or w2 <= 0:
-            raise SolverError("the weighted curve needs w2 > 0")
+        if w2 is None or not math.isfinite(w2) or w2 <= 0:
+            raise SolverError(f"the weighted curve needs a finite w2 > 0, got {w2}")
 
         def c1(t: int) -> float:
             return (K + t + 1) / (K + 1)
@@ -127,8 +127,7 @@ def ratio_curve(kind: str, order_cost: int, w2: float | None = None) -> RatioCur
     for t in range(cap + 1):
         v1 = c1(t)
         if best is not None and v1 >= best[0]:
-            if kind != SUM_FJ_3_2:
-                break
+            break
         v2 = c2(t)
         value = v1 if v1 > v2 else v2
         if best is None or value < best[0]:

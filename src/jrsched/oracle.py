@@ -9,7 +9,10 @@ all their resources are covered), and the residual one-machine problem is
 solved exactly by a subset DP over (jobs sequenced, time the machine becomes
 free) with earliest-start placement, which is optimal among active schedules
 for every supported criterion.  Among the optimal orders the DP returns the
-lexicographically smallest start vector (see :func:`_subset_dp`).
+lexicographically smallest start vector (see :func:`_subset_dp`).  The one
+exception is max flow on a single resource: there the residual is sequenced
+in release order (see :func:`_sequence_release_order`), which is optimal
+but need not give the smallest start vector among the optimal orders.
 
 The evaluation runs in three steps:
 
@@ -28,7 +31,9 @@ The evaluation runs in three steps:
 Each structure left out either costs strictly more than another one or has
 the same effective releases and cost and a larger (order times, resource
 subsets), so the result is the smallest (total, order times, start times,
-resource subsets) over all structures, exactly as a full enumeration finds.
+resource subsets) over all structures, exactly as a full enumeration finds,
+where the start times are each residual's own (release-ordered for max flow
+on one resource).
 
 Two enumeration grids are offered: the release dates of the jobs (sufficient
 for optimality, used by :func:`exact_solve`) and every integer time up to the
@@ -394,7 +399,10 @@ def exact_solve(
     back to the latest release at or before it keeps every served job ready.
     Ties between equal-cost optima are broken toward the lexicographically
     smallest (order times, start times by job, resource subset per order
-    time) triple for reproducible results.
+    time) triple for reproducible results, where each structure's start
+    times are those its residual sequencing returns.  Under max flow with
+    one resource that sequencing is release order, so the start vector need
+    not be the smallest among the optimal ones for that structure.
     """
     if limits is None:
         limits = OracleLimits()

@@ -111,6 +111,11 @@ class TestRatioCurves:
         with pytest.raises(SolverError, match="w2"):
             ratio_curve(WEIGHTED_GOLDEN, 10)
 
+    @pytest.mark.parametrize("w2", [math.nan, math.inf])
+    def test_weighted_rejects_w2_not_finite(self, w2):
+        with pytest.raises(SolverError, match="finite w2"):
+            ratio_curve(WEIGHTED_GOLDEN, 5, w2)
+
     def test_flow_game_approaches_three_halves(self):
         for order_cost, tolerance in ((10, 0.06), (1000, 0.001)):
             bound = ratio_curve(SUM_FJ_3_2, order_cost).bound

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from jrsched import Objective, parse_instance, parse_solution
+from jrsched import Objective, cli, oracle, parse_instance, parse_solution
 from jrsched.cli import main
+from jrsched.generate import GeneratorSpec, gen_instance
+from jrsched.offline_dp import dp_wjcj_unit
 
 
 def run_cli(capsys, argv, expect=0):
@@ -102,6 +104,20 @@ class TestSolve:
         _, err = run_cli(capsys, ["solve", "--algo", "dp-fmax-s1", "--input", path], expect=1)
         assert f"field '{field}'" in err
 
+    def test_bad_oracle_limits_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
+        _, err = run_cli(capsys, ["solve", "--algo", "oracle", "--objective", "max_flow",
+                                  "--input", path, "--max-jobs", "-1"], expect=1)
+        assert "oracle limits" in error_line(err)
+
+    def test_oracle_job_cap_reported(self, capsys, tmp_path):
+        out, _ = run_cli(capsys, ["gen", "--seed", "1", "--n", "9"])
+        path = write(tmp_path, "nine.json", out)
+        out, err = run_cli(capsys, ["solve", "--algo", "oracle", "--objective",
+                                    "total_completion", "--input", path], expect=1)
+        assert out == ""
+        assert "9 jobs, limit is 8" in error_line(err)
+
     def test_unknown_algo_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--algo", "nope", "--input", "x"])
@@ -177,6 +193,13 @@ class TestBounds:
         _, err = run_cli(capsys, ["bounds"], expect=1)
         assert "--input or --curve" in err
 
+    @pytest.mark.parametrize("w2", ["nan", "inf"])
+    def test_curve_rejects_w2_not_finite(self, capsys, w2):
+        out, err = run_cli(capsys, ["bounds", "--curve", "weighted_golden", "--K", "5",
+                                    "--w2", w2], expect=1)
+        assert out == ""
+        assert "finite w2" in error_line(err)
+
 
 class TestRatio:
     def test_csv_recomputes(self, capsys):
@@ -196,10 +219,31 @@ class TestRatio:
         rows = json.loads(out)
         assert rows[0]["ratio"] <= 2 ** 0.5 + 1e-9 + 1 / rows[0]["offline"]
 
-    def test_oracle_limit_is_reported(self, capsys):
-        _, err = run_cli(capsys, ["ratio", "--policy", "sum-cj", "--K", "5", "--n", "12",
-                                  "--seeds", "0:1"], expect=1)
-        assert "12 jobs, limit is 8" in err
+    @pytest.mark.parametrize("policy", ["sum-cj", "sum-fj"])
+    def test_sum_policies_run_past_the_oracle_cap(self, capsys, policy):
+        out, _ = run_cli(capsys, ["ratio", "--policy", policy, "--K", "5", "--n", "12",
+                                  "--seeds", "0:3"])
+        rows = json.loads(out)
+        assert [row["n"] for row in rows] == [12, 12, 12]
+        for row in rows:
+            spec = GeneratorSpec(seed=row["seed"], n=12, joint_cost=5, item_cost_max=0,
+                                 max_release=8, max_processing=1)
+            instance = gen_instance(spec)
+            expected = dp_wjcj_unit(instance).total
+            if policy == "sum-fj":
+                expected -= sum(job.release for job in instance.jobs)
+            assert row["offline"] == expected
+
+    @pytest.mark.parametrize("policy", ["sum-cj", "sum-fj"])
+    def test_sum_policies_never_reach_the_oracle(self, capsys, monkeypatch, policy):
+        def refuse(*args):
+            raise AssertionError("ratio called the oracle")
+
+        monkeypatch.setattr(cli, "exact_solve", refuse)
+        monkeypatch.setattr(oracle, "_solve_over_points", refuse)
+        out, _ = run_cli(capsys, ["ratio", "--policy", policy, "--K", "3", "--n", "6",
+                                  "--seeds", "0:4", "--csv"])
+        assert len(out.splitlines()) == 5
 
     def test_n_below_one_rejected(self, capsys):
         _, err = run_cli(capsys, ["ratio", "--policy", "sum-cj", "--K", "5", "--n", "0"],
@@ -208,7 +252,7 @@ class TestRatio:
 
     @pytest.mark.parametrize(
         "extra, message",
-        [(["--K", "0"], "order cost"), (["--K", "5", "--max-jobs", "-1"], "oracle limits")],
+        [(["--K", "0"], "order cost")],
     )
     def test_bad_parameters_rejected(self, capsys, extra, message):
         _, err = run_cli(capsys, ["ratio", "--policy", "sum-cj", "--n", "3", "--seeds", "0:1",
@@ -357,6 +401,30 @@ class TestInputErrors:
         out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)
         assert out == ""
         assert message in error_line(err)
+
+    def test_undecodable_input_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe")
+        out, err = run_cli(capsys, ["solve", "--algo", "oracle", "--objective", "max_flow",
+                                    "--input", str(path)], expect=1)
+        assert out == ""
+        assert error_line(err).startswith(f"error: cannot read {path}: ")
+
+    def test_output_to_missing_directory_names_the_path(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.json")
+        out, err = run_cli(capsys, ["gen", "-o", target], expect=1)
+        assert out == ""
+        assert error_line(err).startswith(f"error: cannot write {target}: ")
+
+    def test_trace_to_missing_directory_names_the_path(self, capsys, tmp_path):
+        single = {"s": 1, "joint_cost": 2, "item_costs": [0],
+                  "jobs": [{"id": 1, "release": 0, "processing": 1, "resources": [1]}]}
+        path = write(tmp_path, "single.json", json.dumps(single))
+        target = str(tmp_path / "missing" / "t.jsonl")
+        out, err = run_cli(capsys, ["online", "--policy", "sum-cj", "--K", "2", "--input", path,
+                                    "--trace", target], expect=1)
+        assert out == ""
+        assert error_line(err).startswith(f"error: cannot write {target}: ")
 
     def test_instance_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(WALKTHROUGH)))

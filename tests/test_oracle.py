@@ -196,6 +196,19 @@ class TestResidualSequencing:
         assert cost == 3
         assert starts == (0, 1)
 
+    def test_one_resource_max_flow_keeps_release_order(self):
+        # the release-order shortcut is optimal but does not pick the
+        # smallest start vector: 1, 2, 3 from t = 9 ties at total 16
+        inst = gen_instance(GeneratorSpec(seed=2, n=3, num_resources=1, joint_cost=3,
+                                          item_cost_max=3, max_release=9, max_processing=3))
+        sol = exact_solve(inst, Objective.MAX_FLOW)
+        assert dict(sol.schedule.starts) == {1: 9, 2: 14, 3: 11}
+        assert sol.total == 16
+        smaller = evaluate_solution(inst, Schedule({1: 9, 2: 11, 3: 12}), sol.replenishments,
+                                    Objective.MAX_FLOW)
+        assert check_feasible(inst, smaller).ok
+        assert smaller.total == sol.total
+
     def test_matches_brute_force_over_all_orders(self):
         rng = random.Random(2024)
         for trial in range(320):
