@@ -21,22 +21,39 @@ read, and per key only undominated partial solutions survive:
   release anchor per resource).
 - :func:`dp_fmax_s1` keys on (time the machine becomes free, order count).
 
-A partial solution does not carry its history.  In :func:`dp_wjcj_unit` and
-:func:`dp_equalp` it holds a link (parent link, (job id, start) pairs placed
-by the last step, order event or None), and in :func:`dp_fmax_s1` its parent
-key and layer; the winner's schedule and orders are read back once, at the
-end.  A step that places nothing and orders nothing keeps its parent's link.
+A partial solution of :func:`dp_wjcj_unit` or :func:`dp_fmax_s1` does not
+carry its history.  In :func:`dp_wjcj_unit` it holds a link (parent link,
+(job id, start) pairs placed by the last step, order event or None), and in
+:func:`dp_fmax_s1` its parent key and layer; the winner's schedule and
+orders are read back once, at the end.  A step that places nothing and
+orders nothing keeps its parent's link.  A partial solution of
+:func:`dp_equalp` carries its start vector and its order vector, because
+its tie rule compares them.
 
-Ties go to the partial solution found first: a later one replaces the kept
-one only when strictly better, and the answer is the first final state of
-least total, in the order the states were reached.  Links change what a
-partial solution stores, not which one wins.  Every solver returns a full
-:class:`~jrsched.model.Solution` with recomputed costs.
+The tie rule depends on the solver:
+
+- :func:`dp_equalp` returns the smallest (total, start vector, order
+  vector) over the solutions its layered graph represents.  The rule is
+  decided where two partial solutions meet at one key, so neither the
+  order in which states are reached nor a pruning that keeps that
+  smallest solution can change the output.
+- :func:`dp_wjcj_unit` and :func:`dp_fmax_s1` go to the partial solution
+  found first: a later one replaces the kept one only when strictly better,
+  and the answer is the first final state of least total, in the order the
+  states were reached.  Links change what a partial solution stores, not
+  which one wins.
+- :func:`fmax_unit_distinct` goes to the smallest equal flow time among
+  those of least total.
+
+Every solver returns a full :class:`~jrsched.model.Solution` with
+recomputed costs.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from operator import add
 
 from .model import (
     CRITERIA,
@@ -182,7 +199,9 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     common processing time, which covers all start and completion times of
     schedules without unnecessary idling.  Expanding a state may order any
     resource subset at the layer time and then starts ready unscheduled jobs
-    as one block in non-decreasing release order.
+    as one block in non-decreasing release order.  A state is keyed on the
+    scheduled count per class (jobs sharing one resource set) and the
+    release anchor of each resource's last order.
 
     For the completion-time criterion the block always takes every ready
     job: idling while something could run only pushes completions later.
@@ -192,17 +211,33 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     optimal choices by an exchange argument.  The final structure is pulled
     back onto the release grid, which preserves feasibility and cost.
 
-    Each state keeps a Pareto list of (criterion, order cost so far, link)
-    entries; the completion criterion adds both parts, so one entry
-    suffices there.  The link points to the entry it was extended from and
-    holds only the block's starts and the order placed, so extending an
-    entry copies no history; the winner's schedule and orders are read back
-    from its links once.  The blocks are built once per layer for each
-    (scheduled counts, last orders) pair that some state and order reach,
-    each size extending the one before.  Ties go to the entry found first: a
-    new entry is dropped when a kept one is no worse in both parts, it
-    drops the kept ones it is no worse than, and the answer is the first
-    complete entry of least total.  The links leave every tie as it was.
+    The answer is the smallest (total, start vector, order vector) over the
+    solutions the layered graph represents.  The start vector is indexed by
+    job id, with 0 for a job not yet placed, and the order vector holds one
+    resource mask per layer.  Two partial solutions that meet at one key
+    have placed the same jobs and share every continuation, so their
+    partial vectors compare exactly as the full ones will:
+
+    - Total completion: one pass, in which each key keeps its smallest
+      (total, starts, orders).
+    - Max flow: a first pass keeps, per key, the Pareto list of (worst flow,
+      order cost) and finds the optimum and every final flow F that attains
+      it.  A second pass per such F caps each block's flow at F, takes the
+      order cost as the value and keeps per key the smallest (cost, starts,
+      orders); its least cost is the optimum minus F, reached only by
+      solutions of flow F.  The answer is the smallest (starts, orders)
+      over the second passes.
+
+    An empty block waits for the next layer whose time is a release date,
+    not for the next layer.  Between two release dates every order has the
+    same release anchor and so covers the same jobs.  A block started after
+    idling onto a layer that is not a release date could therefore start,
+    with its order, on the layer the idling left, and the blocks that
+    follow it back to back could move earlier with it.  The move costs no
+    more, raises no flow or completion time and makes the start vector
+    smaller, so the skip never removes the smallest solution.  The tests
+    compare the answer with a walk over every path of the graph without the
+    skip.
     """
     if objective not in (Objective.TOTAL_COMPLETION, Objective.MAX_FLOW):
         raise SolverError(f"unsupported objective {objective.value} for the equal-length solver")
@@ -227,24 +262,47 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     num_layers = len(layer_times)
     use_max_flow = objective is Objective.MAX_FLOW
     job_value, combine = CRITERIA[objective]
+    # the first layer after each layer whose time is a release date, or None
+    release_dates = set(grid)
+    next_release: list[int | None] = [None] * num_layers
+    for idx in range(num_layers - 2, -1, -1):
+        later = idx + 1
+        next_release[idx] = later if layer_times[later] in release_dates else next_release[later]
 
     orders = _order_table(instance)
+    ids = sorted(job.id for job in instance.jobs)
+    position = {job_id: k for k, job_id in enumerate(ids)}
     # a class is the jobs sharing one resource set; per class, in release
-    # order: (rank in the release order of all jobs, job, class), plus the
-    # releases and the 0-based resources
+    # order: (rank in the release order of all jobs, start-vector position,
+    # job, class), plus the releases and the 0-based resources
     class_keys = sorted({tuple(sorted(job.resources)) for job in instance.jobs})
     class_index = {key: idx for idx, key in enumerate(class_keys)}
     class_jobs: list[list[tuple]] = [[] for _ in class_keys]
     by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
     for rank, job in enumerate(by_release):
         ell = class_index[tuple(sorted(job.resources))]
-        class_jobs[ell].append((rank, job, ell))
-    class_releases = [[job.release for _, job, _ in jobs] for jobs in class_jobs]
+        class_jobs[ell].append((rank, position[job.id], job, ell))
+    class_releases = [[job.release for _, _, job, _ in jobs] for jobs in class_jobs]
     class_needs = [tuple(r - 1 for r in key) for key in class_keys]
+    start_key = ((0,) * len(class_keys), (None,) * s)
 
-    def blocks_after(idx: int, tau: int, alphas: tuple, new_betas: tuple) -> list[tuple]:
+    anchors = [release_anchor(grid, tau) for tau in layer_times]
+    # blocks of the layer being expanded per (scheduled counts, last
+    # orders), built once for all the states and masks that reach the pair
+    built: dict[tuple, list[tuple]] = {}
+
+    def blocks_for(idx: int, alphas: tuple, betas: tuple, mask: int) -> list[tuple]:
         """(target key, target layer or None if complete, criterion value,
-        (job id, start) pairs) of each block started at ``tau``."""
+        start per vector position or () if empty) of each block started at
+        layer ``idx`` after ordering ``mask``: the empty block first, then
+        by size, so the criterion values never fall."""
+        if mask:
+            anchor = anchors[idx]
+            betas = tuple(anchor if mask >> i & 1 else betas[i] for i in range(s))
+        blocks = built.get((alphas, betas))
+        if blocks is not None:
+            return blocks
+        blocks = built[alphas, betas] = []
         # per-class scheduled jobs are always a release-ordered prefix, so
         # the counts identify them exactly; the ready ones follow it up to
         # the last job released by the class's earliest last order
@@ -253,7 +311,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         for ell, needs in enumerate(class_needs):
             limit = None
             for i in needs:
-                beta = new_betas[i]
+                beta = betas[i]
                 if beta is None:
                     break
                 if limit is None or beta < limit:
@@ -265,20 +323,17 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                     classes += 1
         if classes > 1:
             ready.sort()
-        blocks = []
-        # the empty block waits for the next layer
-        if (use_max_flow or not ready) and idx + 1 < num_layers:
-            blocks.append(((alphas, new_betas), idx + 1, 0, ()))
-        if not ready:
-            return blocks
+        # the empty block waits for the next release date
+        if (use_max_flow or not ready) and next_release[idx] is not None:
+            blocks.append(((alphas, betas), next_release[idx], 0, ()))
         new_alphas = list(alphas)
-        pairs = []
+        placed = [0] * n
         block_value = 0
-        start = tau
+        start = layer_times[idx]
         remaining = n - sum(alphas)
-        for size, (_, job, ell) in enumerate(ready, start=1):
+        for size, (_, k, job, ell) in enumerate(ready, start=1):
             new_alphas[ell] += 1
-            pairs.append((job.id, start))
+            placed[k] = start
             start += p
             block_value = combine(block_value, job_value(job.weight, job.release, start))
             if not use_max_flow and size < len(ready):
@@ -290,49 +345,78 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                 target = bisect_left(layer_times, start)
                 if target >= num_layers:
                     continue
-            blocks.append(((tuple(new_alphas), new_betas), target, block_value, tuple(pairs)))
+            blocks.append(((tuple(new_alphas), betas), target, block_value, tuple(placed)))
         return blocks
 
-    # key: (scheduled count per class, last-order release anchor per resource)
-    # entries: Pareto list of (criterion, order cost so far, link), where a
-    # link is (parent link, block's (job id, start) pairs, order event or None)
-    start_key = ((0,) * len(class_keys), (None,) * s)
-    layers: list[dict[tuple, list[tuple]]] = [dict() for _ in layer_times]
-    layers[0][start_key] = [(0, 0, None)]
-    best: tuple[int, tuple] | None = None  # value, link
+    def least(cap: int | float) -> tuple | None:
+        """Smallest (value, starts, orders) over the complete solutions whose
+        blocks have criterion values of at most ``cap``.  The value is the
+        total for total completion and the order cost for max flow."""
+        # key: (scheduled count per class, last-order release anchor per resource)
+        # value: (value, start per vector position, order mask per layer)
+        layers: list[dict[tuple, tuple] | None] = [dict() for _ in layer_times]
+        layers[0][start_key] = (0, (0,) * n, (0,) * num_layers)
+        best = None
+        for idx in range(num_layers):
+            built.clear()
+            for (alphas, betas), (value, starts, masks) in layers[idx].items():
+                for mask, (_, order_cost) in enumerate(orders):
+                    if mask:
+                        masks_after = masks[:idx] + (mask,) + masks[idx + 1:]
+                    else:
+                        masks_after = masks
+                    for key, target, block_value, placed in blocks_for(idx, alphas, betas, mask):
+                        if block_value > cap:  # values never fall along the list
+                            break
+                        new_value = value + order_cost
+                        if not use_max_flow:
+                            new_value += block_value
+                        kept = best if target is None else layers[target].get(key)
+                        if kept is not None and new_value > kept[0]:
+                            continue
+                        state = (
+                            new_value,
+                            tuple(map(add, starts, placed)) if placed else starts,
+                            masks_after,
+                        )
+                        if kept is None or state < kept:
+                            if target is None:
+                                best = state
+                            else:
+                                layers[target][key] = state
+            layers[idx] = None
+        return best
 
-    for idx, tau in enumerate(layer_times):
-        anchor = release_anchor(grid, tau)
-        # blocks per (scheduled counts, last orders), shared by the states
-        # and masks of this layer that reach the same pair
-        blocks_if: dict[tuple, list[tuple]] = {}
-        for (alphas, betas), entries in layers[idx].items():
-            for mask, (resources, order_cost) in enumerate(orders):
-                new_betas = tuple(anchor if mask >> i & 1 else betas[i] for i in range(s))
-                blocks = blocks_if.get((alphas, new_betas))
-                if blocks is None:
-                    blocks = blocks_if[alphas, new_betas] = blocks_after(
-                        idx, tau, alphas, new_betas
-                    )
-                event = (tau, resources) if mask else None
-                for key, target, block_value, pairs in blocks:
-                    reuse_link = event is None and not pairs
-                    if target is None:
-                        for crit, cost, link in entries:
-                            value = combine(crit, block_value) + cost + order_cost
-                            if best is None or value < best[0]:
-                                best = (value, (link, pairs, event))
-                        continue
-                    bucket = layers[target]
-                    kept = bucket.get(key)
-                    if use_max_flow:
+    def optimal_flows() -> set[int]:
+        """Every final flow of an optimal solution, from per-key Pareto lists
+        of (worst flow so far, order cost so far)."""
+        layers: list[dict[tuple, list[tuple]] | None] = [dict() for _ in layer_times]
+        layers[0][start_key] = [(0, 0)]
+        optimum = None
+        flows: set[int] = set()
+        for idx in range(num_layers):
+            built.clear()
+            for (alphas, betas), entries in layers[idx].items():
+                for mask, (_, order_cost) in enumerate(orders):
+                    for key, target, block_value, _ in blocks_for(idx, alphas, betas, mask):
+                        if target is None:
+                            for crit, cost in entries:
+                                flow = crit if crit > block_value else block_value
+                                value = flow + cost + order_cost
+                                if optimum is None or value < optimum:
+                                    optimum, flows = value, {flow}
+                                elif value == optimum:
+                                    flows.add(flow)
+                            continue
+                        bucket = layers[target]
+                        kept = bucket.get(key)
                         if kept is None:
                             kept = bucket[key] = []
-                        for crit, cost, link in entries:
+                        for crit, cost in entries:
                             if crit < block_value:
                                 crit = block_value
                             cost += order_cost
-                            for kept_crit, kept_cost, _ in kept:
+                            for kept_crit, kept_cost in kept:
                                 if kept_crit <= crit and kept_cost <= cost:
                                     break
                             else:
@@ -340,22 +424,26 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                                     other for other in kept
                                     if not (crit <= other[0] and cost <= other[1])
                                 ]
-                                kept.append(
-                                    (crit, cost, link if reuse_link else (link, pairs, event))
-                                )
-                    else:
-                        ((crit, cost, link),) = entries
-                        crit += block_value
-                        cost += order_cost
-                        if kept is None or crit + cost < kept[0][0] + kept[0][1]:
-                            bucket[key] = [
-                                (crit, cost, link if reuse_link else (link, pairs, event))
-                            ]
+                                kept.append((crit, cost))
+            layers[idx] = None
+        return flows
 
-    if best is None:
+    if use_max_flow:
+        # the least cost of the pass capped at flow F is the optimum minus F
+        found = min(
+            (least(flow) for flow in optimal_flows()), key=lambda state: state[1:], default=None
+        )
+    else:
+        found = least(math.inf)
+    if found is None:
         raise SolverError("dynamic program found no complete schedule")
-    schedule, events = _unwind(best[1])
-    solution = evaluate_solution(instance, schedule, events, objective)
+    _, starts, masks = found
+
+    schedule = Schedule(dict(zip(ids, starts)))
+    events = tuple(
+        (layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask
+    )
+    solution = evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)
     return normalize_replenishments(instance, solution)
 
 

@@ -8,17 +8,22 @@ from jrsched import (
     Instance,
     Job,
     Objective,
+    ReplenishmentStructure,
+    Schedule,
     SolverError,
     check_feasible,
     dp_equalp,
     dp_fmax_s1,
     dp_wjcj_unit,
     emit_solution,
+    evaluate_solution,
     exact_solve,
     fmax_unit_distinct,
+    normalize_replenishments,
     replenishment_cost,
     scheduling_cost,
 )
+from jrsched.model import CRITERIA, release_anchor
 from jrsched.offline_dp import equal_flow_cover
 from conftest import R1, random_instance, walkthrough_instance
 
@@ -265,19 +270,32 @@ def golden_cases(seed):
     )
 
 
-# sha256 of the emitted DP solutions below, computed after dp_fmax_s1 and
-# dp_wjcj_unit were keyed on only what their later layers read.  Of these
-# 500 outputs, 5 (all dp_wjcj_unit) differ from those of the earlier, wider
-# keys, each with the same total: another optimum won the tie.  Every later
-# DP change must keep every byte, tie-breaks included.
-GOLDEN_DP_DIGEST = "31af9cac1d07a151a0fbb658cda414e1da288ccf24602c3baa08f89075594053"
+# sha256 of the emitted DP solutions below, computed after dp_equalp came
+# to return the smallest (total, starts, orders) over its layered graph.
+# Of these 500 outputs, 12 (all dp_equalp: 5 of its 100 total-completion
+# and 7 of its 100 max-flow outputs) differ from those of the earlier
+# "first state found" rule, each with the same total; the other 300 did not
+# change (GOLDEN_OTHER_DP_DIGEST).  Every later DP change must keep every
+# byte, tie-breaks included.
+GOLDEN_DP_DIGEST = "0d613e92456d87e6d063d8f9961b05b31264efe48bcac74405d513470f6da5f5"
+
+
+# sha256 of the 300 emitted solutions of golden_cases from dp_wjcj_unit,
+# dp_fmax_s1 and fmax_unit_distinct, computed before dp_equalp's tie rule
+# changed: those solvers keep every byte.
+GOLDEN_OTHER_DP_DIGEST = "c25362c04f565718a41fadd59cc4e1bb040975a14e001cde289617ec42938734"
 
 
 def test_dp_outputs_are_pinned():
     digest = hashlib.sha256()
+    others = hashlib.sha256()
     for seed in range(100):
         for solve, instance in golden_cases(seed):
-            digest.update(emit_solution(solve(instance)).encode())
+            text = emit_solution(solve(instance)).encode()
+            digest.update(text)
+            if getattr(solve, "func", None) is not dp_equalp:
+                others.update(text)
+    assert others.hexdigest() == GOLDEN_OTHER_DP_DIGEST
     assert digest.hexdigest() == GOLDEN_DP_DIGEST
 
 
@@ -303,8 +321,8 @@ def equalp_pin_cases():
         )
         for objective in objectives:
             yield instance, objective
-    # two entries of one key lead to tied optima here, so the order of a
-    # key's Pareto entries shows in the output
+    # two Pareto entries of one key lead to tied optima here, so the tie
+    # rule, not the order of a key's entries, must pick the output
     both_resources = frozenset({1, 2})
     jobs = tuple(
         Job(job_id, release, 1, resources)
@@ -318,10 +336,13 @@ def equalp_pin_cases():
     yield Instance(2, 0, (1, 0), jobs), Objective.MAX_FLOW
 
 
-# sha256 of the emitted solutions of equalp_pin_cases, computed before the
-# Pareto entries of dp_equalp carried parent links instead of copied
-# histories.  Every byte must stay, tie-breaks included.
-GOLDEN_EQUALP_DIGEST = "2db22de595acf56bb8d801062330c86e025550c8963403f3c242c04710e3cce6"
+# sha256 of the emitted solutions of equalp_pin_cases, computed after
+# dp_equalp came to return the smallest (total, starts, orders) over its
+# layered graph.  Of these 55 outputs, 10 (5 of the 33 total-completion and
+# 5 of the 22 max-flow ones) differ from those of the earlier "first state
+# found" rule, each with the same total.  Every byte must stay, tie-breaks
+# included.
+GOLDEN_EQUALP_DIGEST = "b7990a50010fe9bc0fb95e4e72eb088109a8e72b9ae7395189740bc60c242792"
 
 
 def test_dp_equalp_outputs_are_pinned():
@@ -329,3 +350,126 @@ def test_dp_equalp_outputs_are_pinned():
     for instance, objective in equalp_pin_cases():
         digest.update(emit_solution(dp_equalp(instance, objective)).encode())
     assert digest.hexdigest() == GOLDEN_EQUALP_DIGEST
+
+
+# sha256 of the totals alone, one line each, of every golden_cases solver
+# and of dp_equalp on equalp_pin_cases, computed before dp_equalp's tie rule
+# changed.  A change of tie rule may move solutions but never a total.
+GOLDEN_TOTALS_DIGEST = "38bc1e1678f02efe6a0a52928af7bfae90ba9d99b5d8810bce20af5c7537e101"
+
+
+def test_dp_totals_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(100):
+        for solve, instance in golden_cases(seed):
+            digest.update(f"{solve(instance).total}\n".encode())
+    for instance, objective in equalp_pin_cases():
+        digest.update(f"{dp_equalp(instance, objective).total}\n".encode())
+    assert digest.hexdigest() == GOLDEN_TOTALS_DIGEST
+
+
+def least_graph_path(instance, objective):
+    """dp_equalp's answer found by walking every path of its layered graph.
+
+    The graph is dp_equalp's: per layer an order of any resource subset,
+    then an empty block or a release-ordered block of ready jobs (every
+    ready job for total completion; an empty block only when none is
+    ready).  No two paths are merged, and an empty block waits one layer,
+    not until the next release date.  The answer is the path with the
+    smallest (total, start vector by job id, order mask per layer), with
+    its orders pulled back onto the release grid.
+
+    Two kinds of path are cut, neither of which can be that smallest one:
+    a path ordering a resource that no job needs or whose last order has
+    the same release anchor (without that resource it starts the same jobs
+    at no more cost, with a smaller mask), and a path whose cost so far and
+    least possible criterion already exceed a complete path's total.
+    """
+    p = instance.jobs[0].processing
+    n = len(instance.jobs)
+    s = instance.num_resources
+    grid = instance.release_grid
+    times = sorted({release + k * p for release in grid for k in range(n + 1)})
+    job_value, combine = CRITERIA[objective]
+    max_flow = objective is Objective.MAX_FLOW
+    ids = sorted(job.id for job in instance.jobs)
+    by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
+    needed = frozenset().union(*(job.resources for job in instance.jobs))
+    best = None
+
+    def walk(idx, betas, starts, crit, cost, masks):
+        nonlocal best
+        tau = times[idx]
+        waiting = [job for job in by_release if job.id not in starts]
+        least = crit
+        for job in waiting:
+            least = combine(least, job_value(job.weight, job.release, max(tau, job.release) + p))
+        if best is not None and least + cost > best[0]:
+            return
+        anchor = release_anchor(grid, tau)
+        for mask in range(1 << s):
+            resources = frozenset(i + 1 for i in range(s) if mask >> i & 1)
+            if any(r not in needed or betas[r - 1] == anchor for r in resources):
+                continue
+            new_betas = tuple(
+                anchor if i + 1 in resources else beta for i, beta in enumerate(betas)
+            )
+            new_cost = cost + instance.order_cost(resources) if mask else cost
+            new_masks = {**masks, idx: mask} if mask else masks
+            ready = [
+                job for job in waiting
+                if all(
+                    new_betas[r - 1] is not None and job.release <= new_betas[r - 1]
+                    for r in job.resources
+                )
+            ]
+            if (max_flow or not ready) and idx + 1 < len(times):
+                walk(idx + 1, new_betas, starts, crit, new_cost, new_masks)
+            block = dict(starts)
+            block_crit = crit
+            for size, job in enumerate(ready, start=1):
+                block[job.id] = tau + (size - 1) * p
+                end = tau + size * p
+                block_crit = combine(block_crit, job_value(job.weight, job.release, end))
+                if not max_flow and size < len(ready):
+                    continue
+                if len(block) == n:
+                    path = (
+                        block_crit + new_cost,
+                        tuple(block[job_id] for job_id in ids),
+                        tuple(new_masks.get(k, 0) for k in range(len(times))),
+                    )
+                    if best is None or path < best:
+                        best = path
+                    continue
+                later = [k for k, t in enumerate(times) if t >= end]
+                if later:
+                    walk(later[0], new_betas, dict(block), block_crit, new_cost, new_masks)
+
+    walk(0, (None,) * s, {}, 0, 0, {})
+    total, starts, masks = best
+    events = tuple(
+        (times[k], frozenset(i + 1 for i in range(s) if mask >> i & 1))
+        for k, mask in enumerate(masks) if mask
+    )
+    solution = evaluate_solution(
+        instance, Schedule(dict(zip(ids, starts))), ReplenishmentStructure(events), objective
+    )
+    assert solution.total == total
+    return normalize_replenishments(instance, solution)
+
+
+@pytest.mark.parametrize("objective", [Objective.TOTAL_COMPLETION, Objective.MAX_FLOW])
+def test_dp_equalp_is_the_least_path_of_its_graph(objective):
+    """Byte for byte, on tiny instances where optima often tie: every cost
+    from {0} or from {0, 1}, releases up to 3, n <= 5, s <= 2, p <= 2."""
+    rng = random.Random(1969)
+    for s in (1, 2):
+        for n in range(1, 6):
+            for p in (1, 2):
+                for costs in ((0,), (0, 1)):
+                    instance = random_instance(
+                        rng, n, s=s, max_release=3, equal_processing=p, cost_choices=costs
+                    )
+                    expected = emit_solution(least_graph_path(instance, objective))
+                    assert emit_solution(dp_equalp(instance, objective)) == expected
