@@ -18,7 +18,9 @@ read, and per key only undominated partial solutions survive:
   set); costs add up, so the value is the weighted completion time plus the
   ordering cost so far.
 - :func:`dp_equalp` keys on (scheduled count per class, last order's
-  release anchor per resource).
+  release anchor per resource).  When all jobs form one class, its
+  max-flow passes also drop a state dominated by a state of the same
+  count whose last orders are at the same or later anchors.
 - :func:`dp_fmax_s1` keys on (time the machine becomes free, order count).
 
 A partial solution of :func:`dp_wjcj_unit` or :func:`dp_fmax_s1` does not
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from operator import add
+from operator import add, ge
 
 from .model import (
     CRITERIA,
@@ -226,7 +228,39 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
       order cost as the value and keeps per key the smallest (cost, starts,
       orders); its least cost is the optimum minus F, reached only by
       solutions of flow F.  The answer is the smallest (starts, orders)
-      over the second passes.
+      over the second passes.  The first pass appends what arrives at a
+      key and reduces it to its Pareto list once, by one sort, when the
+      key's layer is expanded.  Of the pairs one block carries there, the
+      block's flow raises all those below it to one flow, so only the
+      cheapest of them is appended.
+
+    Two bounds prune the max-flow passes without removing an optimal
+    solution, because flow and cost never fall along a path.  The first
+    pass drops a pair whose flow plus cost exceeds the best complete value
+    found so far; the comparison is strict, so every optimal F survives.
+    The pass capped at F drops a state whose cost exceeds the optimum minus
+    F.  Blocks above the cap, or above the incumbent in the first pass, are
+    not built.
+
+    When all jobs form one class, the max-flow passes also compare the
+    states of one layer across anchors.  Take two states with the same
+    count, where the last orders of the first are at the same or later
+    anchors than the second's on every resource.  Every job ready for the
+    second is ready for the first, so the first's ready list extends the
+    second's with the same release-ordered prefixes.  The first can then
+    run every block the second can, after the same orders: the same jobs
+    at the same starts with the same flows, into keys that compare the
+    same way.  So any completion of the second completes the first with
+    the same flows, costs, starts and orders added.  The second is dropped
+    when the first is no worse: no worse in (worst flow, order cost) in the
+    first pass, and no greater in (cost, starts, orders) in a capped pass,
+    where the same starts and orders, added at positions both still hold
+    at 0, keep that order.  Layers are expanded
+    with the later anchors first, so the first state is already kept.
+    With several classes the ready jobs of all classes merge in release
+    order, and later anchors can put a job of one class between two of
+    another, so the prefixes differ; there the comparison would change
+    tied outputs, and it is not made.
 
     An empty block waits for the next layer whose time is a release date,
     not for the next layer.  Between two release dates every order has the
@@ -284,18 +318,26 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         class_jobs[ell].append((rank, position[job.id], job, ell))
     class_releases = [[job.release for _, _, job, _ in jobs] for jobs in class_jobs]
     class_needs = [tuple(r - 1 for r in key) for key in class_keys]
-    start_key = ((0,) * len(class_keys), (None,) * s)
+    # a resource never ordered has anchor -1, before every release
+    start_key = ((0,) * len(class_keys), (-1,) * s)
 
     anchors = [release_anchor(grid, tau) for tau in layer_times]
     # blocks of the layer being expanded per (scheduled counts, last
     # orders), built once for all the states and masks that reach the pair
     built: dict[tuple, list[tuple]] = {}
+    # with one class, a state whose last orders are all at the same or later
+    # anchors than another's of the same count can run every block it can
+    across_anchors = use_max_flow and len(class_keys) == 1
 
-    def blocks_for(idx: int, alphas: tuple, betas: tuple, mask: int) -> list[tuple]:
+    def blocks_for(idx: int, alphas: tuple, betas: tuple, mask: int, cap: int | float,
+                   with_starts: bool) -> list[tuple]:
         """(target key, target layer or None if complete, criterion value,
-        start per vector position or () if empty) of each block started at
-        layer ``idx`` after ordering ``mask``: the empty block first, then
-        by size, so the criterion values never fall."""
+        start per vector position, or () if empty or not ``with_starts``)
+        of each block started at layer ``idx`` after ordering ``mask`` whose
+        criterion value is at most ``cap``: the empty block first, then by
+        size, so the criterion values never fall.  The blocks are built once
+        per layer, so ``with_starts`` must not change within a layer, and a
+        ``cap`` that falls within it may still get blocks above it."""
         if mask:
             anchor = anchors[idx]
             betas = tuple(anchor if mask >> i & 1 else betas[i] for i in range(s))
@@ -309,18 +351,14 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         ready: list[tuple] = []
         classes = 0
         for ell, needs in enumerate(class_needs):
-            limit = None
+            limit = betas[needs[0]]
             for i in needs:
-                beta = betas[i]
-                if beta is None:
-                    break
-                if limit is None or beta < limit:
-                    limit = beta
-            else:
-                upto = bisect_right(class_releases[ell], limit)
-                if upto > alphas[ell]:
-                    ready += class_jobs[ell][alphas[ell]:upto]
-                    classes += 1
+                if betas[i] < limit:
+                    limit = betas[i]
+            upto = bisect_right(class_releases[ell], limit)
+            if upto > alphas[ell]:
+                ready += class_jobs[ell][alphas[ell]:upto]
+                classes += 1
         if classes > 1:
             ready.sort()
         # the empty block waits for the next release date
@@ -338,6 +376,8 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             block_value = combine(block_value, job_value(job.weight, job.release, start))
             if not use_max_flow and size < len(ready):
                 continue
+            if block_value > cap:
+                break
             if size == remaining:
                 target = None
             else:
@@ -345,13 +385,39 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                 target = bisect_left(layer_times, start)
                 if target >= num_layers:
                     continue
-            blocks.append(((tuple(new_alphas), betas), target, block_value, tuple(placed)))
+            blocks.append(
+                ((tuple(new_alphas), betas), target, block_value,
+                 tuple(placed) if with_starts else ())
+            )
         return blocks
 
-    def least(cap: int | float) -> tuple | None:
+    def undominated(states, reduce) -> list[tuple]:
+        """The (key, value) pairs of one layer's ``states``, each value less
+        what ``reduce(value, other)`` finds dominated by a value ``other``
+        kept at a key of the same counts whose last orders are all at the
+        same or later anchors.  Keys are taken with the later anchors first,
+        so those are already kept; a key with nothing left is dropped."""
+        result = []
+        group = None
+        kept: list[tuple] = []
+        for (alphas, betas), value in sorted(states, reverse=True):
+            if alphas != group:
+                group, kept = alphas, []
+            for other_betas, other in kept:
+                if all(map(ge, other_betas, betas)):
+                    value = reduce(value, other)
+                    if not value:
+                        break
+            else:
+                kept.append((betas, value))
+                result.append(((alphas, betas), value))
+        return result
+
+    def least(cap: int | float, budget: int | None) -> tuple | None:
         """Smallest (value, starts, orders) over the complete solutions whose
-        blocks have criterion values of at most ``cap``.  The value is the
-        total for total completion and the order cost for max flow."""
+        blocks have criterion values of at most ``cap`` and whose value is
+        at most ``budget``, if given.  The value is the total for total
+        completion and the order cost for max flow."""
         # key: (scheduled count per class, last-order release anchor per resource)
         # value: (value, start per vector position, order mask per layer)
         layers: list[dict[tuple, tuple] | None] = [dict() for _ in layer_times]
@@ -359,15 +425,21 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         best = None
         for idx in range(num_layers):
             built.clear()
-            for (alphas, betas), (value, starts, masks) in layers[idx].items():
+            states = layers[idx].items()
+            if across_anchors:
+                # a state is dropped when a kept one is no greater
+                states = undominated(states, lambda state, other: None if other <= state else state)
+            for (alphas, betas), (value, starts, masks) in states:
                 for mask, (_, order_cost) in enumerate(orders):
+                    if budget is not None and value + order_cost > budget:
+                        continue
                     if mask:
                         masks_after = masks[:idx] + (mask,) + masks[idx + 1:]
                     else:
                         masks_after = masks
-                    for key, target, block_value, placed in blocks_for(idx, alphas, betas, mask):
-                        if block_value > cap:  # values never fall along the list
-                            break
+                    for key, target, block_value, placed in blocks_for(
+                        idx, alphas, betas, mask, cap, True
+                    ):
                         new_value = value + order_cost
                         if not use_max_flow:
                             new_value += block_value
@@ -387,54 +459,89 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             layers[idx] = None
         return best
 
-    def optimal_flows() -> set[int]:
-        """Every final flow of an optimal solution, from per-key Pareto lists
-        of (worst flow so far, order cost so far)."""
+    def pareto(bucket: list[tuple], optimum: int | float) -> list[tuple]:
+        """The undominated (flow, cost) pairs of ``bucket`` whose sum is at
+        most ``optimum``, flows rising and costs strictly falling."""
+        # sorted, a pair is undominated when its cost is below every
+        # earlier one's
+        entries = []
+        least_cost = math.inf
+        for flow, cost in sorted(bucket):
+            if cost < least_cost and flow + cost <= optimum:
+                entries.append((flow, cost))
+                least_cost = cost
+        return entries
+
+    def dominated(entry: tuple, frontier: list[tuple]) -> bool:
+        """Whether a pair of the Pareto list ``frontier`` is no worse than
+        ``entry`` in flow and cost."""
+        # the pair with the largest flow at most the entry's has the least cost
+        at = bisect_right(frontier, (entry[0], math.inf))
+        return at > 0 and frontier[at - 1][1] <= entry[1]
+
+    def optimal_flows() -> tuple[int | float, set[int]]:
+        """The optimum and every final flow of an optimal solution, from
+        per-key Pareto lists of (worst flow so far, order cost so far)."""
+        # key: (scheduled count per class, last-order release anchor per resource)
+        # value: the (worst flow, order cost) pairs that arrived, filtered
+        # to a Pareto list when the layer is expanded
         layers: list[dict[tuple, list[tuple]] | None] = [dict() for _ in layer_times]
         layers[0][start_key] = [(0, 0)]
-        optimum = None
+        optimum = math.inf
         flows: set[int] = set()
         for idx in range(num_layers):
             built.clear()
-            for (alphas, betas), entries in layers[idx].items():
+            states = [
+                (key, entries) for key, bucket in layers[idx].items()
+                if (entries := pareto(bucket, optimum))
+            ]
+            if across_anchors:
+                states = undominated(
+                    states,
+                    lambda entries, other: [
+                        entry for entry in entries if not dominated(entry, other)
+                    ],
+                )
+            for (alphas, betas), entries in states:
                 for mask, (_, order_cost) in enumerate(orders):
-                    for key, target, block_value, _ in blocks_for(idx, alphas, betas, mask):
+                    for key, target, block_value, _ in blocks_for(
+                        idx, alphas, betas, mask, optimum, False
+                    ):
                         if target is None:
                             for crit, cost in entries:
                                 flow = crit if crit > block_value else block_value
                                 value = flow + cost + order_cost
-                                if optimum is None or value < optimum:
+                                if value < optimum:
                                     optimum, flows = value, {flow}
                                 elif value == optimum:
                                     flows.add(flow)
                             continue
-                        bucket = layers[target]
-                        kept = bucket.get(key)
-                        if kept is None:
-                            kept = bucket[key] = []
-                        for crit, cost in entries:
+                        bucket = layers[target].get(key)
+                        if bucket is None:
+                            bucket = layers[target][key] = []
+                        # flows falling and costs rising: once a flow is at
+                        # most the block's, the rest reach it at higher cost
+                        for crit, cost in reversed(entries):
                             if crit < block_value:
                                 crit = block_value
                             cost += order_cost
-                            for kept_crit, kept_cost in kept:
-                                if kept_crit <= crit and kept_cost <= cost:
-                                    break
-                            else:
-                                kept[:] = [
-                                    other for other in kept
-                                    if not (crit <= other[0] and cost <= other[1])
-                                ]
-                                kept.append((crit, cost))
+                            if crit + cost <= optimum:
+                                bucket.append((crit, cost))
+                            if crit == block_value:
+                                break
             layers[idx] = None
-        return flows
+        return optimum, flows
 
     if use_max_flow:
         # the least cost of the pass capped at flow F is the optimum minus F
+        optimum, flows = optimal_flows()
         found = min(
-            (least(flow) for flow in optimal_flows()), key=lambda state: state[1:], default=None
+            (least(flow, optimum - flow) for flow in flows),
+            key=lambda state: state[1:],
+            default=None,
         )
     else:
-        found = least(math.inf)
+        found = least(math.inf, None)
     if found is None:
         raise SolverError("dynamic program found no complete schedule")
     _, starts, masks = found

@@ -368,6 +368,57 @@ def test_dp_totals_are_pinned():
     assert digest.hexdigest() == GOLDEN_TOTALS_DIGEST
 
 
+def multi_class_max_flow_cases():
+    """Max-flow instances on two or three resources, n = 3-8, p <= 2,
+    releases up to 3, 6 or 10 and tie-heavy costs, where jobs usually fall
+    into several classes.  Seeds 28, 191, 302, 368, 759, 824, 994 and 1197
+    are ones where comparing states across anchors, as dp_equalp does with
+    one class, would change the output, first at n = 6."""
+    for seed in (*range(32), 191, 302, 368, 759, 824, 994, 1197):
+        rng = random.Random(seed)
+        s = rng.randint(2, 3)
+        n = rng.randint(3, 8)
+        yield random_instance(
+            rng, n, s=s, max_release=rng.choice([3, 6, 10]),
+            equal_processing=rng.randint(1, 2),
+            cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
+        )
+
+
+# sha256 of the emitted max-flow solutions of multi_class_max_flow_cases,
+# computed before dp_equalp compared states across anchors.
+GOLDEN_EQUALP_MULTI_CLASS_DIGEST = "4815406b9417478f7ac8db8866c8b9abb51c07e1458d18689c374654c57b0c5f"
+
+
+def test_dp_equalp_multi_class_max_flow_is_pinned():
+    digest = hashlib.sha256()
+    for instance in multi_class_max_flow_cases():
+        digest.update(emit_solution(dp_equalp(instance, Objective.MAX_FLOW)).encode())
+    assert digest.hexdigest() == GOLDEN_EQUALP_MULTI_CLASS_DIGEST
+
+
+def one_class_max_flow_cases():
+    """Max-flow instances of one resource and unit jobs with distinct
+    releases in [0, 2n), four at each n = 11-14: one class, where
+    dp_equalp drops the most states across anchors."""
+    rng = random.Random(2014)
+    for n in range(11, 15):
+        for _ in range(4):
+            yield random_instance(rng, n, max_release=2 * n - 1, distinct_releases=True)
+
+
+# sha256 of the emitted max-flow solutions of one_class_max_flow_cases,
+# computed before dp_equalp compared states across anchors.
+GOLDEN_EQUALP_ONE_CLASS_DIGEST = "a32660e2c4105b045cef91d184de7c04c9fab0304d07f0bc8928d6775c82a7f8"
+
+
+def test_dp_equalp_one_class_max_flow_is_pinned():
+    digest = hashlib.sha256()
+    for instance in one_class_max_flow_cases():
+        digest.update(emit_solution(dp_equalp(instance, Objective.MAX_FLOW)).encode())
+    assert digest.hexdigest() == GOLDEN_EQUALP_ONE_CLASS_DIGEST
+
+
 def least_graph_path(instance, objective):
     """dp_equalp's answer found by walking every path of its layered graph.
 
