@@ -372,8 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("bounds", help="instance lower bounds or ratio curves")
-    p.add_argument("--input", default=None)
-    p.add_argument("--curve", choices=bounds.CURVE_KINDS, default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None)
+    source.add_argument("--curve", choices=bounds.CURVE_KINDS, default=None)
     p.add_argument("--K", dest="order_cost", type=int, default=1)
     p.add_argument("--w2", type=float, default=None)
     add_output(p)

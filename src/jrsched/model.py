@@ -537,8 +537,14 @@ def solution_from_document(document: Mapping[str, Any]) -> Solution:
                 key = int(job_id)
             except ValueError:
                 pass
+            if str(key) != job_id:  # "01", " 1" and "1_0" are not job ids
+                key = job_id
         if not _is_int(key):
-            raise SolutionError(f"{context}: field 'starts' has a non-integer job id {job_id!r}")
+            raise SolutionError(
+                f"{context}: field 'starts' has job id {job_id!r}, not an integer in canonical form"
+            )
+        if key in starts:
+            raise SolutionError(f"{context}: field 'starts' names job {key} twice")
         starts[key] = _as_int(start, f"starts[{job_id}]", context, SolutionError)
     events = []
     for entry in _list_field(document, "replenishments", context, SolutionError, objects=True):

@@ -34,8 +34,8 @@ import math
 from bisect import bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Any, Iterable, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Iterable
 
 from .model import (
     Instance,
@@ -157,7 +157,8 @@ class TraceRecord:
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """Jobs started between one order and the next: t_i, b_i, y_i, z_i."""
+    """Jobs started between one order and the next, read from the decision
+    records: t_i, b_i, y_i, z_i."""
 
     time: int
     size: int
@@ -198,58 +199,56 @@ class OnlinePolicy:
 _RESOURCE_ONE = frozenset({1})
 
 
-class SumCompletionPolicy(OnlinePolicy):
+class _SumPolicy(OnlinePolicy):
+    """Order and flush the backlog once its cost from now on reaches K.
+
+    A subclass defines the static ``backlog_cost(now, size, release_sum)``
+    of a backlog started at ``now``; it grows by ``size`` per step.
+    """
+
+    def __init__(self, order_cost: int):
+        if order_cost < 1:
+            raise ValueError("order cost must be >= 1")
+        self.order_cost = order_cost
+
+    def decide(self, obs: Observation) -> Decision:
+        pending = obs.pending
+        backlog = len(pending)
+        if backlog and self.backlog_cost(obs.now, backlog, pending.release_sum) >= self.order_cost:
+            return Decision(_RESOURCE_ONE, tuple(job.id for job in pending))
+        return WAIT
+
+    def wake(self, obs: Observation) -> int | None:
+        """The smallest t with backlog_cost(t, b, sum(r)) >= K for the backlog."""
+        backlog = len(obs.pending)
+        if not backlog:
+            return None
+        at_zero = self.backlog_cost(0, backlog, obs.pending.release_sum)
+        return -((at_zero - self.order_cost) // backlog)
+
+
+class SumCompletionPolicy(_SumPolicy):
     """Order and flush the backlog once its completion cost reaches K."""
 
     name = "sum-cj"
     objective = Objective.TOTAL_COMPLETION
 
-    def __init__(self, order_cost: int):
-        if order_cost < 1:
-            raise ValueError("order cost must be >= 1")
-        self.order_cost = order_cost
-
-    def decide(self, obs: Observation) -> Decision:
-        backlog = len(obs.pending)
-        if backlog and obs.now * backlog + triangular(backlog) >= self.order_cost:
-            return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
-        return WAIT
-
-    def wake(self, obs: Observation) -> int | None:
-        """The smallest t with t*b + b(b+1)/2 >= K for the backlog size b."""
-        backlog = len(obs.pending)
-        if not backlog:
-            return None
-        return -((triangular(backlog) - self.order_cost) // backlog)
+    @staticmethod
+    def backlog_cost(now: int, size: int, release_sum: int) -> int:
+        """Completion cost from now on: now*b + b(b+1)/2."""
+        return now * size + triangular(size)
 
 
-class SumFlowPolicy(OnlinePolicy):
+class SumFlowPolicy(_SumPolicy):
     """Order once accumulated waiting plus the backlog cost reaches K."""
 
     name = "sum-fj"
     objective = Objective.TOTAL_FLOW
 
-    def __init__(self, order_cost: int):
-        if order_cost < 1:
-            raise ValueError("order cost must be >= 1")
-        self.order_cost = order_cost
-
-    def decide(self, obs: Observation) -> Decision:
-        backlog = len(obs.pending)
-        if not backlog:
-            return WAIT
-        waited = obs.now * backlog - obs.pending.release_sum
-        if waited + triangular(backlog) >= self.order_cost:
-            return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
-        return WAIT
-
-    def wake(self, obs: Observation) -> int | None:
-        """The smallest t with b*t - sum(r) + b(b+1)/2 >= K for the backlog."""
-        backlog = len(obs.pending)
-        if not backlog:
-            return None
-        waited_at_zero = triangular(backlog) - obs.pending.release_sum
-        return -((waited_at_zero - self.order_cost) // backlog)
+    @staticmethod
+    def backlog_cost(now: int, size: int, release_sum: int) -> int:
+        """Waiting so far plus the completion cost from now on: now*b - sum(r) + b(b+1)/2."""
+        return now * size - release_sum + triangular(size)
 
 
 class MaxFlowGridPolicy(OnlinePolicy):
@@ -502,51 +501,37 @@ def _next_visit(t: int, wake: int | None, event: int | None, max_time: int | Non
     return target if max_time is None else min(target, max_time + 1)
 
 
-def _block_members(
-    jobs: Sequence[Job],
-    times: Sequence[int],
-    starts: Mapping[int, int],
-) -> list[list[Job]]:
-    """Partition started jobs by the order interval their start falls into.
+def _order_blocks(
+    jobs: Iterable[Job], records: Sequence[TraceRecord]
+) -> list[tuple[int, list[Job], bool]]:
+    """Per order of a run: its time t, the jobs started from it until the
+    next order (in start order), and whether [t - 1, t) was idle.
 
-    One pass over the started jobs in start order (the order a simulated
-    run already has) moves a pointer over the order times; each group lists
-    its jobs in start order.
+    One pass over the decision records, which are in time order.  A
+    decision's starts join the latest order; the simulator's readiness
+    check puts an order at or before every start.  Each block runs back to
+    back from its decision, so the machine is busy until the end of the
+    latest one.
     """
-    members: list[list[Job]] = [[] for _ in times]
-    timed = [(starts[job.id], job) for job in jobs if job.id in starts]
-    if not timed:
-        return members
-    timed.sort(key=itemgetter(0))
-    if not times or timed[0][0] < times[0]:
-        first = next(
-            job for job in jobs
-            if job.id in starts and (not times or starts[job.id] < times[0])
-        )
-        raise SimulationError(f"job {first.id} started before the first order")
-    idx = 0
-    group = members[0]
-    bound = times[1] if len(times) > 1 else math.inf
-    for start, job in timed:
-        while start >= bound:
-            idx += 1
-            group = members[idx]
-            bound = times[idx + 1] if idx + 1 < len(times) else math.inf
-        group.append(job)
-    return members
+    by_id = {job.id: job for job in jobs}
+    orders: list[tuple[int, list[Job], bool]] = []
+    busy_until = 0
+    for record in records:
+        t = record.t
+        if record.replenish is not None:
+            orders.append((t, [], t >= 1 and busy_until <= t - 1))
+        if record.start:
+            started = [by_id[job_id] for job_id in record.start]
+            orders[-1][1].extend(started)
+            busy_until = t + sum(job.processing for job in started)
+    return orders
 
 
-def compute_blocks(
-    jobs: Sequence[Job],
-    events: Sequence[tuple[int, frozenset[int]]],
-    starts: dict[int, int],
-) -> tuple[Block, ...]:
-    """Per-order block statistics: order time, size, and the release split."""
-    if not events:
-        return ()
-    times = [t for t, _ in events]
+def compute_blocks(jobs: Iterable[Job], records: Sequence[TraceRecord]) -> tuple[Block, ...]:
+    """Per-order block statistics, read from the decision records: order
+    time, size, and the release split."""
     blocks = []
-    for t, group in zip(times, _block_members(jobs, times, starts)):
+    for t, group, _ in _order_blocks(jobs, records):
         fresh = sum(1 for job in group if job.release == t)
         blocks.append(Block(t, len(group), len(group) - fresh, fresh))
     return tuple(blocks)
@@ -578,14 +563,15 @@ def run_online(
 def price_run(
     instance: Instance, result: SimResult, objective: Objective
 ) -> tuple[Solution, Trace]:
-    """Price a simulated run on the instance it realized, with its trace."""
+    """Price a simulated run on the instance it realized, with its trace,
+    whose blocks are read from the run's decision records."""
     solution = evaluate_solution(
         instance,
         Schedule(result.starts),
         ReplenishmentStructure(result.events),
         objective,
     )
-    trace = Trace(result.records, compute_blocks(instance.jobs, result.events, result.starts))
+    trace = Trace(result.records, compute_blocks(instance.jobs, result.records))
     return solution, trace
 
 
@@ -605,21 +591,25 @@ def delay_releases(instance: Instance, shift: int = 1) -> Instance:
 # ---------------------------------------------------------------------------
 # Trigger certificates
 
-def _idle_before_blocks(
-    jobs: Sequence[Job], trace: Trace, starts: dict[int, int]
-) -> tuple[list[list[Job]], list[bool]]:
-    """Block membership plus, per block, whether [t_i - 1, t_i) was idle."""
-    times = [block.time for block in trace.blocks]
-    members = _block_members(jobs, times, starts)
-    idle = []
-    busy_frontier = 0  # latest completion among earlier blocks
-    for t, group in zip(times, members):
-        idle.append(t >= 1 and busy_frontier <= t - 1)
-        for job in group:
-            completion = starts[job.id] + job.processing
-            if completion > busy_frontier:
-                busy_frontier = completion
-    return members, idle
+def _trigger_violations(
+    instance: Instance, trace: Trace, order_cost: int,
+    backlog_cost: Callable[[int, int, int], int], message: str,
+) -> list[str]:
+    """Orders after an idle step whose backlog then had met the trigger.
+
+    For an order at t read from the trace's decision records with [t - 1, t)
+    idle, the backlog at t - 1 is the block's jobs released before t; its
+    ``backlog_cost(t - 1, size, release_sum)`` must be below K.  ``message``
+    is formatted with t, y (the backlog's size) and prev = t - 1.
+    """
+    out = []
+    for t, group, idle in _order_blocks(instance.jobs, trace.records):
+        if not idle:
+            continue
+        backlog = [job.release for job in group if job.release < t]
+        if backlog_cost(t - 1, len(backlog), sum(backlog)) >= order_cost:
+            out.append(message.format(t=t, y=len(backlog), prev=t - 1))
+    return out
 
 
 def completion_trigger_violations(
@@ -627,41 +617,27 @@ def completion_trigger_violations(
 ) -> list[str]:
     """Check the completion policy's idle certificate on every block.
 
-    Whenever the machine was idle just before an order at t, the backlog
-    then pending (the block's jobs released before t) must have failed the
-    trigger: y*(t-1) + y(y+1)/2 < K.  Exact integer check.
+    Blocks are read from the trace's decision records.  Whenever the machine
+    was idle just before an order at t, the backlog then pending (the
+    block's jobs released before t) must have failed the trigger:
+    y*(t-1) + y(y+1)/2 < K.  Exact integer check.  ``solution`` is not
+    read; the trace's records hold the run.
     """
-    out = []
-    _, idle = _idle_before_blocks(instance.jobs, trace, solution.schedule.starts)
-    for block, was_idle in zip(trace.blocks, idle):
-        if not was_idle:
-            continue
-        t = block.time
-        y = block.arrived_before
-        if y * (t - 1) + triangular(y) >= order_cost:
-            out.append(
-                f"order at {t}: backlog of {y} already met the completion trigger at {t - 1}"
-            )
-    return out
+    return _trigger_violations(
+        instance, trace, order_cost, SumCompletionPolicy.backlog_cost,
+        "order at {t}: backlog of {y} already met the completion trigger at {prev}",
+    )
 
 
 def flow_trigger_violations(
     instance: Instance, solution: Solution, trace: Trace, order_cost: int
 ) -> list[str]:
-    """Flow-policy analogue: accumulated waiting at t-1 plus backlog cost < K."""
-    out = []
-    members, idle = _idle_before_blocks(instance.jobs, trace, solution.schedule.starts)
-    for block, group, was_idle in zip(trace.blocks, members, idle):
-        if not was_idle:
-            continue
-        t = block.time
-        waited = sum(t - 1 - job.release for job in group if job.release <= t - 1)
-        y = block.arrived_before
-        if waited + triangular(y) >= order_cost:
-            out.append(
-                f"order at {t}: waiting backlog already met the flow trigger at {t - 1}"
-            )
-    return out
+    """Flow-policy analogue, on blocks read from the trace's decision
+    records: accumulated waiting at t-1 plus backlog cost < K."""
+    return _trigger_violations(
+        instance, trace, order_cost, SumFlowPolicy.backlog_cost,
+        "order at {t}: waiting backlog already met the flow trigger at {prev}",
+    )
 
 
 # ---------------------------------------------------------------------------

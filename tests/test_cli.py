@@ -363,6 +363,27 @@ class TestInputErrors:
         assert out == ""
         assert "resource index 5" in error_line(err)
 
+    def test_validate_refuses_a_padded_job_id(self, capsys, tmp_path):
+        path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
+        out, _ = run_cli(capsys, ["solve", "--algo", "oracle", "--objective",
+                                  "total_completion", "--input", path])
+        solution = json.loads(out)
+        # " 1" is not a job id; read as 1 it would silently replace the bad "1"
+        starts = solution["starts"]
+        solution["starts"] = {**starts, "1": starts["1"] + 100, " 1": starts["1"]}
+        path = write(tmp_path, "padded.json", json.dumps({"instance": WALKTHROUGH,
+                                                          "solution": solution}))
+        out, err = run_cli(capsys, ["validate", "--input", path], expect=1)
+        assert out == ""
+        assert "field 'starts'" in error_line(err) and "' 1'" in error_line(err)
+
+    def test_bounds_input_and_curve_together_is_usage_error(self, capsys, tmp_path):
+        path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--input", path, "--curve", "sum_cj_3_2"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_objective_the_solver_does_not_solve(self, capsys, tmp_path):
         path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
         out, err = run_cli(capsys, ["solve", "--algo", "dp-fmax-s1", "--objective",

@@ -22,7 +22,7 @@ from jrsched import (
     replenishment_cost,
     scheduling_cost,
 )
-from jrsched.model import job_ready
+from jrsched.model import job_ready, solution_from_document
 from conftest import R1, random_instance, walkthrough_instance
 
 
@@ -281,6 +281,9 @@ class TestSolution:
             ("replenishments", [{"time": "0", "resources": [1]}], "time"),
             ("replenishments", [{"time": 0, "resources": "1"}], "resources"),
             ("total", True, "total"),
+            ("starts", {"1": 5, " 1": 0}, "starts"),
+            ("starts", {"01": 0}, "starts"),
+            ("starts", {"1_0": 0}, "starts"),
         ],
     )
     def test_document_field_types(self, field, value, named):
@@ -290,6 +293,12 @@ class TestSolution:
         with pytest.raises(SolutionError) as exc:
             parse_solution(json.dumps(doc))
         assert f"field '{named}'" in str(exc.value)
+
+    def test_document_refuses_a_second_key_for_one_job(self):
+        doc = {"objective": "max_flow", "starts": {1: 0, "1": 5}, "replenishments": [],
+               "scheduling_cost": 0, "replenishment_cost": 0, "total": 0}
+        with pytest.raises(SolutionError, match="field 'starts' names job 1 twice"):
+            solution_from_document(doc)
 
     def test_schedule_starts_are_read_only(self):
         with pytest.raises(TypeError):

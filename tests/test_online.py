@@ -39,7 +39,6 @@ from jrsched.online import (
     SimResult,
     StaticSource,
     TraceRecord,
-    _block_members,
     completion_trigger_violations,
     flow_trigger_violations,
     simulate,
@@ -620,25 +619,118 @@ def test_backlog_view():
                     (3, [1, 2, 4], (inst.jobs[3],), 9, True)]
 
 
-def test_block_members_match_bisect(rng):
+class _OrderThenStart(OnlinePolicy):
+    """Orders when a pending job came after its last order, and starts the
+    backlog at the next step without ordering again."""
+
+    def reset(self):
+        self.ordered_at = None
+
+    def decide(self, obs):
+        if not obs.pending:
+            return WAIT
+        if self.ordered_at is None or obs.pending[-1].release > self.ordered_at:
+            self.ordered_at = obs.now
+            return Decision(frozenset({1}), ())
+        return Decision(None, tuple(job.id for job in obs.pending))
+
+
+class _NonPrefixStarts(OnlinePolicy):
+    """Waits, orders or starts at random; what it starts is a shuffled
+    random subset of the ready backlog, rarely a prefix of it."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def reset(self):
+        self.rng = random.Random(self.seed)
+        self.ordered_at = None
+
+    def decide(self, obs):
+        rng = self.rng
+        if not obs.pending or rng.random() < 0.3:
+            return WAIT
+        order = None
+        if self.ordered_at is None or rng.random() < 0.3:
+            order, self.ordered_at = frozenset({1}), obs.now
+        ready = [job.id for job in obs.pending if job.release <= self.ordered_at]
+        start = rng.sample(ready, rng.randint(0, len(ready)))
+        if order is None and not start:
+            return WAIT
+        return Decision(order, tuple(start))
+
+
+def _bisect_blocks(inst, solution):
+    """Block stats from first principles: each started job belongs to the
+    last order at or before its start."""
     from bisect import bisect_right
 
-    for _ in range(300):
-        jobs = [Job(j, 0, 1, R1) for j in range(1, rng.randint(1, 12))]
-        times = sorted(rng.sample(range(0, 40), rng.randint(0, 6)))
-        starts = {job.id: rng.randint(0, 45) for job in jobs if rng.random() < 0.9}
-        expected, error = [[] for _ in times], None
-        for job in jobs:
-            if job.id in starts:
-                idx = bisect_right(times, starts[job.id]) - 1
-                if idx < 0:
-                    error = error or f"job {job.id} started before the first order"
-                else:
-                    expected[idx].append(job)
-        if error:
-            with pytest.raises(SimulationError) as info:
-                _block_members(jobs, times, starts)
-            assert str(info.value) == error
+    times = list(solution.replenishments.times())
+    groups = [[] for _ in times]
+    for job in inst.jobs:
+        groups[bisect_right(times, solution.schedule.starts[job.id]) - 1].append(job)
+    blocks = []
+    for t, group in zip(times, groups):
+        fresh = sum(1 for job in group if job.release == t)
+        blocks.append((t, len(group), len(group) - fresh, fresh))
+    return blocks
+
+
+def test_blocks_match_bisect_over_starts():
+    makers = [*SHIPPED, lambda order_cost: _OrderThenStart()]
+    makers += [lambda order_cost, seed=seed: _NonPrefixStarts(seed) for seed in range(3)]
+    runs = empty_blocks = out_of_order = 0
+    for inst in _streams(623, per_style=5, max_n=9):
+        for make in makers:
+            solution, trace = run_online(inst, make(inst.joint_cost), max_time=10**6)
+            got = [(b.time, b.size, b.arrived_before, b.arrived_at) for b in trace.blocks]
+            assert got == _bisect_blocks(inst, solution), (inst, make)
+            runs += 1
+            empty_blocks += sum(1 for b in trace.blocks if b.size == 0)
+            arrival = {job.id: (job.release, job.id) for job in inst.jobs}
+            out_of_order += sum(1 for r in trace.records
+                                if list(r.start) != sorted(r.start, key=arrival.get))
+    assert runs == 20 * len(makers)
+    assert empty_blocks  # some order is followed by another before any start
+    assert out_of_order  # and some decision starts jobs out of backlog order
+
+
+def _reference_trigger_violations(inst, solution, order_cost, flow):
+    """The certificates from the instance and the starts alone: at an order
+    at t after an idle [t - 1, t), the backlog at t - 1 (released by t - 1,
+    not started before t) must have cost less than K at t - 1."""
+    starts = solution.schedule.starts
+    out = []
+    for t in solution.replenishments.times():
+        if any(starts[job.id] <= t - 1 < starts[job.id] + job.processing for job in inst.jobs):
+            continue
+        backlog = [job for job in inst.jobs if job.release <= t - 1 and starts[job.id] >= t]
+        y = len(backlog)
+        if flow:
+            cost = sum(t - 1 - job.release for job in backlog) + y * (y + 1) // 2
+            message = f"order at {t}: waiting backlog already met the flow trigger at {t - 1}"
         else:
-            got = _block_members(jobs, times, starts)
-            assert [sorted(g, key=lambda job: job.id) for g in got] == expected
+            cost = sum(t - 1 + k for k in range(1, y + 1))
+            message = f"order at {t}: backlog of {y} already met the completion trigger at {t - 1}"
+        if cost >= order_cost:
+            out.append(message)
+    return out
+
+
+def test_certificates_match_first_principles():
+    flagged = 0
+    for inst in _streams(624, per_style=30, max_n=20):
+        for make, certify, flow in (
+            (SumCompletionPolicy, completion_trigger_violations, False),
+            (SumFlowPolicy, flow_trigger_violations, True),
+        ):
+            order_cost = inst.joint_cost
+            solution, trace = run_online(inst, make(order_cost))
+            for judged in range(1, 2 * order_cost + 1):
+                got = certify(inst, solution, trace, judged)
+                assert got == _reference_trigger_violations(inst, solution, judged, flow), (
+                    inst, make, judged
+                )
+                assert judged < order_cost or got == []
+                flagged += bool(got)
+    assert flagged

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,25 @@ def test_lazy_export_is_its_home_modules_object(name):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         jrsched.no_such_name
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads (stdlib ``ast`` only)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_module_uses_its_imports():
+    package = Path(jrsched.__file__).parent
+    unused = [entry for path in sorted(package.glob("*.py")) for entry in _unused_imports(path)]
+    assert unused == []
