@@ -18,6 +18,8 @@ Kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .bounds import (
     FMAX_GENERAL_GOLDEN,
@@ -42,15 +44,6 @@ from .online import (
     simulate,
 )
 from .oracle import exact_solve
-
-_OBJECTIVES = {
-    SUM_CJ_3_2: Objective.TOTAL_COMPLETION,
-    WEIGHTED_GOLDEN: Objective.WEIGHTED_COMPLETION,
-    SUM_FJ_3_2: Objective.TOTAL_FLOW,
-    FMAX_REGULAR_4_3: Objective.MAX_FLOW,
-    FMAX_GENERAL_GOLDEN: Objective.MAX_FLOW,
-}
-
 
 @dataclass(frozen=True)
 class AdversarySpec:
@@ -82,7 +75,7 @@ class AdversaryOutcome:
 class _ReactiveSource(JobSource):
     """One job at time 0; a payload keyed to when the policy starts it."""
 
-    def __init__(self, payload_weight: int | None, payload_grows: bool):
+    def __init__(self, payload_weight: int | None, payload_grows: bool = False):
         self.payload_weight = payload_weight
         self.payload_grows = payload_grows
         self.first = Job(1, 0, 1, frozenset({1}), 1)
@@ -149,14 +142,23 @@ class _RegularStreamSource(JobSource):
         return None if self.finished(t, view) else t + 1
 
 
+# Per kind: the objective both sides are priced under, the default policy
+# for an order cost and the job source for the spec's w2.
+_GAMES: dict[str, tuple[Objective, Callable[[int], OnlinePolicy], Callable[..., JobSource]]] = {
+    SUM_CJ_3_2: (Objective.TOTAL_COMPLETION, SumCompletionPolicy, _ReactiveSource),
+    WEIGHTED_GOLDEN: (Objective.WEIGHTED_COMPLETION, SumCompletionPolicy, _ReactiveSource),
+    SUM_FJ_3_2: (Objective.TOTAL_FLOW, SumFlowPolicy, _ReactiveSource),
+    FMAX_REGULAR_4_3: (Objective.MAX_FLOW, MaxFlowGridPolicy, lambda w2: _RegularStreamSource()),
+    FMAX_GENERAL_GOLDEN: (
+        Objective.MAX_FLOW,
+        lambda order_cost: ImmediatePolicy(),
+        partial(_ReactiveSource, payload_grows=True),
+    ),
+}
+
+
 def default_policy(spec: AdversarySpec) -> OnlinePolicy:
-    if spec.kind in (SUM_CJ_3_2, WEIGHTED_GOLDEN):
-        return SumCompletionPolicy(spec.order_cost)
-    if spec.kind == SUM_FJ_3_2:
-        return SumFlowPolicy(spec.order_cost)
-    if spec.kind == FMAX_REGULAR_4_3:
-        return MaxFlowGridPolicy(spec.order_cost)
-    return ImmediatePolicy()
+    return _GAMES[spec.kind][1](spec.order_cost)
 
 
 def adversary_run(
@@ -169,17 +171,11 @@ def adversary_run(
     computed by the enumeration oracle (min-sum kinds) or the max-flow
     dynamic program, and the realized ratio is returned.
     """
+    objective, _, source = _GAMES[spec.kind]
     if policy is None:
         policy = default_policy(spec)
-    if spec.kind == FMAX_REGULAR_4_3:
-        source: JobSource = _RegularStreamSource()
-    else:
-        source = _ReactiveSource(
-            payload_weight=spec.w2,
-            payload_grows=spec.kind == FMAX_GENERAL_GOLDEN,
-        )
     result = simulate(
-        source,
+        source(spec.w2),
         policy,
         num_resources=1,
         end_signal=True,
@@ -191,7 +187,6 @@ def adversary_run(
         item_costs=(0,),
         jobs=result.jobs,
     )
-    objective = _OBJECTIVES[spec.kind]
     online, trace = price_run(instance, result, objective)
     if objective is Objective.MAX_FLOW:
         offline = dp_fmax_s1(instance)

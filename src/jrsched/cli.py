@@ -24,6 +24,7 @@ from .model import (
     Solution,
     SolutionError,
     SolverError,
+    _load_json,
     check_feasible,
     emit_instance,
     emit_solution,
@@ -278,10 +279,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        document = json.loads(_read_text(args.input))
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed document: {exc}") from None
+    document = _load_json(_read_text(args.input), "document", _CliError)
     if not isinstance(document, dict) or "instance" not in document or "solution" not in document:
         raise _CliError('validate expects {"instance": ..., "solution": ...}')
     instance = instance_from_document(document["instance"])

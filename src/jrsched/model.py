@@ -493,13 +493,27 @@ def instance_from_document(document: Mapping[str, Any]) -> Instance:
     )
 
 
+def _load_json(text: str, what: str, error: type[Exception]) -> Any:
+    """``text`` parsed as JSON.  Malformed JSON, and an object that repeats a
+    key (plain parsing keeps only the last value), raise ``error``."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        document = {}
+        for key, value in pairs:
+            if key in document:
+                raise error(f"{what} repeats the key {key!r} in one object")
+            document[key] = value
+        return document
+
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what}: {exc}") from None
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate an instance document; errors name the job and field."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed instance document: {exc}") from None
-    return instance_from_document(document)
+    return instance_from_document(_load_json(text, "instance document", InstanceError))
 
 
 def solution_to_document(solution: Solution) -> dict[str, Any]:
@@ -562,8 +576,4 @@ def solution_from_document(document: Mapping[str, Any]) -> Solution:
 
 
 def parse_solution(text: str) -> Solution:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SolutionError(f"malformed solution document: {exc}") from None
-    return solution_from_document(document)
+    return solution_from_document(_load_json(text, "solution document", SolutionError))

@@ -23,14 +23,16 @@ read, and per key only undominated partial solutions survive:
   count whose last orders are at the same or later anchors.
 - :func:`dp_fmax_s1` keys on (time the machine becomes free, order count).
 
-A partial solution of :func:`dp_wjcj_unit` or :func:`dp_fmax_s1` does not
-carry its history.  In :func:`dp_wjcj_unit` it holds a link (parent link,
-(job id, start) pairs placed by the last step, order event or None), and in
-:func:`dp_fmax_s1` its parent key and layer; the winner's schedule and
-orders are read back once, at the end.  A step that places nothing and
-orders nothing keeps its parent's link.  A partial solution of
-:func:`dp_equalp` carries its start vector and its order vector, because
-its tie rule compares them.
+A partial solution of :func:`dp_wjcj_unit` or :func:`dp_equalp` carries
+its start vector, indexed by sorted job id with 0 for a job not yet placed,
+and its order vector, one resource mask per layer; the winner's schedule
+and orders are read from them.  :func:`dp_equalp`'s tie rule compares the
+vectors, and :func:`dp_wjcj_unit` already holds all that a lexicographic
+tie rule would compare.  A partial solution of :func:`dp_fmax_s1` holds
+only its parent key and layer, and the winner's blocks are read back once,
+at the end: its states are many and each is cheap to expand, and copying
+the vectors into every state that replaces another made it 1.8 to 2 times
+slower when tried (one resource, n = 20 to 101).
 
 The tie rule depends on the solver:
 
@@ -42,8 +44,8 @@ The tie rule depends on the solver:
 - :func:`dp_wjcj_unit` and :func:`dp_fmax_s1` go to the partial solution
   found first: a later one replaces the kept one only when strictly better,
   and the answer is the first final state of least total, in the order the
-  states were reached.  Links change what a partial solution stores, not
-  which one wins.
+  states were reached.  What a partial solution stores, vectors or a
+  parent pointer, does not change which one wins.
 - :func:`fmax_unit_distinct` goes to the smallest equal flow time among
   those of least total.
 
@@ -70,20 +72,6 @@ from .model import (
     normalize_replenishments,
     release_anchor,
 )
-
-
-def _unwind(link: tuple | None) -> tuple[Schedule, ReplenishmentStructure]:
-    """The schedule and orders along a chain of (parent link, (job id, start)
-    pairs, order event or None) links, in the order they were added."""
-    blocks: list[tuple] = []
-    events: list[tuple] = []
-    while link is not None:
-        link, pairs, event = link
-        blocks.append(pairs)
-        if event is not None:
-            events.append(event)
-    starts = {job_id: start for pairs in reversed(blocks) for job_id, start in pairs}
-    return Schedule(starts), ReplenishmentStructure(tuple(reversed(events)))
 
 
 def _order_table(instance: Instance) -> list[tuple[frozenset[int], int]]:
@@ -117,10 +105,13 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     scheduled different weight profiles, and the cheaper prefix may have the
     worse continuation, so merging on counts can lose the optimum.
 
-    Ties go to the state found first: per key the first state with the
-    smallest value is kept, and the answer is the first complete state with
-    the smallest value, where states are expanded layer by layer, each layer
-    in the order its keys were first reached, resource masks ascending.
+    A partial solution carries its start vector, indexed by sorted job id
+    with 0 for a job not yet placed, and its order vector, one resource mask
+    per layer, as in :func:`dp_equalp`.  Ties go to the state found first:
+    per key the first state with the smallest value is kept, and the answer
+    is the first complete state with the smallest value, where states are
+    expanded layer by layer, each layer in the order its keys were first
+    reached, resource masks ascending.  The vectors are not compared.
 
     ``stats``, when given, receives ``states_per_layer`` for bound checks.
     """
@@ -135,59 +126,68 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     n = len(instance.jobs)
     layer_times = instance.release_grid + (instance.horizon,)
     orders = _order_table(instance)
-    # heaviest first, ties to the smaller id, with the 0-based resource indices
+    ids = sorted(job.id for job in instance.jobs)
+    position = {job_id: pos for pos, job_id in enumerate(ids)}
+    # (weight, start-vector position, release, 0-based resource indices),
+    # heaviest first, ties to the smaller id
     by_weight = [
-        (job, tuple(r - 1 for r in sorted(job.resources)))
+        (job.weight, position[job.id], job.release, tuple(r - 1 for r in sorted(job.resources)))
         for job in sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
     ]
 
-    # key: (last order time per resource, -1 if never, scheduled job ids)
-    # value: (weighted completion plus order cost, link), where a link is
-    # (parent link, placed (job id, start) pairs, order event or None)
-    layer: dict[tuple, tuple] = {((-1,) * s, frozenset()): (0, None)}
+    # key: (last order time per resource, -1 if never, scheduled positions)
+    # value: (weighted completion plus order cost, start per position or 0
+    # while unplaced, order mask per layer)
+    layer: dict[tuple, tuple] = {
+        ((-1,) * s, frozenset()): (0, (0,) * n, (0,) * (len(layer_times) - 1))
+    }
     if stats is not None:
         stats["states_per_layer"] = [len(layer)]
 
     for k, tau in enumerate(layer_times[:-1]):
         window = layer_times[k + 1] - tau
         nxt: dict[tuple, tuple] = {}
-        for (betas, scheduled), (value, link) in layer.items():
-            for mask, (resources, order_cost) in enumerate(orders):
+        for (betas, scheduled), (value, starts, masks) in layer.items():
+            for mask, (_, order_cost) in enumerate(orders):
                 new_betas = tuple(tau if mask >> i & 1 else betas[i] for i in range(s))
                 chosen: list = []
-                for job, needs in by_weight:
-                    if job.id in scheduled:
+                for weight, pos, release, needs in by_weight:
+                    if pos in scheduled:
                         continue
                     for i in needs:
-                        if job.release > new_betas[i]:
+                        if release > new_betas[i]:
                             break
                     else:
-                        chosen.append(job)
+                        chosen.append((weight, pos))
                         if len(chosen) == window:
                             break
 
                 new_value = value + order_cost
-                for offset, job in enumerate(chosen):
-                    new_value += job.weight * (tau + offset + 1)
-                key = (new_betas, scheduled.union(job.id for job in chosen))
+                for offset, (weight, _) in enumerate(chosen):
+                    new_value += weight * (tau + offset + 1)
+                key = (new_betas, scheduled.union(pos for _, pos in chosen))
                 incumbent = nxt.get(key)
                 if incumbent is None or new_value < incumbent[0]:
-                    if chosen or mask:
-                        placed = tuple((job.id, tau + offset) for offset, job in enumerate(chosen))
-                        nxt[key] = (new_value, (link, placed, (tau, resources) if mask else None))
-                    else:
-                        nxt[key] = (new_value, link)
+                    new_starts = starts
+                    if chosen:
+                        placed = list(starts)
+                        for offset, (_, pos) in enumerate(chosen):
+                            placed[pos] = tau + offset
+                        new_starts = tuple(placed)
+                    new_masks = masks[:k] + (mask,) + masks[k + 1:] if mask else masks
+                    nxt[key] = (new_value, new_starts, new_masks)
         layer = nxt
         if stats is not None:
             stats["states_per_layer"].append(len(layer))
 
     # ordering every resource at the last release always leaves a complete state
-    _, link = min(
+    _, starts, masks = min(
         (state for (_, scheduled), state in layer.items() if len(scheduled) == n),
         key=lambda state: state[0],
     )
-    schedule, events = _unwind(link)
-    return evaluate_solution(instance, schedule, events, objective)
+    schedule = Schedule(dict(zip(ids, starts)))
+    events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
+    return evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)
 
 
 # ---------------------------------------------------------------------------

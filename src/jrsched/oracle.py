@@ -38,7 +38,11 @@ on one resource).
 Two enumeration grids are offered: the release dates of the jobs (sufficient
 for optimality, used by :func:`exact_solve`) and every integer time up to the
 horizon (:func:`exact_solve_fine_grid`, a validation variant whose value must
-agree with the coarse grid).  Both go through the same steps.
+agree with the coarse grid).  Both go through the same steps.  Each
+resource's time sets are enumerated by size, up to a cap: every set on the
+release grid, and on the fine grid at most one point per job that needs the
+resource.  The enumeration order does not matter, because ties are broken
+on (order times, resource subsets), which identifies a structure.
 """
 
 from __future__ import annotations
@@ -218,14 +222,14 @@ def _resource_candidates(
     needing: tuple[tuple[int, int], ...],
     item_cost: int,
     n: int,
-    size_cap: int | None,
+    size_cap: int,
     idle_order_costs: bool,
 ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """All usable ordering-time sets for one resource.
+    """All usable ordering-time sets of at most ``size_cap`` points for one
+    resource, by size.
 
-    Each entry is (bitmask over points, item-cost term, cover vector).  With
-    ``size_cap`` set, only sets of at most that many points are produced;
-    orders that cover no job can always be dropped without raising the cost,
+    Each entry is (bitmask over points, item-cost term, cover vector).
+    Orders that cover no job can always be dropped without raising the cost,
     so capping at the number of jobs needing the resource loses nothing.
     With ``idle_order_costs`` set, an order that covers no job first costs
     something, so a set holding one is strictly dearer than the same set
@@ -233,36 +237,25 @@ def _resource_candidates(
     Without it they stay, since a free order can win the tie on the key.
     """
     m = len(points)
-    if size_cap is None:
-        combos = (
-            tuple(b for b in range(m) if mask >> b & 1) for mask in range(1 << m)
-        )
-    else:
-        combos = itertools.chain.from_iterable(
-            itertools.combinations(range(m), k) for k in range(0, min(size_cap, m) + 1)
-        )
     out = []
-    for combo in combos:
-        times = tuple(points[b] for b in combo)
-        cover = _cover_vector(times, needing, n)
-        if cover is None:
-            continue
-        if idle_order_costs and len({cover[idx] for idx, _ in needing}) < len(times):
-            continue
-        mask = 0
-        for b in combo:
-            mask |= 1 << b
-        out.append((mask, item_cost * len(times), cover))
+    for k in range(min(size_cap, m) + 1):
+        for combo in itertools.combinations(range(m), k):
+            times = tuple(points[b] for b in combo)
+            cover = _cover_vector(times, needing, n)
+            if cover is None:
+                continue
+            if idle_order_costs and len({cover[idx] for idx, _ in needing}) < k:
+                continue
+            out.append((sum(1 << b for b in combo), item_cost * k, cover))
     return out
 
 
-def _enumeration_size(points: int, caps: list[int] | None, s: int) -> int:
-    if caps is None:
-        return (1 << points) ** s
-    size = 1
-    for cap in caps:
-        size *= sum(math.comb(points, k) for k in range(0, min(cap, points) + 1))
-    return size
+def _enumeration_size(points: int, caps: list[int]) -> int:
+    """How many structures the time sets of at most ``caps[i]`` of
+    ``points`` points per resource make."""
+    return math.prod(
+        sum(math.comb(points, k) for k in range(min(cap, points) + 1)) for cap in caps
+    )
 
 
 def _solve_over_points(
@@ -287,8 +280,8 @@ def _solve_over_points(
     for i in range(1, s + 1):
         need = tuple((idx, job.release) for idx, job in enumerate(jobs) if i in job.resources)
         needing.append(need)
-        caps.append(len(need))
-    size = _enumeration_size(len(points), caps if size_capped else None, s)
+        caps.append(len(need) if size_capped else len(points))
+    size = _enumeration_size(len(points), caps)
     if size > limits.max_grid_subsets:
         raise OracleLimitError(
             f"{size} replenishment structures exceed the cap {limits.max_grid_subsets}"
@@ -301,7 +294,7 @@ def _solve_over_points(
             needing[i],
             instance.item_costs[i],
             n,
-            caps[i] if size_capped else None,
+            caps[i],
             instance.item_costs[i] > 0 or (s == 1 and joint > 0),
         )
         for i in range(s)

@@ -377,6 +377,25 @@ class TestInputErrors:
         assert out == ""
         assert "field 'starts'" in error_line(err) and "' 1'" in error_line(err)
 
+    def test_repeated_key_is_refused(self, capsys, tmp_path):
+        # plain JSON parsing keeps the last value: job 1 would start at 0 and
+        # the solution would pass as feasible
+        solution = ('{"objective": "total_completion", "starts": {"1": 99, "1": 0, "2": 4,'
+                    ' "3": 7}, "replenishments": [{"time": 0, "resources": [1]}, {"time": 3,'
+                    ' "resources": [1]}, {"time": 7, "resources": [1]}], "scheduling_cost": 17,'
+                    ' "replenishment_cost": 6, "total": 23}')
+        path = write(tmp_path, "twice.json", '{"instance": ' + json.dumps(WALKTHROUGH)
+                     + ', "solution": ' + solution + '}')
+        out, err = run_cli(capsys, ["validate", "--input", path], expect=1)
+        assert out == ""
+        assert error_line(err) == "error: document repeats the key '1' in one object"
+        instance = json.dumps(WALKTHROUGH).replace('"release": 3', '"release": 9, "release": 3')
+        path = write(tmp_path, "release_twice.json", instance)
+        out, err = run_cli(capsys, ["solve", "--algo", "oracle", "--objective",
+                                    "total_completion", "--input", path], expect=1)
+        assert out == ""
+        assert error_line(err) == "error: instance document repeats the key 'release' in one object"
+
     def test_bounds_input_and_curve_together_is_usage_error(self, capsys, tmp_path):
         path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
         with pytest.raises(SystemExit) as exc:

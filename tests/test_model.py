@@ -97,6 +97,21 @@ class TestParseInstance:
             parse_instance("{nope")
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            # plain JSON parsing keeps the last value, so this job would
+            # silently be released at 0
+            ('{"s": 1, "joint_cost": 0, "item_costs": [0], "jobs": [{"id": 1,'
+             ' "release": 9, "release": 0, "processing": 1, "resources": [1]}]}', "release"),
+            ('{"s": 1, "s": 1, "joint_cost": 0, "item_costs": [0], "jobs": []}', "s"),
+        ],
+        ids=("job_field", "instance_field"),
+    )
+    def test_repeated_key_is_refused(self, text, key):
+        with pytest.raises(InstanceError, match=f"repeats the key '{key}'"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("release", 2.9),
@@ -299,6 +314,17 @@ class TestSolution:
                "scheduling_cost": 0, "replenishment_cost": 0, "total": 0}
         with pytest.raises(SolutionError, match="field 'starts' names job 1 twice"):
             solution_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "starts, key",
+        [('{"1": 99, "1": 0}', "1"), ('{"1": 0}, "starts": {"1": 99}', "starts")],
+        ids=("job_id", "field"),
+    )
+    def test_document_refuses_a_repeated_key(self, starts, key):
+        text = ('{"objective": "max_flow", "starts": ' + starts + ', "replenishments": [],'
+                ' "scheduling_cost": 0, "replenishment_cost": 0, "total": 0}')
+        with pytest.raises(SolutionError, match=f"repeats the key '{key}'"):
+            parse_solution(text)
 
     def test_schedule_starts_are_read_only(self):
         with pytest.raises(TypeError):

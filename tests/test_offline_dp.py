@@ -299,6 +299,34 @@ def test_dp_outputs_are_pinned():
     assert digest.hexdigest() == GOLDEN_DP_DIGEST
 
 
+def wjcj_tie_heavy_cases():
+    """Weighted unit-job instances where optima often tie: s = 1-3,
+    n = 1-9, weights up to 3, releases up to 2, 4 or 6 and every cost drawn
+    from {0} or from {0, 1}."""
+    rng = random.Random(1414)
+    for _ in range(300):
+        s = rng.randint(1, 3)
+        n = rng.randint(1, 9)
+        yield random_instance(
+            rng, n, s=s, max_weight=3, max_release=rng.choice((2, 4, 6)),
+            cost_choices=rng.choice(((0,), (0, 1))),
+        )
+
+
+# sha256 of the emitted dp_wjcj_unit solutions of wjcj_tie_heavy_cases,
+# computed while its partial solutions were still link chains.  Keeping the
+# last of equal states at a key instead of the first changes 132 of these
+# 300 outputs, so the digest pins which optimum wins, not just the total.
+GOLDEN_WJCJ_TIE_DIGEST = "da35758884d0b9cc6d1dd5dae1c965e098b3191bc95e8c1cad5d450a793521ce"
+
+
+def test_dp_wjcj_unit_tie_heavy_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for instance in wjcj_tie_heavy_cases():
+        digest.update(emit_solution(dp_wjcj_unit(instance)).encode())
+    assert digest.hexdigest() == GOLDEN_WJCJ_TIE_DIGEST
+
+
 def equalp_pin_cases():
     """(instance, objective) pairs for dp_equalp past the small golden cases:
     n = 6-10, s = 1-3, common p = 1-3, every cost from {0}, from {0, 1} or

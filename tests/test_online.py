@@ -44,7 +44,7 @@ from jrsched.online import (
     simulate,
     trace_to_jsonl,
 )
-from conftest import R1, random_instance, regular_instance, single_job_instance
+from conftest import R1, regular_instance, single_job_instance
 
 
 def unit_jobs_at(releases, order_cost):

@@ -40,5 +40,6 @@ def _unused_imports(path):
 
 def test_every_module_uses_its_imports():
     package = Path(jrsched.__file__).parent
-    unused = [entry for path in sorted(package.glob("*.py")) for entry in _unused_imports(path)]
+    paths = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
