@@ -61,6 +61,8 @@ class AdversarySpec:
         if self.kind == WEIGHTED_GOLDEN:
             if self.w2 is None or self.w2 < 1:
                 raise ValueError("the weighted adversary needs an integer weight w2 >= 1")
+        elif self.w2 is not None:
+            raise ValueError(f"w2 applies only to {WEIGHTED_GOLDEN}, not to {self.kind}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ source the time of its next arrival or of the end of the stream
 Both hooks default to the next integer, so a policy or source without them
 is visited at every step, as before.  The run is the same either way: a
 skipped step is one at which nothing arrives and the policy would wait.
+Every run has a horizon, past which a run with work left fails, so a
+policy that never acts cannot stall it forever.
 
 Shipped policies (single resource, unit jobs):
 
@@ -58,7 +60,6 @@ def triangular(a: int) -> int:
     return a * (a + 1) // 2
 
 
-_ID = attrgetter("id")
 _RELEASE = attrgetter("release")
 _ARRIVAL_ORDER = attrgetter("release", "id")
 
@@ -72,11 +73,10 @@ class PendingView(Sequence):
     and ``wake`` calls of the observation that carries it.
     """
 
-    __slots__ = ("_jobs", "_ids", "_release_sum")
+    __slots__ = ("_jobs", "_release_sum")
 
     def __init__(self) -> None:
         self._jobs: list[Job] = []
-        self._ids: set[int] = set()
         self._release_sum = 0
 
     def __len__(self) -> int:
@@ -108,18 +108,17 @@ class PendingView(Sequence):
             else:
                 jobs.append(job)
                 last = key
-        self._ids.update(map(_ID, arrived))
         self._release_sum += sum(map(_RELEASE, arrived))
 
-    def _drop_started(self, count: int) -> None:
-        """Remove the ``count`` jobs whose ids were taken out of ``_ids``."""
-        jobs, ids = self._jobs, self._ids
+    def _drop_started(self, count: int, started: dict[int, int]) -> None:
+        """Remove the ``count`` jobs just put into ``started``."""
+        jobs = self._jobs
         dropped = jobs[:count]
-        if ids.isdisjoint(map(_ID, dropped)):
+        if all(job.id in started for job in dropped):
             del jobs[:count]
         else:
-            dropped = [job for job in jobs if job.id not in ids]
-            jobs[:] = [job for job in jobs if job.id in ids]
+            dropped = [job for job in jobs if job.id in started]
+            jobs[:] = [job for job in jobs if job.id not in started]
         self._release_sum -= sum(map(_RELEASE, dropped))
 
 
@@ -372,23 +371,26 @@ def simulate(
     policy: OnlinePolicy,
     num_resources: int = 1,
     end_signal: bool = True,
-    max_time: int | None = None,
+    *,
+    max_time: int,
 ) -> SimResult:
     """Drive the policy over the arrival stream until every job has started.
 
     Decisions are validated before they take effect: orders must name a
-    non-empty known resource subset, started jobs must be pending and ready
-    under the orders placed so far, and blocks run back to back from now.
-    Rejected decisions raise :class:`SimulationError`; nothing is revised.
+    non-empty known resource subset, started jobs must be pending (seen and
+    not started) and ready under the orders placed so far, and blocks run
+    back to back from now.  Rejected decisions raise
+    :class:`SimulationError`; nothing is revised.
 
-    The clock advances by next-event time advance.  After a start it jumps
-    to the block's completion.  After an order without a start, and at the
-    step after jobs arrive (where ``stream_over`` can turn true), it moves
-    one step.  After a decision that does nothing it jumps to the earlier of
-    ``policy.wake(obs)`` and ``source.next_event(t, view)``, and at least one
-    step; with ``max_time`` set it jumps no further than ``max_time + 1``,
-    where a stalled run fails.  The observation's ``pending`` view is valid
-    only during that step's ``decide`` and ``wake`` calls.
+    The clock advances by next-event time advance, one rule per decision.
+    After a start it jumps to the block's completion.  After an order, or
+    at a step where jobs arrived (where ``stream_over`` can turn true), it
+    moves one step.  Otherwise it jumps to the earlier of
+    ``policy.wake(obs)`` and ``source.next_event(t, view)``, at least one
+    step and at most to ``max_time + 1``.  The horizon is required: a run
+    that reaches a time past ``max_time`` with work left fails there.  The
+    observation's ``pending`` view is valid only during that step's
+    ``decide`` and ``wake`` calls.
     """
     policy.reset()
     started: dict[int, int] = {}
@@ -398,10 +400,9 @@ def simulate(
     seen: dict[int, Job] = {}
     last_order: dict[int, int] = {}  # resource -> time of its latest order
     view = SimView(started, events, 0)
+    horizon = max_time + 1
     t = 0
     while True:
-        if view.busy_until > t:
-            t = view.busy_until
         arrived = source.reveal(t, view)
         if arrived:
             for job in arrived:
@@ -417,7 +418,7 @@ def simulate(
         stream_done = source.finished(t, view)
         if not pending and stream_done:
             break
-        if max_time is not None and t > max_time:
+        if t > max_time:
             raise SimulationError(f"policy made no progress by time {max_time}")
         observation = Observation(
             now=t,
@@ -440,16 +441,13 @@ def simulate(
                 last_order[r] = t
 
         if decision.start:
-            pending_ids = pending._ids
             clock = t
             for job_id in decision.start:
-                try:
-                    pending_ids.remove(job_id)
-                except KeyError:
+                job = seen.get(job_id)
+                if job is None or job_id in started:
                     raise SimulationError(
                         f"t={t}: job {job_id} is not pending (unknown, unreleased or already started)"
-                    ) from None
-                job = seen[job_id]
+                    )
                 # ready iff each resource it needs was last ordered at or
                 # after its release (no order lies after t)
                 for r in job.resources:
@@ -460,7 +458,7 @@ def simulate(
                         )
                 started[job_id] = clock
                 clock += job.processing
-            pending._drop_started(len(decision.start))
+            pending._drop_started(len(decision.start), started)
             view.busy_until = clock
 
         if decision.replenish is not None or decision.start:
@@ -472,11 +470,13 @@ def simulate(
                 )
             )
         if decision.start:
-            continue
-        if decision.replenish is not None or arrivals_now:
+            t = view.busy_until
+        elif decision.replenish is not None or arrivals_now:
             t += 1
         else:
-            t = _next_visit(t, policy.wake(observation), source.next_event(t, view), max_time)
+            times = (policy.wake(observation), source.next_event(t, view))
+            nearest = min((x for x in times if x is not None), default=horizon)
+            t = min(max(t + 1, nearest), horizon)
 
     return SimResult(
         jobs=tuple(sorted(seen.values(), key=lambda job: job.id)),
@@ -487,18 +487,6 @@ def simulate(
 
 
 _NEVER = -math.inf  # the last order time of a resource never ordered
-
-
-def _next_visit(t: int, wake: int | None, event: int | None, max_time: int | None) -> int:
-    """The next time to visit after a step that did nothing at ``t``."""
-    times = [x for x in (wake, event) if x is not None]
-    if times:
-        target = max(t + 1, min(times))
-    elif max_time is not None:
-        target = max_time + 1
-    else:
-        target = t + 1
-    return target if max_time is None else min(target, max_time + 1)
 
 
 def _order_blocks(

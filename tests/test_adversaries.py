@@ -29,6 +29,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="w2"):
             AdversarySpec(WEIGHTED_GOLDEN, 5)
 
+    @pytest.mark.parametrize(
+        "kind", [SUM_CJ_3_2, SUM_FJ_3_2, FMAX_REGULAR_4_3, FMAX_GENERAL_GOLDEN]
+    )
+    def test_w2_only_for_weighted(self, kind):
+        with pytest.raises(ValueError, match="w2 applies only to weighted_golden"):
+            AdversarySpec(kind, 5, w2=2)
+
     def test_order_cost_positive(self):
         with pytest.raises(ValueError, match="order cost"):
             AdversarySpec(SUM_CJ_3_2, 0)

@@ -442,6 +442,15 @@ class TestInputErrors:
         assert out == ""
         assert message in error_line(err)
 
+    @pytest.mark.parametrize(
+        "kind", ["sum_cj_3_2", "sum_fj_3_2", "fmax_regular_4_3", "fmax_general_golden"]
+    )
+    def test_adversary_refuses_w2_outside_weighted_golden(self, capsys, kind):
+        out, err = run_cli(capsys, ["adversary", "--kind", kind, "--K", "3", "--w2", "50"],
+                           expect=1)
+        assert out == ""
+        assert "w2" in error_line(err)
+
     def test_undecodable_input_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "bytes.json"
         path.write_bytes(b"\xff\xfe")
@@ -515,7 +524,8 @@ def pinned_commands(paths):
                      "--lead-one", "--no-end-signal"])
     for kind in ("sum_cj_3_2", "weighted_golden", "sum_fj_3_2", "fmax_regular_4_3",
                  "fmax_general_golden"):
-        commands.append(["adversary", "--kind", kind, "--K", "5", "--w2", "2"])
+        w2 = ["--w2", "2"] if kind == "weighted_golden" else []
+        commands.append(["adversary", "--kind", kind, "--K", "5", *w2])
     commands.append(["adversary", "--kind", "sum_cj_3_2", "--K", "5", "--policy", "immediate"])
     commands += [["bounds", "--input", paths[name]] for name in ("single", "stream")]
     for kind in ("sum_cj_3_2", "weighted_golden", "sum_fj_3_2", "fmax_general_golden"):
@@ -533,8 +543,11 @@ def pinned_commands(paths):
 
 # sha256 of the stdout of pinned_commands, gen outputs first, computed before
 # the CLI converted library errors in one place and knew each solver's
-# objectives.  Every successful output must keep every byte.
-GOLDEN_CLI_DIGEST = "adfa0c552d57dc876fa269566a760ebd1c573999a01549c998cd0ca97700c258"
+# objectives.  Every successful output must keep every byte.  It was
+# recomputed once, when the adversaries began refusing w2 outside
+# weighted_golden: the sum_cj_3_2 and sum_fj_3_2 commands lost --w2 2, so
+# their payload job went from weight 2 to weight 1, and no other output moved.
+GOLDEN_CLI_DIGEST = "837892bd768007f8b535060558d8900acae4ac6aa245fa48ef71633181760694"
 
 
 def test_cli_outputs_are_pinned(capsys, tmp_path):

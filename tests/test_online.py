@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -162,6 +163,37 @@ class TestSimulator:
         with pytest.raises(SimulationError, match="not pending"):
             run_online(unit_jobs_at((0, 0), 1), Bad())
 
+    def test_rejects_restart_in_a_later_decision(self):
+        class Bad(OnlinePolicy):
+            # starts job 1 at 0, and again once job 2 is pending
+            def decide(self, obs):
+                return Decision(frozenset({1}), (1,)) if obs.pending else WAIT
+
+        with pytest.raises(SimulationError, match="t=3: job 1 is not pending"):
+            run_online(unit_jobs_at((0, 3), 1), Bad())
+
+    def test_rejects_start_before_release(self):
+        class Bad(OnlinePolicy):
+            # names job 2, released at 5, before the source delivered it
+            def decide(self, obs):
+                return Decision(frozenset({1}), (1, 2)) if obs.pending else WAIT
+
+        with pytest.raises(SimulationError, match="t=0: job 2 is not pending"):
+            run_online(unit_jobs_at((0, 5), 1), Bad())
+
+    def test_horizon_is_required(self):
+        parameter = inspect.signature(simulate).parameters["max_time"]
+        assert parameter.default is inspect.Parameter.empty
+
+    def test_never_acting_policy_with_default_hooks_stops_at_the_horizon(self):
+        class Sleeper(OnlinePolicy):
+            def decide(self, obs):
+                return WAIT
+
+        source = StaticSource([Job(1, 0, 1, R1)])
+        with pytest.raises(SimulationError, match="no progress by time 50"):
+            simulate(source, Sleeper(), max_time=50)
+
     def test_rejects_unknown_resource(self):
         class Bad(OnlinePolicy):
             def decide(self, obs):
@@ -180,7 +212,7 @@ class TestSimulator:
                 return False
 
         with pytest.raises(SimulationError, match="source delivered job 1 twice"):
-            simulate(Repeating(), SumCompletionPolicy(5))
+            simulate(Repeating(), SumCompletionPolicy(5), max_time=50)
 
     def test_rejects_job_delivered_before_release(self):
         class Early(StaticSource):
@@ -188,7 +220,7 @@ class TestSimulator:
                 return list(self.jobs) if t == 0 else []
 
         with pytest.raises(SimulationError, match="source delivered job 1 before its release"):
-            simulate(Early(unit_jobs_at((3,), 5).jobs), SumCompletionPolicy(5))
+            simulate(Early(unit_jobs_at((3,), 5).jobs), SumCompletionPolicy(5), max_time=50)
 
     @pytest.mark.parametrize("first, rest", [((2,), [1, 3]), ((3, 1), [2])])
     def test_start_that_is_not_a_backlog_prefix(self, first, rest):
@@ -203,7 +235,8 @@ class TestSimulator:
                     return Decision(None, tuple(job.id for job in obs.pending))
                 return WAIT
 
-        result = simulate(StaticSource(unit_jobs_at((1, 2, 3), 1).jobs), OutOfOrder())
+        result = simulate(StaticSource(unit_jobs_at((1, 2, 3), 1).jobs), OutOfOrder(),
+                          max_time=50)
         # each job's id is its release date, all three ready from the order at 3
         assert seen == [(rest, sum(rest))]
         assert list(result.starts) == [*first, *rest]
@@ -614,7 +647,7 @@ def test_backlog_view():
             return list(reversed(super().reveal(t, view)))
 
     inst = unit_jobs_at((3, 3, 1, 3), 1)
-    simulate(Shuffled(inst.jobs), Peek())
+    simulate(Shuffled(inst.jobs), Peek(), max_time=50)
     assert seen == [(1, [3], (inst.jobs[2],), 1, True),
                     (3, [1, 2, 4], (inst.jobs[3],), 9, True)]
 
