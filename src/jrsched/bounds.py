@@ -116,12 +116,15 @@ def ratio_curve(kind: str, order_cost: int, w2: float | None = None) -> RatioCur
     """Sweep integer wait times and return the adversary's best forced ratio.
 
     ``limit`` carries the curve's closed-form asymptote (for the weighted
-    game as a function of w2).  The sweep stops once the no-strike branch
-    alone already exceeds the incumbent, or at a generous cap.
+    game as a function of w2, which no other game takes).  The sweep stops
+    once the no-strike branch alone already exceeds the incumbent, or at a
+    generous cap.
     """
     if order_cost < 1:
         raise SolverError("order cost must be >= 1")
     c1, c2, limit = _curves(kind, order_cost, w2)
+    if w2 is not None and kind != WEIGHTED_GOLDEN:
+        raise SolverError(f"w2 applies only to {WEIGHTED_GOLDEN}, not to {kind}")
     best: tuple[float, int, float, float] | None = None
     cap = 3 * order_cost + 30
     for t in range(cap + 1):

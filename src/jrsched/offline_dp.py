@@ -12,7 +12,7 @@ Four solvers, each exact within its stated problem class:
   jobs with pairwise distinct release dates.
 
 States are deduplicated by a key tuple that holds only what later layers
-read, and per key only undominated partial solutions survive:
+read:
 
 - :func:`dp_wjcj_unit` keys on (last order time per resource, scheduled
   set); costs add up, so the value is the weighted completion time plus the
@@ -22,33 +22,26 @@ read, and per key only undominated partial solutions survive:
   max-flow Pareto pass also drops the pairs of a state dominated by a
   state of the same count whose last orders are at the same or later
   anchors.
-- :func:`dp_fmax_s1` keys on (time the machine becomes free, order count).
+- :func:`dp_fmax_s1` keys on the time the machine becomes free; its order
+  count is part of the order cost.  Its Pareto pass also drops the pairs
+  of a state dominated by a state that frees the machine earlier.
 
-A partial solution of :func:`dp_wjcj_unit` or :func:`dp_equalp` carries
-its start vector, indexed by sorted job id with 0 for a job not yet placed,
-and its order vector, one resource mask per layer; the winner's schedule
-and orders are read from them.  :func:`dp_equalp`'s tie rule compares the
-vectors, and :func:`dp_wjcj_unit` already holds all that a lexicographic
-tie rule would compare.  A partial solution of :func:`dp_fmax_s1` holds
-only its parent key and layer, and the winner's blocks are read back once,
-at the end: its states are many and each is cheap to expand, and copying
-the vectors into every state that replaces another made it 1.8 to 2 times
-slower when tried (one resource, n = 20 to 101).
+A partial solution carries its value, its start vector, indexed by sorted
+job id with 0 for a job not yet placed, and its order vector, one mask per
+layer; the winner's schedule and orders are read from the vectors.  The
+two max-flow DPs share their passes: a Pareto pass over (worst flow, order
+cost) finds the optimum and every final flow F that attains it, and one
+pass per F, with every block's flow capped at F, keeps per key the
+smallest (order cost, start vector, order vector).
 
-The tie rule depends on the solver:
-
-- :func:`dp_equalp` returns the smallest (total, start vector, order
-  vector) over the solutions its layered graph represents.  The rule is
-  decided where two partial solutions meet at one key, so neither the
-  order in which states are reached nor a pruning that keeps that
-  smallest solution can change the output.
-- :func:`dp_wjcj_unit` and :func:`dp_fmax_s1` go to the partial solution
-  found first: a later one replaces the kept one only when strictly better,
-  and the answer is the first final state of least total, in the order the
-  states were reached.  What a partial solution stores, vectors or a
-  parent pointer, does not change which one wins.
-- :func:`fmax_unit_distinct` goes to the smallest equal flow time among
-  those of least total.
+One tie rule holds for every solver: it returns the smallest (total, start
+vector, order vector) over the solutions its graph represents.  Two
+partial solutions that meet at one key have placed the same jobs and share
+every continuation, so their partial vectors compare exactly as the full
+ones will.  The rule is decided there, so neither the order in which
+states are reached nor a pruning that keeps that smallest solution can
+change the output.  :func:`fmax_unit_distinct` follows the same rule over
+its equal-flow candidates: a smaller F gives a smaller start vector.
 
 Every solver returns a full :class:`~jrsched.model.Solution` with
 recomputed costs.
@@ -58,7 +51,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Hashable
+from itertools import accumulate
 from operator import add, ge
+from typing import NamedTuple
 
 from .model import (
     CRITERIA,
@@ -86,6 +82,140 @@ def _order_table(instance: Instance) -> list[tuple[frozenset[int], int]]:
 
 
 # ---------------------------------------------------------------------------
+# Layered graphs
+
+
+class _Graph(NamedTuple):
+    """A layered graph whose complete paths are the solutions of one DP.
+
+    ``edges(idx, exact)`` maps (key, order mask, cap) at layer ``idx`` to
+    the blocks that may follow, as (target key, target layer or None when
+    complete, value, placed starts), less those of worst flow above
+    ``cap``.  In an exact pass the value is what the block adds to the
+    path's value, and the placed starts hold its start per vector position
+    (() if empty); otherwise they are its worst flow and ().
+    """
+
+    layers: int
+    jobs: int  # length of the start vector
+    start: Hashable  # the key of layer 0
+    orders: list[tuple[int, int]]  # (mask, cost) of each order a layer may place
+    edges: Callable[[int, bool], Callable[[Hashable, int, float], list[tuple]]]
+
+
+def _least(graph: _Graph, cap: float, budget: float) -> tuple | None:
+    """Smallest (value, starts, orders) over the complete paths of ``graph``
+    with blocks under ``cap`` and value at most ``budget``.  A path's value
+    is its order costs plus what its blocks add."""
+    layers: list[dict | None] = [dict() for _ in range(graph.layers)]
+    layers[0][graph.start] = (0, (0,) * graph.jobs, (0,) * graph.layers)
+    best = None
+    for idx in range(graph.layers):
+        blocks_for = graph.edges(idx, True)
+        for key, (value, starts, masks) in layers[idx].items():
+            for mask, order_cost in graph.orders:
+                value_after = value + order_cost
+                if value_after > budget:
+                    continue
+                masks_after = masks[:idx] + (mask,) + masks[idx + 1:] if mask else masks
+                for target_key, target, added, placed in blocks_for(key, mask, cap):
+                    new_value = value_after + added
+                    kept = best if target is None else layers[target].get(target_key)
+                    if kept is not None and new_value > kept[0]:
+                        continue
+                    new_starts = tuple(map(add, starts, placed)) if placed else starts
+                    state = (new_value, new_starts, masks_after)
+                    if kept is None or state < kept:
+                        if target is None:
+                            best = state
+                        else:
+                            layers[target][target_key] = state
+        layers[idx] = None
+    return best
+
+
+def _pareto(bucket: list[tuple], optimum: float) -> list[tuple]:
+    """The undominated (flow, cost) pairs of ``bucket`` whose sum is at most
+    ``optimum``, flows rising and costs strictly falling."""
+    # sorted, a pair is undominated when its cost is below every earlier one's
+    entries = []
+    least_cost = math.inf
+    for flow, cost in sorted(bucket):
+        if cost < least_cost and flow + cost <= optimum:
+            entries.append((flow, cost))
+            least_cost = cost
+    return entries
+
+
+def _dominated(entry: tuple, frontier: list[tuple]) -> bool:
+    """Whether a pair of the Pareto list ``frontier`` is no worse than
+    ``entry`` in flow and cost."""
+    # the pair with the largest flow at most the entry's has the least cost
+    at = bisect_right(frontier, (entry[0], math.inf))
+    return at > 0 and frontier[at - 1][1] <= entry[1]
+
+
+def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[float, set[int]]:
+    """The max-flow optimum of ``graph`` and every final flow of an optimal
+    path, from per-key Pareto lists of (worst flow so far, order cost so far).
+
+    What arrives at a key is reduced to its Pareto list once, by one sort,
+    when the key's layer is expanded; ``undominated`` then filters the
+    layer's (key, Pareto list) pairs, dropping a pair only where a kept one
+    completes its every path at no more flow and cost.  A pair whose flow
+    plus cost exceeds the best complete value so far is dropped too; the
+    comparison is strict, so every optimal final flow survives.
+    """
+    layers: list[dict | None] = [dict() for _ in range(graph.layers)]
+    layers[0][graph.start] = [(0, 0)]
+    optimum = math.inf
+    flows: set[int] = set()
+    for idx in range(graph.layers):
+        blocks_for = graph.edges(idx, False)
+        states = undominated([
+            (key, entries) for key, bucket in layers[idx].items()
+            if (entries := _pareto(bucket, optimum))
+        ])
+        for key, entries in states:
+            for mask, order_cost in graph.orders:
+                for target_key, target, block_flow, _ in blocks_for(key, mask, optimum):
+                    if target is None:
+                        for crit, cost in entries:
+                            flow = crit if crit > block_flow else block_flow
+                            value = flow + cost + order_cost
+                            if value < optimum:
+                                optimum, flows = value, {flow}
+                            elif value == optimum:
+                                flows.add(flow)
+                        continue
+                    bucket = layers[target].setdefault(target_key, [])
+                    # flows falling and costs rising: once a flow is at most
+                    # the block's, the rest reach it at higher cost
+                    for crit, cost in reversed(entries):
+                        if crit < block_flow:
+                            crit = block_flow
+                        cost += order_cost
+                        if crit + cost <= optimum:
+                            bucket.append((crit, cost))
+                        if crit == block_flow:
+                            break
+        layers[idx] = None
+    return optimum, flows
+
+
+def _least_max_flow(graph: _Graph, undominated: Callable[[list], list]) -> tuple:
+    """Smallest (order cost, starts, orders) over the max-flow optima of
+    ``graph``: one exact pass per optimal final flow F, blocks capped at F.
+    Its least cost is the optimum minus F, reached only by paths of flow F,
+    so the passes' answers differ in their vectors alone."""
+    optimum, flows = _optimal_flows(graph, undominated)
+    return min(
+        (_least(graph, flow, optimum - flow) for flow in flows),
+        key=lambda state: state[1:],
+    )
+
+
+# ---------------------------------------------------------------------------
 # Weighted completion time, unit jobs
 
 
@@ -108,11 +238,9 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
 
     A partial solution carries its start vector, indexed by sorted job id
     with 0 for a job not yet placed, and its order vector, one resource mask
-    per layer, as in :func:`dp_equalp`.  Ties go to the state found first:
-    per key the first state with the smallest value is kept, and the answer
-    is the first complete state with the smallest value, where states are
-    expanded layer by layer, each layer in the order its keys were first
-    reached, resource masks ascending.  The vectors are not compared.
+    per layer, as in :func:`dp_equalp`.  Each key keeps its smallest
+    (value, start vector, order vector), and the answer is the smallest
+    complete one.
 
     ``stats``, when given, receives ``states_per_layer`` for bound checks.
     """
@@ -168,23 +296,25 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
                     new_value += weight * (tau + offset + 1)
                 key = (new_betas, scheduled.union(pos for _, pos in chosen))
                 incumbent = nxt.get(key)
-                if incumbent is None or new_value < incumbent[0]:
-                    new_starts = starts
-                    if chosen:
-                        placed = list(starts)
-                        for offset, (_, pos) in enumerate(chosen):
-                            placed[pos] = tau + offset
-                        new_starts = tuple(placed)
-                    new_masks = masks[:k] + (mask,) + masks[k + 1:] if mask else masks
-                    nxt[key] = (new_value, new_starts, new_masks)
+                if incumbent is not None and new_value > incumbent[0]:
+                    continue
+                new_starts = starts
+                if chosen:
+                    placed = list(starts)
+                    for offset, (_, pos) in enumerate(chosen):
+                        placed[pos] = tau + offset
+                    new_starts = tuple(placed)
+                new_masks = masks[:k] + (mask,) + masks[k + 1:] if mask else masks
+                state = (new_value, new_starts, new_masks)
+                if incumbent is None or state < incumbent:
+                    nxt[key] = state
         layer = nxt
         if stats is not None:
             stats["states_per_layer"].append(len(layer))
 
     # ordering every resource at the last release always leaves a complete state
     _, starts, masks = min(
-        (state for (_, scheduled), state in layer.items() if len(scheduled) == n),
-        key=lambda state: state[0],
+        state for (_, scheduled), state in layer.items() if len(scheduled) == n
     )
     schedule = Schedule(dict(zip(ids, starts)))
     events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
@@ -217,61 +347,32 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     The answer is the smallest (total, start vector, order vector) over the
     solutions the layered graph represents.  The start vector is indexed by
     job id, with 0 for a job not yet placed, and the order vector holds one
-    resource mask per layer.  Two partial solutions that meet at one key
-    have placed the same jobs and share every continuation, so their
-    partial vectors compare exactly as the full ones will:
-
-    - Total completion: one pass, in which each key keeps its smallest
-      (total, starts, orders).
-    - Max flow: a first pass keeps, per key, the Pareto list of (worst flow,
-      order cost) and finds the optimum and every final flow F that attains
-      it.  A second pass per such F caps each block's flow at F, takes the
-      order cost as the value and keeps per key the smallest (cost, starts,
-      orders); its least cost is the optimum minus F, reached only by
-      solutions of flow F.  The answer is the smallest (starts, orders)
-      over the second passes.  The first pass appends what arrives at a
-      key and reduces it to its Pareto list once, by one sort, when the
-      key's layer is expanded.  Of the pairs one block carries there, the
-      block's flow raises all those below it to one flow, so only the
-      cheapest of them is appended.
-
-    Two bounds prune the max-flow passes without removing an optimal
-    solution, because flow and cost never fall along a path.  The first
-    pass drops a pair whose flow plus cost exceeds the best complete value
-    found so far; the comparison is strict, so every optimal F survives.
-    The pass capped at F drops a state whose cost exceeds the optimum minus
-    F.  Blocks above the cap, or above the incumbent in the first pass, are
-    not built.
+    resource mask per layer.  Total completion takes one pass, in which
+    each key keeps its smallest (total, starts, orders); max flow takes the
+    two shared passes the module docstring describes.  Blocks above
+    the cap, or above the incumbent in the Pareto pass, are not built.
 
     When all jobs form one class, the Pareto pass also compares the states
     of one layer across anchors.  Take two states with the same count,
     where the last orders of the first are at the same or later anchors
-    than the second's on every resource.  Every job ready for the second
-    is ready for the first, so the first's ready list extends the second's
-    with the same release-ordered prefixes.  The first can then run every
-    block the second can, after the same orders: the same jobs at the same
-    starts with the same flows, into keys that compare the same way.  So
-    any completion of the second completes the first with the same flows
-    and costs added, and a pair of the second is dropped when a pair of
-    the first is no worse in (worst flow, order cost).  Layers are
-    expanded with the later anchors first, so the first state is already
-    kept.  The capped passes do not compare across anchors; measured,
-    the comparison saved them under 1 %.
-    With several classes the ready jobs of all classes merge in release
-    order, and later anchors can put a job of one class between two of
-    another, so the prefixes differ; there the comparison would change
-    tied outputs, and it is not made.
+    than the second's on every resource.  The first's ready list extends
+    the second's with the same release-ordered prefixes, so it can run
+    every block the second can, after the same orders, with the same flows
+    and costs into keys that compare the same way.  A pair of the second
+    is therefore dropped when a pair of the first is no worse in (worst
+    flow, order cost).  The capped passes do not compare across anchors;
+    measured, it saved them under 1 %.  With several classes, later anchors
+    can put a job of one class between two of another, so the prefixes
+    differ and the comparison would change tied outputs; it is not made.
 
-    An empty block waits for the next layer whose time is a release date,
-    not for the next layer.  Between two release dates every order has the
-    same release anchor and so covers the same jobs.  A block started after
-    idling onto a layer that is not a release date could therefore start,
-    with its order, on the layer the idling left, and the blocks that
-    follow it back to back could move earlier with it.  The move costs no
-    more, raises no flow or completion time and makes the start vector
-    smaller, so the skip never removes the smallest solution.  The tests
-    compare the answer with a walk over every path of the graph without the
-    skip.
+    An empty block waits for the next layer whose time is a release date.
+    Between two release dates every order covers the same jobs, so a block
+    started after idling onto another layer could start, with its order,
+    on the layer the idling left, and the blocks after it could move
+    earlier with it.  That costs no more, raises no flow or completion time
+    and makes the start vector smaller, so the skip never removes the
+    smallest solution.  The tests compare the answer with a walk over every
+    path of the graph without the skip.
     """
     if objective not in (Objective.TOTAL_COMPLETION, Objective.MAX_FLOW):
         raise SolverError(f"unsupported objective {objective.value} for the equal-length solver")
@@ -318,147 +419,79 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         class_jobs[ell].append((rank, position[job.id], job, ell))
     class_releases = [[job.release for _, _, job, _ in jobs] for jobs in class_jobs]
     class_needs = [tuple(r - 1 for r in key) for key in class_keys]
-    # a resource never ordered has anchor -1, before every release
-    start_key = ((0,) * len(class_keys), (-1,) * s)
-
     anchors = [release_anchor(grid, tau) for tau in layer_times]
-    # blocks of the layer being expanded per (scheduled counts, last
-    # orders), built once for all the states and masks that reach the pair
-    built: dict[tuple, list[tuple]] = {}
-    # with one class, a state whose last orders are all at the same or later
-    # anchors than another's of the same count can run every block it can
-    across_anchors = len(class_keys) == 1
 
-    def blocks_for(idx: int, alphas: tuple, betas: tuple, mask: int, cap: int | float,
-                   with_starts: bool) -> list[tuple]:
-        """(target key, target layer or None if complete, criterion value,
-        start per vector position, or () if empty or not ``with_starts``)
-        of each block started at layer ``idx`` after ordering ``mask`` whose
-        criterion value is at most ``cap``: the empty block first, then by
-        size, so the criterion values never fall.  The blocks are built once
-        per layer, so ``with_starts`` must not change within a layer, and a
-        ``cap`` that falls within it may still get blocks above it."""
-        if mask:
-            anchor = anchors[idx]
-            betas = tuple(anchor if mask >> i & 1 else betas[i] for i in range(s))
-        blocks = built.get((alphas, betas))
-        if blocks is not None:
-            return blocks
-        blocks = built[alphas, betas] = []
-        # per-class scheduled jobs are always a release-ordered prefix, so
-        # the counts identify them exactly; the ready ones follow it up to
-        # the last job released by the class's earliest last order
-        ready: list[tuple] = []
-        classes = 0
-        for ell, needs in enumerate(class_needs):
-            limit = betas[needs[0]]
-            for i in needs:
-                if betas[i] < limit:
-                    limit = betas[i]
-            upto = bisect_right(class_releases[ell], limit)
-            if upto > alphas[ell]:
-                ready += class_jobs[ell][alphas[ell]:upto]
-                classes += 1
-        if classes > 1:
-            ready.sort()
-        # the empty block waits for the next release date
-        if (use_max_flow or not ready) and next_release[idx] is not None:
-            blocks.append(((alphas, betas), next_release[idx], 0, ()))
-        new_alphas = list(alphas)
-        placed = [0] * n
-        block_value = 0
-        start = layer_times[idx]
-        remaining = n - sum(alphas)
-        for size, (_, k, job, ell) in enumerate(ready, start=1):
-            new_alphas[ell] += 1
-            placed[k] = start
-            start += p
-            block_value = combine(block_value, job_value(job.weight, job.release, start))
-            if not use_max_flow and size < len(ready):
-                continue
-            if block_value > cap:
-                break
-            if size == remaining:
-                target = None
-            else:
-                # next decision point: first layer at or after the completion
-                target = bisect_left(layer_times, start)
-                if target >= num_layers:
+    def edges(idx: int, exact: bool):
+        """The blocks of layer ``idx`` (see :class:`_Graph`), built once per
+        (scheduled counts, last orders) for all the states and masks that
+        reach the pair: the empty block first, then by size, so the flows
+        never fall.  A cap that falls within the layer may still get blocks
+        above it."""
+        built: dict[tuple, list[tuple]] = {}
+        anchor = anchors[idx]
+        # an exact max-flow pass minimizes the order cost alone
+        weigh = not (exact and use_max_flow)
+
+        def blocks_for(key: tuple, mask: int, cap: float) -> list[tuple]:
+            alphas, betas = key
+            if mask:
+                betas = tuple(anchor if mask >> i & 1 else betas[i] for i in range(s))
+            blocks = built.get((alphas, betas))
+            if blocks is not None:
+                return blocks
+            blocks = built[alphas, betas] = []
+            # per-class scheduled jobs are always a release-ordered prefix, so
+            # the counts identify them exactly; the ready ones follow it up to
+            # the last job released by the class's earliest last order
+            ready: list[tuple] = []
+            classes = 0
+            for ell, needs in enumerate(class_needs):
+                limit = betas[needs[0]]
+                for i in needs:
+                    if betas[i] < limit:
+                        limit = betas[i]
+                upto = bisect_right(class_releases[ell], limit)
+                if upto > alphas[ell]:
+                    ready += class_jobs[ell][alphas[ell]:upto]
+                    classes += 1
+            if classes > 1:
+                ready.sort()
+            # the empty block waits for the next release date
+            if (use_max_flow or not ready) and next_release[idx] is not None:
+                blocks.append(((alphas, betas), next_release[idx], 0, ()))
+            new_alphas = list(alphas)
+            placed = [0] * n
+            block_value = 0
+            start = layer_times[idx]
+            remaining = n - sum(alphas)
+            for size, (_, k, job, ell) in enumerate(ready, start=1):
+                new_alphas[ell] += 1
+                placed[k] = start
+                start += p
+                block_value = combine(block_value, job_value(job.weight, job.release, start))
+                if not use_max_flow and size < len(ready):
                     continue
-            blocks.append(
-                ((tuple(new_alphas), betas), target, block_value,
-                 tuple(placed) if with_starts else ())
-            )
-        return blocks
-
-    def least(cap: int | float, budget: int | None) -> tuple | None:
-        """Smallest (value, starts, orders) over the complete solutions whose
-        blocks have criterion values of at most ``cap`` and whose value is
-        at most ``budget``, if given.  The value is the total for total
-        completion and the order cost for max flow."""
-        # key: (scheduled count per class, last-order release anchor per resource)
-        # value: (value, start per vector position, order mask per layer)
-        layers: list[dict[tuple, tuple] | None] = [dict() for _ in layer_times]
-        layers[0][start_key] = (0, (0,) * n, (0,) * num_layers)
-        best = None
-        for idx in range(num_layers):
-            built.clear()
-            for (alphas, betas), (value, starts, masks) in layers[idx].items():
-                for mask, (_, order_cost) in enumerate(orders):
-                    if budget is not None and value + order_cost > budget:
+                if block_value > cap:
+                    break
+                if size == remaining:
+                    target = None
+                else:
+                    # next decision point: first layer at or after the completion
+                    target = bisect_left(layer_times, start)
+                    if target >= num_layers:
                         continue
-                    if mask:
-                        masks_after = masks[:idx] + (mask,) + masks[idx + 1:]
-                    else:
-                        masks_after = masks
-                    for key, target, block_value, placed in blocks_for(
-                        idx, alphas, betas, mask, cap, True
-                    ):
-                        new_value = value + order_cost
-                        if not use_max_flow:
-                            new_value += block_value
-                        kept = best if target is None else layers[target].get(key)
-                        if kept is not None and new_value > kept[0]:
-                            continue
-                        state = (
-                            new_value,
-                            tuple(map(add, starts, placed)) if placed else starts,
-                            masks_after,
-                        )
-                        if kept is None or state < kept:
-                            if target is None:
-                                best = state
-                            else:
-                                layers[target][key] = state
-            layers[idx] = None
-        return best
+                blocks.append(
+                    ((tuple(new_alphas), betas), target, block_value if weigh else 0,
+                     tuple(placed) if exact else ())
+                )
+            return blocks
 
-    def pareto(bucket: list[tuple], optimum: int | float) -> list[tuple]:
-        """The undominated (flow, cost) pairs of ``bucket`` whose sum is at
-        most ``optimum``, flows rising and costs strictly falling."""
-        # sorted, a pair is undominated when its cost is below every
-        # earlier one's
-        entries = []
-        least_cost = math.inf
-        for flow, cost in sorted(bucket):
-            if cost < least_cost and flow + cost <= optimum:
-                entries.append((flow, cost))
-                least_cost = cost
-        return entries
-
-    def dominated(entry: tuple, frontier: list[tuple]) -> bool:
-        """Whether a pair of the Pareto list ``frontier`` is no worse than
-        ``entry`` in flow and cost."""
-        # the pair with the largest flow at most the entry's has the least cost
-        at = bisect_right(frontier, (entry[0], math.inf))
-        return at > 0 and frontier[at - 1][1] <= entry[1]
+        return blocks_for
 
     def undominated(states: list[tuple]) -> list[tuple]:
-        """The (key, Pareto list) pairs of one layer's ``states``, each list
-        less its pairs that are ``dominated`` by the list kept at a key of
-        the same counts whose last orders are all at the same or later
-        anchors.  Keys are taken with the later anchors first, so those are
-        already kept; a key with nothing left is dropped."""
+        """One layer's (key, Pareto list) ``states``, less the pairs that a
+        pair kept at the same counts and the same or later anchors is no
+        worse than.  Later anchors are taken first, so they are kept."""
         result = []
         group = None
         kept: list[tuple] = []
@@ -467,7 +500,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                 group, kept = alphas, []
             for other_betas, other in kept:
                 if all(map(ge, other_betas, betas)):
-                    entries = [entry for entry in entries if not dominated(entry, other)]
+                    entries = [entry for entry in entries if not _dominated(entry, other)]
                     if not entries:
                         break
             else:
@@ -475,67 +508,17 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                 result.append(((alphas, betas), entries))
         return result
 
-    def optimal_flows() -> tuple[int | float, set[int]]:
-        """The optimum and every final flow of an optimal solution, from
-        per-key Pareto lists of (worst flow so far, order cost so far)."""
-        # key: (scheduled count per class, last-order release anchor per resource)
-        # value: the (worst flow, order cost) pairs that arrived, filtered
-        # to a Pareto list when the layer is expanded
-        layers: list[dict[tuple, list[tuple]] | None] = [dict() for _ in layer_times]
-        layers[0][start_key] = [(0, 0)]
-        optimum = math.inf
-        flows: set[int] = set()
-        for idx in range(num_layers):
-            built.clear()
-            states = [
-                (key, entries) for key, bucket in layers[idx].items()
-                if (entries := pareto(bucket, optimum))
-            ]
-            if across_anchors:
-                states = undominated(states)
-            for (alphas, betas), entries in states:
-                for mask, (_, order_cost) in enumerate(orders):
-                    for key, target, block_value, _ in blocks_for(
-                        idx, alphas, betas, mask, optimum, False
-                    ):
-                        if target is None:
-                            for crit, cost in entries:
-                                flow = crit if crit > block_value else block_value
-                                value = flow + cost + order_cost
-                                if value < optimum:
-                                    optimum, flows = value, {flow}
-                                elif value == optimum:
-                                    flows.add(flow)
-                            continue
-                        bucket = layers[target].get(key)
-                        if bucket is None:
-                            bucket = layers[target][key] = []
-                        # flows falling and costs rising: once a flow is at
-                        # most the block's, the rest reach it at higher cost
-                        for crit, cost in reversed(entries):
-                            if crit < block_value:
-                                crit = block_value
-                            cost += order_cost
-                            if crit + cost <= optimum:
-                                bucket.append((crit, cost))
-                            if crit == block_value:
-                                break
-            layers[idx] = None
-        return optimum, flows
-
+    # a resource never ordered has anchor -1, before every release
+    graph = _Graph(
+        num_layers, n, ((0,) * len(class_keys), (-1,) * s),
+        [(mask, cost) for mask, (_, cost) in enumerate(orders)], edges,
+    )
     if use_max_flow:
-        # the least cost of the pass capped at flow F is the optimum minus F
-        optimum, flows = optimal_flows()
-        found = min(
-            (least(flow, optimum - flow) for flow in flows),
-            key=lambda state: state[1:],
-            default=None,
-        )
+        # states compare across anchors with one class only (see above)
+        filtered = undominated if len(class_keys) == 1 else lambda states: states
+        _, starts, masks = _least_max_flow(graph, filtered)
     else:
-        found = least(math.inf, None)
-    if found is None:
-        raise SolverError("dynamic program found no complete schedule")
-    _, starts, masks = found
+        _, starts, masks = _least(graph, math.inf, math.inf)
 
     schedule = Schedule(dict(zip(ids, starts)))
     events = tuple(
@@ -552,20 +535,19 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
 def dp_fmax_s1(instance: Instance) -> Solution:
     """Optimal maximum flow time plus ordering cost for a single resource.
 
-    Jobs are handled in non-decreasing release order, which is optimal here.
-    Layer j means: the orders so far serve every job released up to the j-th
-    distinct release date, the last of them placed at that date.  A state is
-    keyed on the time the machine becomes free and the number of orders,
-    which is all that later layers read; its value is the worst flow time so
-    far.  An order at a later date serves the jobs released since as one
-    back-to-back block, started once both the machine and the order are
-    ready.  Jobs sharing a release date are grouped into one layer and
-    sequenced consecutively in id order.
+    Jobs run in non-decreasing release order, which is optimal here; jobs
+    sharing a release date form one group, in id order.  Layer i means: the
+    orders so far serve the first i groups.  A state is keyed on the time
+    the machine becomes free, which is all that later layers read.  The edge
+    from layer i to a later layer j is one order at the j-th release date,
+    serving groups i+1 to j as one back-to-back block, started once both
+    the machine and the order are ready.
 
-    Ties go to the state found first: per key the first state with the
-    smallest worst flow is kept, and the answer is the first final state with
-    the smallest total, where states are expanded from each layer in turn, in
-    the order their keys were first reached, target layers ascending.
+    The DP runs on the max-flow passes shared with :func:`dp_equalp` and
+    returns the smallest (total, start vector, order vector) over its
+    graph.  The order vector marks each layer a solution leaves; every
+    solution leaves layer 0 and orders at the last release date, so these
+    marks compare as the marks of the order dates do.
     """
     objective = Objective.MAX_FLOW
     if instance.num_resources != 1:
@@ -573,65 +555,78 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     if not instance.jobs:
         return empty_solution(objective)
 
+    n = len(instance.jobs)
     ordered = sorted(instance.jobs, key=lambda job: (job.release, job.id))
+    ids = sorted(job.id for job in instance.jobs)
+    slots = [bisect_left(ids, job.id) for job in ordered]  # start-vector positions
     dates = instance.release_grid
-    date_index = {d: g for g, d in enumerate(dates, start=1)}
     m = len(dates)
-    group_end = [0] * (m + 1)  # group_end[g] = flat index one past group g (1-based)
-    prefix_p = [0]
-    for idx, job in enumerate(ordered):
-        group_end[date_index[job.release]] = idx + 1
-        prefix_p.append(prefix_p[-1] + job.processing)
+    # group_end[g] = index in ``ordered`` one past group g (1-based)
+    releases = [job.release for job in ordered]
+    group_end = [0] + [bisect_right(releases, date) for date in dates]
+    prefix_p = [0, *accumulate(job.processing for job in ordered)]
     # A block started at b after the first lo jobs completes job k at
     # b - prefix_p[lo] + prefix_p[k + 1], so its worst flow is b - prefix_p[lo]
     # plus the largest tail prefix_p[k + 1] - release_k over the block.
     group_tail = [0] + [
-        max(prefix_p[k + 1] - ordered[k].release for k in range(group_end[g - 1], group_end[g]))
-        for g in range(1, m + 1)
+        max(prefix_p[k + 1] - releases[k] for k in range(lo, hi))
+        for lo, hi in zip(group_end, group_end[1:])
     ]
 
-    # state key: (time the machine becomes free, order count)
-    # value: (worst flow so far, parent key, parent layer, start of the block
-    #         served by the order at this layer's date)
-    layers: list[dict[tuple, tuple]] = [dict() for _ in range(m + 1)]
-    layers[0][(0, 0)] = (0, None, 0, None)
-
-    for i in range(m):
+    def edges(i: int, exact: bool):
+        """The blocks leaving layer ``i`` (see :class:`_Graph`), one per
+        later layer, whose flows never fall."""
         lo = group_end[i]
-        for key, entry in layers[i].items():
-            free, count = key
-            fmax = entry[0]
+
+        def blocks_for(free: int, mask: int, cap: float) -> list[tuple]:
+            blocks = []
             tail = group_tail[i + 1]
+            # the jobs from lo up to ``done`` are placed in ``starts`` at ``at``
+            starts = [0] * n if exact else None
+            done, at = lo, None
             for j in range(i + 1, m + 1):
                 if group_tail[j] > tail:
                     tail = group_tail[j]
                 order_time = dates[j - 1]
-                block_start = free if free > order_time else order_time
-                worst = block_start - prefix_p[lo] + tail
-                if worst < fmax:
-                    worst = fmax
-                new_key = (block_start + prefix_p[group_end[j]] - prefix_p[lo], count + 1)
-                incumbent = layers[j].get(new_key)
-                if incumbent is None or worst < incumbent[0]:
-                    layers[j][new_key] = (worst, key, i, block_start)
+                offset = (free if free > order_time else order_time) - prefix_p[lo]
+                worst = offset + tail
+                if worst > cap:
+                    break
+                placed = ()
+                if exact:
+                    if offset != at:
+                        done, at = lo, offset
+                    for k in range(done, group_end[j]):
+                        starts[slots[k]] = offset + prefix_p[k]
+                    done = group_end[j]
+                    placed = tuple(starts)
+                blocks.append(
+                    (offset + prefix_p[group_end[j]], j if j < m else None,
+                     0 if exact else worst, placed)
+                )
+            return blocks
 
-    order_cost = instance.single_resource_order_cost
-    final = layers[m]
-    key = min(final, key=lambda key: final[key][0] + order_cost * key[1])
+        return blocks_for
 
-    starts: dict[int, int] = {}
-    times: list[int] = []
-    layer = m
-    while layer > 0:
-        _, parent_key, parent_layer, t = layers[layer][key]
-        times.append(dates[layer - 1])
-        for job in ordered[group_end[parent_layer]:group_end[layer]]:
-            starts[job.id] = t
-            t += job.processing
-        key, layer = parent_key, parent_layer
-    events = tuple((t, frozenset({1})) for t in sorted(times))
+    def undominated(states: list[tuple]) -> list[tuple]:
+        """One layer's (free time, Pareto list) ``states``, less the pairs
+        that a pair kept at an earlier free time is no worse than: after
+        it, every block starts no later."""
+        result = []
+        frontier: list[tuple] = []
+        for free, entries in sorted(states):
+            entries = [entry for entry in entries if not _dominated(entry, frontier)]
+            if entries:
+                result.append((free, entries))
+                frontier = _pareto(frontier + entries, math.inf)
+        return result
+
+    graph = _Graph(m, n, 0, [(1, instance.single_resource_order_cost)], edges)
+    _, starts, masks = _least_max_flow(graph, undominated)
+    left = [i for i, mask in enumerate(masks) if mask]
+    events = tuple((dates[j - 1], frozenset({1})) for j in left[1:] + [m])
     return evaluate_solution(
-        instance, Schedule(starts), ReplenishmentStructure(events), objective
+        instance, Schedule(dict(zip(ids, starts))), ReplenishmentStructure(events), objective
     )
 
 
@@ -666,8 +661,9 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
     cover count u(F).  u(F) is non-increasing in F, and for a fixed cover
     count the smallest F is cheapest, so it suffices to evaluate, for every
     possible count, the smallest F attaining it (found by binary search; F
-    can exceed the number of jobs when releases are sparse).  Ties between
-    equal-cost flow values go to the smaller F.
+    can exceed the number of jobs when releases are sparse).  Ties go to
+    the smaller F, whose start vector is smaller, as the module's one tie
+    rule asks of the candidates.
     """
     objective = Objective.MAX_FLOW
     if instance.num_resources != 1:
@@ -696,16 +692,11 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
         candidates.add(lo)
 
     order_cost = instance.single_resource_order_cost
-    best: tuple[int, int, list[int]] | None = None  # (value, F, order times)
-    for flow in sorted(candidates):
-        times = equal_flow_cover(releases, flow)
-        value = flow + order_cost * len(times)
-        if best is None or value < best[0]:
-            best = (value, flow, times)
-
-    _, flow, times = best
+    _, flow = min(
+        (flow + order_cost * len(equal_flow_cover(releases, flow)), flow) for flow in candidates
+    )
     starts = {job.id: job.release + flow - 1 for job in instance.jobs}
-    events = tuple((t, frozenset({1})) for t in sorted(times))
+    events = tuple((t, frozenset({1})) for t in equal_flow_cover(releases, flow))
     return evaluate_solution(
         instance, Schedule(starts), ReplenishmentStructure(events), objective
     )

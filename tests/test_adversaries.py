@@ -88,8 +88,11 @@ class TestMaxFlowGames:
         assert outcome.ratio > 1.0
         assert check_feasible(outcome.instance, outcome.online).ok
 
-    def test_regular_adversary_stops_after_first_order(self):
-        outcome = adversary_run(AdversarySpec(FMAX_REGULAR_4_3, 3), MaxFlowGridPolicy(3))
+    @pytest.mark.parametrize("order_cost", [3, 100])
+    def test_regular_adversary_stops_after_first_order(self, order_cost):
+        outcome = adversary_run(
+            AdversarySpec(FMAX_REGULAR_4_3, order_cost), MaxFlowGridPolicy(order_cost)
+        )
         first_order = outcome.online.replenishments.times()[0]
         assert len(outcome.instance.jobs) == first_order + 1
         assert [job.release for job in outcome.instance.jobs] == list(
@@ -98,6 +101,9 @@ class TestMaxFlowGames:
         # on one-job-per-step inputs the ceiling bound is the exact optimum
         assert outcome.offline.total == lb_ceiling(outcome.instance)
         assert outcome.ratio >= 1.0
+        if order_cost == 100:
+            assert len(outcome.instance.jobs) == 201
+            assert outcome.offline.total == 301
 
 
 class TestDefaults:

@@ -111,6 +111,11 @@ class TestRatioCurves:
         with pytest.raises(SolverError, match="w2"):
             ratio_curve(WEIGHTED_GOLDEN, 10)
 
+    @pytest.mark.parametrize("kind", [SUM_CJ_3_2, SUM_FJ_3_2, FMAX_GENERAL_GOLDEN])
+    def test_w2_only_for_weighted(self, kind):
+        with pytest.raises(SolverError, match="w2 applies only to weighted_golden"):
+            ratio_curve(kind, 5, 0.5)
+
     @pytest.mark.parametrize("w2", [math.nan, math.inf])
     def test_weighted_rejects_w2_not_finite(self, w2):
         with pytest.raises(SolverError, match="finite w2"):
@@ -133,12 +138,13 @@ class TestRatioCurves:
 
     @pytest.mark.parametrize("kind", bounds.KINDS + ("no_such_game",))
     def test_curve_kinds_are_the_kinds_with_a_curve(self, kind):
+        w2 = 0.5 if kind == WEIGHTED_GOLDEN else None
         if kind in bounds.CURVE_KINDS:
-            point = ratio_curve(kind, 10, 0.5)
+            point = ratio_curve(kind, 10, w2)
             assert point.bound >= 1.0
         else:
             with pytest.raises(SolverError, match="no closed-form ratio curve"):
-                ratio_curve(kind, 10, 0.5)
+                ratio_curve(kind, 10, w2)
 
     def test_curve_shape(self):
         point = ratio_curve(SUM_CJ_3_2, 50)

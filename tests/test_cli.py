@@ -430,6 +430,8 @@ class TestInputErrors:
             (["adversary", "--kind", "weighted_golden", "--K", "5"], "w2"),
             (["validate", "--input", "{not_json}"], "malformed document"),
             (["validate", "--input", "{no_solution}"], "validate expects"),
+            (["bounds", "--curve", "sum_cj_3_2", "--K", "5", "--w2", "0.5"],
+             "w2 applies only to weighted_golden, not to sum_cj_3_2"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
@@ -529,7 +531,8 @@ def pinned_commands(paths):
     commands.append(["adversary", "--kind", "sum_cj_3_2", "--K", "5", "--policy", "immediate"])
     commands += [["bounds", "--input", paths[name]] for name in ("single", "stream")]
     for kind in ("sum_cj_3_2", "weighted_golden", "sum_fj_3_2", "fmax_general_golden"):
-        commands.append(["bounds", "--curve", kind, "--K", "5", "--w2", "0.5"])
+        w2 = ["--w2", "0.5"] if kind == "weighted_golden" else []
+        commands.append(["bounds", "--curve", kind, "--K", "5", *w2])
     for policy, extra in (
         ("sum-cj", ["--n", "5", "--seeds", "0:3"]),
         ("sum-fj", ["--n", "5", "--seeds", "2:5"]),
@@ -544,10 +547,15 @@ def pinned_commands(paths):
 # sha256 of the stdout of pinned_commands, gen outputs first, computed before
 # the CLI converted library errors in one place and knew each solver's
 # objectives.  Every successful output must keep every byte.  It was
-# recomputed once, when the adversaries began refusing w2 outside
+# recomputed twice.  First, when the adversaries began refusing w2 outside
 # weighted_golden: the sum_cj_3_2 and sum_fj_3_2 commands lost --w2 2, so
-# their payload job went from weight 2 to weight 1, and no other output moved.
-GOLDEN_CLI_DIGEST = "837892bd768007f8b535060558d8900acae4ac6aa245fa48ef71633181760694"
+# their payload job went from weight 2 to weight 1, and no other output
+# moved.  Second, when dp_wjcj_unit and dp_fmax_s1 took the smallest-vector
+# tie rule: 3 of the 59 outputs changed, each with the same totals (the two
+# dp-wjcj-unit commands on the weighted instance and the fmax_regular_4_3
+# adversary, whose offline side is dp_fmax_s1).  The three bounds curves
+# that lost --w2 0.5 then, now refused there, kept every byte.
+GOLDEN_CLI_DIGEST = "c914fac0b6c85f3b2b7ac86c767b4947887bdc92270a2f9c6cfbbfcd09bdb77f"
 
 
 def test_cli_outputs_are_pinned(capsys, tmp_path):

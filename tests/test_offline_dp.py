@@ -270,20 +270,22 @@ def golden_cases(seed):
     )
 
 
-# sha256 of the emitted DP solutions below, computed after dp_equalp came
-# to return the smallest (total, starts, orders) over its layered graph.
-# Of these 500 outputs, 12 (all dp_equalp: 5 of its 100 total-completion
-# and 7 of its 100 max-flow outputs) differ from those of the earlier
-# "first state found" rule, each with the same total; the other 300 did not
-# change (GOLDEN_OTHER_DP_DIGEST).  Every later DP change must keep every
-# byte, tie-breaks included.
-GOLDEN_DP_DIGEST = "0d613e92456d87e6d063d8f9961b05b31264efe48bcac74405d513470f6da5f5"
+# sha256 of the emitted DP solutions below, computed after every layered DP
+# came to return the smallest (total, starts, orders) over its graph.  When
+# dp_equalp took that rule, 12 of these 500 outputs changed (5 of its 100
+# total-completion and 7 of its 100 max-flow outputs).  When dp_wjcj_unit
+# and dp_fmax_s1 took it, 25 more changed (16 of dp_wjcj_unit's 100 and 9 of
+# dp_fmax_s1's 100).  Every change kept the total.  Every later DP change
+# must keep every byte, tie-breaks included.
+GOLDEN_DP_DIGEST = "c718bd641ccba049c0b026c3007e7dce63d1d9d6be48bdbd60142b75156fe185"
 
 
 # sha256 of the 300 emitted solutions of golden_cases from dp_wjcj_unit,
-# dp_fmax_s1 and fmax_unit_distinct, computed before dp_equalp's tie rule
-# changed: those solvers keep every byte.
-GOLDEN_OTHER_DP_DIGEST = "c25362c04f565718a41fadd59cc4e1bb040975a14e001cde289617ec42938734"
+# dp_fmax_s1 and fmax_unit_distinct, recomputed when dp_wjcj_unit and
+# dp_fmax_s1 took the smallest-vector tie rule: 25 of them changed (16 of
+# dp_wjcj_unit's and 9 of dp_fmax_s1's), each with the same total, and none
+# of fmax_unit_distinct's.
+GOLDEN_OTHER_DP_DIGEST = "bab1a8b3d96f285cb45996c09bc1c3d516bfdc3d2622ff726ac6f332cb528514"
 
 
 def test_dp_outputs_are_pinned():
@@ -314,10 +316,11 @@ def wjcj_tie_heavy_cases():
 
 
 # sha256 of the emitted dp_wjcj_unit solutions of wjcj_tie_heavy_cases,
-# computed while its partial solutions were still link chains.  Keeping the
-# last of equal states at a key instead of the first changes 132 of these
-# 300 outputs, so the digest pins which optimum wins, not just the total.
-GOLDEN_WJCJ_TIE_DIGEST = "da35758884d0b9cc6d1dd5dae1c965e098b3191bc95e8c1cad5d450a793521ce"
+# recomputed when dp_wjcj_unit came to return the smallest (total, starts,
+# orders) instead of the first state found: 70 of these 300 outputs
+# changed, each with the same total.  The digest pins which optimum wins,
+# not just the total.
+GOLDEN_WJCJ_TIE_DIGEST = "f5598926c37c5ba7978888ce38abad198d8d03b1d12dcf87103a58b4631a4275"
 
 
 def test_dp_wjcj_unit_tie_heavy_outputs_are_pinned():
@@ -552,3 +555,62 @@ def test_dp_equalp_is_the_least_path_of_its_graph(objective):
                     )
                     expected = emit_solution(least_graph_path(instance, objective))
                     assert emit_solution(dp_equalp(instance, objective)) == expected
+
+
+def least_fmax_path(instance):
+    """dp_fmax_s1's answer found by trying every set of order dates.
+
+    Every set of release dates that holds the last one is tried.  Each
+    order serves the jobs released since the previous order, as one
+    back-to-back block in (release, id) order, started once both the
+    machine and the order are ready.  The answer is the smallest (total,
+    start vector by job id, order mask per release date).
+    """
+    dates = instance.release_grid
+    ids = sorted(job.id for job in instance.jobs)
+    by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
+    best = None
+    for subset in range(1 << (len(dates) - 1)):
+        chosen = [date for k, date in enumerate(dates[:-1]) if subset >> k & 1] + [dates[-1]]
+        starts = {}
+        free = 0
+        served = -1
+        for date in chosen:
+            free = max(free, date)
+            for job in by_release:
+                if served < job.release <= date:
+                    starts[job.id] = free
+                    free += job.processing
+            served = date
+        flow = max(starts[job.id] + job.processing - job.release for job in instance.jobs)
+        path = (
+            flow + instance.single_resource_order_cost * len(chosen),
+            tuple(starts[job_id] for job_id in ids),
+            tuple(int(date in chosen) for date in dates),
+        )
+        if best is None or path < best:
+            best = path
+    total, starts, mask = best
+    events = tuple((date, R1) for date, ordered in zip(dates, mask) if ordered)
+    solution = evaluate_solution(
+        instance, Schedule(dict(zip(ids, starts))), ReplenishmentStructure(events),
+        Objective.MAX_FLOW,
+    )
+    assert solution.total == total
+    return solution
+
+
+def test_dp_fmax_s1_is_the_least_path_of_its_graph():
+    """Byte for byte, on tiny instances where optima often tie: every cost
+    from {0} or from {0, 1}, releases up to 6, n <= 7, p <= 3."""
+    rng = random.Random(1975)
+    for n in range(1, 8):
+        for max_processing in (1, 2, 3):
+            for costs in ((0,), (0, 1)):
+                for _ in range(4):
+                    instance = random_instance(
+                        rng, n, max_processing=max_processing, max_release=6,
+                        cost_choices=costs,
+                    )
+                    expected = emit_solution(least_fmax_path(instance))
+                    assert emit_solution(dp_fmax_s1(instance)) == expected
