@@ -38,6 +38,11 @@ def lb_ceiling(instance: Instance) -> int:
 
     Equals the max-flow offline optimum on one-job-per-step inputs; a lower
     bound in general.  Requires a single resource type.
+
+    Among the F giving the same count ceil(p_sum / F) the smallest is
+    best, and that is ceil(p_sum / count).  So the minimum visits one F per
+    distinct count, O(sqrt(p_sum)) of them, each the smallest F whose count
+    is below the previous one.
     """
     if instance.num_resources != 1:
         raise SolverError("lower bounds require a single resource type")
@@ -45,7 +50,13 @@ def lb_ceiling(instance: Instance) -> int:
     if p_sum == 0:
         return 0
     order_cost = instance.single_resource_order_cost
-    return min(order_cost * -(-p_sum // flow) + flow for flow in range(1, p_sum + 1))
+    best = order_cost * p_sum + 1
+    count = p_sum
+    while count > 1:
+        flow = -(-p_sum // (count - 1))
+        count = -(-p_sum // flow)
+        best = min(best, order_cost * count + flow)
+    return best
 
 
 def lb_sqrt(instance: Instance) -> float:

@@ -207,6 +207,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     else:
         if not args.input:
             raise _CliError("bounds needs --input or --curve")
+        if args.w2 is not None:
+            raise _CliError(f"w2 applies only to {bounds.WEIGHTED_GOLDEN}, not to --input")
         instance = parse_instance(_read_text(args.input))
         document = {
             "lb_ceiling": bounds.lb_ceiling(instance),

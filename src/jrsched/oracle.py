@@ -23,10 +23,18 @@ The evaluation runs in three steps:
    vector, its cheapest structure, ties going to the smallest
    (order times, resource subsets).
 3. The vectors are solved in ascending order of ordering cost plus a lower
-   bound on the scheduling cost, until a bound exceeds the best total.  A
-   vector no earlier anywhere than a solved one of strictly smaller
+   bound on the scheduling cost, until a bound exceeds the best total.  Two
+   bounds are used (see :func:`_residual_bounds`): a cheap one that
+   completes every job at its effective release plus its processing time,
+   and a tight one from the optimal preemptive schedule (SRPT for the sums,
+   preemptive EDD for max flow).  Every vector enters a heap under its cheap
+   bound; when it first reaches the top it goes back under its tight bound,
+   computed then, and it is solved only when popped under the tight one.
+   A vector no earlier anywhere than a solved one of strictly smaller
    ordering cost is skipped: the residual cost never falls as releases get
    later, so it costs strictly more.  Each vector is solved at most once.
+   Both bounds are at most the residual cost and the stop is strict, so
+   every vector that ties the optimum is still solved.
 
 Each structure left out either costs strictly more than another one or has
 the same effective releases and cost and a larger (order times, resource
@@ -47,6 +55,7 @@ on (order times, resource subsets), which identifies a structure.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -199,6 +208,85 @@ def _sequence_release_order(
     return worst, tuple(starts)
 
 
+def _preemptive_completions(
+    effective: tuple[int, ...], procs: tuple[int, ...], due: tuple[int, ...]
+) -> list[int]:
+    """Completion of each job when the machine always runs the released job
+    of smallest (due date, remaining time), preempting at every release.
+
+    Releases are the effective ones.  With every due date 0 this is SRPT,
+    optimal for 1|r_j,pmtn|sum C_j (Schrage, 1968); with the release dates
+    as due dates it is preemptive EDD, optimal for 1|r_j,pmtn|L_max (Horn,
+    1974), and so for the largest flow time.
+    """
+    n = len(effective)
+    arrivals = sorted(range(n), key=effective.__getitem__)
+    done = [0] * n
+    ready: list[tuple[int, int, int]] = []
+    now = 0
+    i = 0
+    while i < n or ready:
+        if not ready and effective[arrivals[i]] > now:
+            now = effective[arrivals[i]]
+        while i < n and effective[arrivals[i]] <= now:
+            j = arrivals[i]
+            heapq.heappush(ready, (due[j], procs[j], j))
+            i += 1
+        key, left, j = heapq.heappop(ready)
+        if i < n and now + left > effective[arrivals[i]]:
+            heapq.heappush(ready, (key, now + left - effective[arrivals[i]], j))
+            now = effective[arrivals[i]]
+        else:
+            now += left
+            done[j] = now
+    return done
+
+
+def _residual_bounds(
+    jobs_data: tuple[tuple[int, int, int], ...], objective: Objective
+) -> tuple[Callable[[tuple[int, ...]], int], Callable[[tuple[int, ...]], int]]:
+    """A cheap and a tight lower bound on the residual cost of an
+    effective-release vector, both folded through ``CRITERIA``.
+
+    The cheap bound completes every job at its effective release plus its
+    processing time.  The tight bound takes the completions of the
+    preemptive schedule that is optimal for the criterion (see
+    :func:`_preemptive_completions`): SRPT for the sums, preemptive EDD with
+    the release dates as due dates for max flow.  A weighted sum is split at
+    the least weight w: w times the SRPT sum, plus each job's weight above w
+    at its cheap completion.  The unweighted criteria ignore the weights, so
+    the split would count them twice.  No job completes before its cheap
+    completion, so cheap <= tight.  Every order the residual DP places is
+    also a preemptive schedule, no better than the optimal one for the
+    criterion (for a weighted sum, for its part at the least weight), so
+    tight <= the cost :func:`_sequence_exact` returns.
+    """
+    releases, procs, weights = (tuple(column) for column in zip(*jobs_data))
+    job_value, combine = CRITERIA[objective]
+    due = (0,) * len(jobs_data) if combine is operator.add else releases
+    excess = None
+    if objective in (Objective.WEIGHTED_COMPLETION, Objective.WEIGHTED_FLOW):
+        least = min(weights)
+        excess = tuple(w - least for w in weights)
+        weights_at_srpt = (least,) * len(weights)
+    else:
+        weights_at_srpt = weights
+
+    def cheap(effective: tuple[int, ...]) -> int:
+        completions = map(operator.add, effective, procs)
+        return reduce(combine, map(job_value, weights, releases, completions), 0)
+
+    def tight(effective: tuple[int, ...]) -> int:
+        floor = 0
+        if excess is not None:
+            earliest = map(operator.add, effective, procs)
+            floor = sum(map(job_value, excess, releases, earliest))
+        completions = _preemptive_completions(effective, procs, due)
+        return reduce(combine, map(job_value, weights_at_srpt, releases, completions), floor)
+
+    return cheap, tight
+
+
 def _cover_vector(
     times: tuple[int, ...], needing: tuple[tuple[int, int], ...], n: int
 ) -> tuple[int, ...] | None:
@@ -338,28 +426,27 @@ def _solve_over_points(
         raise SolverError("no feasible replenishment structure exists")
 
     jobs_data = tuple((job.release, job.processing, job.weight) for job in jobs)
-    releases = tuple(job.release for job in jobs)
-    procs = tuple(job.processing for job in jobs)
-    weights = tuple(job.weight for job in jobs)
     use_edd = objective is Objective.MAX_FLOW and s == 1
-    job_value, combine = CRITERIA[objective]
+    cheap_bound, tight_bound = _residual_bounds(jobs_data, objective)
 
-    def sched_lower_bound(eff: tuple[int, ...]) -> int:
-        completions = map(operator.add, eff, procs)
-        return reduce(combine, map(job_value, weights, releases, completions), 0)
-
-    # Cheapest bound first: once a bound exceeds the best total, so do all
-    # later ones.  A vector no earlier anywhere than a solved one of strictly
-    # smaller ordering cost has a residual no cheaper, so it costs strictly
-    # more than that one and cannot even tie.
-    queue = sorted(
-        (repl + sched_lower_bound(eff), repl, eff) for eff, (repl, _, _) in cheapest.items()
-    )
+    # A heap ordered by ordering cost plus a residual bound.  Each vector
+    # enters under its cheap bound; when it first reaches the top it goes
+    # back under its tight bound, and it is solved only when popped under
+    # that one.  Once a bound exceeds the best total, so do all later ones.
+    # A vector no earlier anywhere than a solved one of strictly smaller
+    # ordering cost has a residual no cheaper, so it costs strictly more
+    # than that one and cannot even tie.
+    heap = [(repl + cheap_bound(eff), repl, eff, False) for eff, (repl, _, _) in cheapest.items()]
+    heapq.heapify(heap)
     best: tuple | None = None  # (total, times, starts, subsets)
     solved: list[tuple[int, tuple[int, ...]]] = []
-    for bound, repl, eff in queue:
+    while heap:
+        bound, repl, eff, tight = heapq.heappop(heap)
         if best is not None and bound > best[0]:
             break
+        if not tight:
+            heapq.heappush(heap, (repl + tight_bound(eff), repl, eff, True))
+            continue
         if any(
             done_repl < repl and all(map(operator.le, done_eff, eff))
             for done_repl, done_eff in solved
@@ -396,6 +483,11 @@ def exact_solve(
     times are those its residual sequencing returns.  Under max flow with
     one resource that sequencing is release order, so the start vector need
     not be the smallest among the optimal ones for that structure.
+
+    A residual is sequenced only when ordering cost plus a preemptive lower
+    bound on it (SRPT for the sums, preemptive EDD for max flow, computed
+    once the vector reaches the top of a heap ordered by a cheaper bound)
+    does not exceed the best total found; the tie rule is unaffected.
     """
     if limits is None:
         limits = OracleLimits()

@@ -42,6 +42,14 @@ class TestInstanceBounds:
         for order_cost in (1, 4, 9):
             assert lb_ceiling(unit_block_instance(1, order_cost)) == order_cost + 1
 
+    def test_ceiling_matches_the_minimum_over_every_flow(self):
+        # one job of processing p_sum: only the sum and the order cost matter
+        for order_cost in (0, 1, 2, 5, 13):
+            for p_sum in range(1, 401):
+                inst = Instance(1, order_cost, (0,), (Job(1, 0, p_sum, R1),))
+                brute = min(order_cost * ((p_sum + f - 1) // f) + f for f in range(1, p_sum + 1))
+                assert lb_ceiling(inst) == brute, (p_sum, order_cost)
+
     def test_ceiling_empty(self):
         assert lb_ceiling(Instance(1, 5, (0,), ())) == 0
 

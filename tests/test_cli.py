@@ -432,10 +432,13 @@ class TestInputErrors:
             (["validate", "--input", "{no_solution}"], "validate expects"),
             (["bounds", "--curve", "sum_cj_3_2", "--K", "5", "--w2", "0.5"],
              "w2 applies only to weighted_golden, not to sum_cj_3_2"),
+            (["bounds", "--input", "{one}", "--w2", "0.5"],
+             "w2 applies only to weighted_golden, not to --input"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
         paths = {
+            "one": write(tmp_path, "one.json", json.dumps(WALKTHROUGH)),
             "two": write(tmp_path, "two.json", json.dumps(TWO_RESOURCES)),
             "not_json": write(tmp_path, "not.json", "{not json"),
             "no_solution": write(tmp_path, "half.json", json.dumps({"instance": WALKTHROUGH})),

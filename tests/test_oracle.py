@@ -28,7 +28,12 @@ from jrsched.model import (
     empty_solution,
     evaluate_solution,
 )
-from jrsched.oracle import _cover_vector, _sequence_exact, _sequence_release_order
+from jrsched.oracle import (
+    _cover_vector,
+    _residual_bounds,
+    _sequence_exact,
+    _sequence_release_order,
+)
 from conftest import R1, random_instance, single_job_instance, walkthrough_instance
 
 
@@ -229,6 +234,38 @@ class TestResidualSequencing:
                 assert _sequence_exact(effective, jobs_data, objective) == expected[objective], (
                     effective, jobs_data, objective
                 )
+
+
+class TestResidualBounds:
+    def test_cheap_below_tight_below_residual(self):
+        rng = random.Random(4242)
+        for trial in range(400):
+            n = 1 + trial % 6
+            releases = [rng.randint(0, 6) for _ in range(n)]
+            effective = tuple(r + rng.choice((0, 0, rng.randint(1, 5))) for r in releases)
+            jobs_data = tuple((r, rng.randint(1, 4), rng.randint(1, 4)) for r in releases)
+            for objective in Objective:
+                cheap, tight = _residual_bounds(jobs_data, objective)
+                residual = _sequence_exact(effective, jobs_data, objective)[0]
+                assert cheap(effective) <= tight(effective) <= residual, (
+                    effective, jobs_data, objective
+                )
+
+    def test_tight_on_unit_jobs(self):
+        # with unit jobs and integer releases the preemptive schedules never
+        # preempt, so the bound is the residual itself for every criterion
+        # that ignores the weights
+        rng = random.Random(99)
+        for trial in range(200):
+            n = 1 + trial % 7
+            releases = [rng.randint(0, 5) for _ in range(n)]
+            effective = tuple(r + rng.choice((0, rng.randint(1, 3))) for r in releases)
+            jobs_data = tuple((r, 1, rng.randint(1, 3)) for r in releases)
+            for objective in (Objective.TOTAL_COMPLETION, Objective.TOTAL_FLOW,
+                              Objective.MAX_FLOW):
+                _, tight = _residual_bounds(jobs_data, objective)
+                residual = _sequence_exact(effective, jobs_data, objective)[0]
+                assert tight(effective) == residual, (effective, jobs_data, objective)
 
 
 def brute_force_sequence(effective, jobs_data):
