@@ -27,6 +27,7 @@ from .bounds import (
     KINDS,
     SUM_CJ_3_2,
     SUM_FJ_3_2,
+    W2_MISPLACED,
     WEIGHTED_GOLDEN,
 )
 from .model import Instance, Job, Objective, Solution
@@ -62,7 +63,7 @@ class AdversarySpec:
             if self.w2 is None or self.w2 < 1:
                 raise ValueError("the weighted adversary needs an integer weight w2 >= 1")
         elif self.w2 is not None:
-            raise ValueError(f"w2 applies only to {WEIGHTED_GOLDEN}, not to {self.kind}")
+            raise ValueError(W2_MISPLACED.format(self.kind))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ FMAX_GENERAL_GOLDEN = "fmax_general_golden"
 KINDS = (SUM_CJ_3_2, WEIGHTED_GOLDEN, SUM_FJ_3_2, FMAX_REGULAR_4_3, FMAX_GENERAL_GOLDEN)
 # The games with a closed-form ratio curve (see :func:`ratio_curve`).
 CURVE_KINDS = (SUM_CJ_3_2, WEIGHTED_GOLDEN, SUM_FJ_3_2, FMAX_GENERAL_GOLDEN)
+# The refusal of a w2 given where it is not read; format with what was given.
+W2_MISPLACED = f"w2 applies only to {WEIGHTED_GOLDEN}, not to {{}}"
 
 
 def lb_ceiling(instance: Instance) -> int:
@@ -38,11 +40,6 @@ def lb_ceiling(instance: Instance) -> int:
 
     Equals the max-flow offline optimum on one-job-per-step inputs; a lower
     bound in general.  Requires a single resource type.
-
-    Among the F giving the same count ceil(p_sum / F) the smallest is
-    best, and that is ceil(p_sum / count).  So the minimum visits one F per
-    distinct count, O(sqrt(p_sum)) of them, each the smallest F whose count
-    is below the previous one.
     """
     if instance.num_resources != 1:
         raise SolverError("lower bounds require a single resource type")
@@ -50,6 +47,8 @@ def lb_ceiling(instance: Instance) -> int:
     if p_sum == 0:
         return 0
     order_cost = instance.single_resource_order_cost
+    # For each count ceil(p_sum / F) only its smallest F can be the minimum,
+    # so the walk visits one F per distinct count, O(sqrt(p_sum)) of them.
     best = order_cost * p_sum + 1
     count = p_sum
     while count > 1:
@@ -135,7 +134,7 @@ def ratio_curve(kind: str, order_cost: int, w2: float | None = None) -> RatioCur
         raise SolverError("order cost must be >= 1")
     c1, c2, limit = _curves(kind, order_cost, w2)
     if w2 is not None and kind != WEIGHTED_GOLDEN:
-        raise SolverError(f"w2 applies only to {WEIGHTED_GOLDEN}, not to {kind}")
+        raise SolverError(W2_MISPLACED.format(kind))
     best: tuple[float, int, float, float] | None = None
     cap = 3 * order_cost + 30
     for t in range(cap + 1):

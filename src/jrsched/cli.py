@@ -208,7 +208,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         if not args.input:
             raise _CliError("bounds needs --input or --curve")
         if args.w2 is not None:
-            raise _CliError(f"w2 applies only to {bounds.WEIGHTED_GOLDEN}, not to --input")
+            raise _CliError(bounds.W2_MISPLACED.format("--input"))
         instance = parse_instance(_read_text(args.input))
         document = {
             "lb_ceiling": bounds.lb_ceiling(instance),

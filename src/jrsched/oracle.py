@@ -429,13 +429,8 @@ def _solve_over_points(
     use_edd = objective is Objective.MAX_FLOW and s == 1
     cheap_bound, tight_bound = _residual_bounds(jobs_data, objective)
 
-    # A heap ordered by ordering cost plus a residual bound.  Each vector
-    # enters under its cheap bound; when it first reaches the top it goes
-    # back under its tight bound, and it is solved only when popped under
-    # that one.  Once a bound exceeds the best total, so do all later ones.
-    # A vector no earlier anywhere than a solved one of strictly smaller
-    # ordering cost has a residual no cheaper, so it costs strictly more
-    # than that one and cannot even tie.
+    # Step 3 of the module docstring.  The stop is strict, so every vector
+    # that ties the best total is still solved.
     heap = [(repl + cheap_bound(eff), repl, eff, False) for eff, (repl, _, _) in cheapest.items()]
     heapq.heapify(heap)
     best: tuple | None = None  # (total, times, starts, subsets)
@@ -484,10 +479,7 @@ def exact_solve(
     one resource that sequencing is release order, so the start vector need
     not be the smallest among the optimal ones for that structure.
 
-    A residual is sequenced only when ordering cost plus a preemptive lower
-    bound on it (SRPT for the sums, preemptive EDD for max flow, computed
-    once the vector reaches the top of a heap ordered by a cheaper bound)
-    does not exceed the best total found; the tie rule is unaffected.
+    Which residuals get sequenced is step 3 of the module docstring.
     """
     if limits is None:
         limits = OracleLimits()
