@@ -50,10 +50,10 @@ from .online import (
 )
 from .oracle import OracleLimits, exact_solve, exact_solve_fine_grid
 
-# --algo name -> (solver called as f(instance, objective, limits), the objectives it solves)
-_SOLVERS: dict[
-    str, tuple[Callable[[Instance, Objective, OracleLimits], Solution], tuple[Objective, ...]]
-] = {
+# --algo name -> (solver called as f(instance, objective, limits or None), its objectives)
+_SOLVERS: dict[str, tuple[
+    Callable[[Instance, Objective, OracleLimits | None], Solution], tuple[Objective, ...]
+]] = {
     "oracle": (exact_solve, tuple(Objective)),
     "oracle-fine": (exact_solve_fine_grid, tuple(Objective)),
     "dp-wjcj-unit": (
@@ -113,9 +113,16 @@ def _make_policy(name: str, order_cost: int) -> OnlinePolicy:
         raise _CliError(str(exc)) from None
 
 
-def _oracle_limits(args: argparse.Namespace) -> OracleLimits:
+def _oracle_limits(args: argparse.Namespace) -> OracleLimits | None:
+    """The caps for an oracle; None for the other solvers, which refuse them."""
+    given = {name: value for name in ("max_jobs", "max_grid_subsets")
+             if (value := getattr(args, name)) is not None}
+    if args.algo not in ("oracle", "oracle-fine"):
+        if given:
+            raise _CliError(f"--algo {args.algo} reads no --max-jobs or --max-grid-subsets")
+        return None
     try:
-        return OracleLimits(max_jobs=args.max_jobs, max_grid_subsets=args.max_grid_subsets)
+        return OracleLimits(**given)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
 
@@ -194,7 +201,8 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.curve:
-        point = bounds.ratio_curve(args.curve, args.order_cost, args.w2)
+        order_cost = 1 if args.order_cost is None else args.order_cost
+        point = bounds.ratio_curve(args.curve, order_cost, args.w2)
         document = {
             "kind": args.curve,
             "K": point.order_cost,
@@ -209,6 +217,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise _CliError("bounds needs --input or --curve")
         if args.w2 is not None:
             raise _CliError(bounds.W2_MISPLACED.format("--input"))
+        if args.order_cost is not None:
+            raise _CliError("--K applies only to --curve; an --input instance has its own costs")
         instance = parse_instance(_read_text(args.input))
         document = {
             "lb_ceiling": bounds.lb_ceiling(instance),
@@ -325,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solvers for single-machine scheduling with jointly replenished resources.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_limits = OracleLimits()
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
@@ -348,8 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=list(_SOLVERS))
     p.add_argument("--objective", choices=sorted(obj.value for obj in Objective), default=None)
     p.add_argument("--input", required=True, help="instance document path, - for stdin")
-    p.add_argument("--max-jobs", type=int, default=default_limits.max_jobs)
-    p.add_argument("--max-grid-subsets", type=int, default=default_limits.max_grid_subsets)
+    p.add_argument("--max-jobs", type=int, help=f"oracle cap (default {OracleLimits.max_jobs})")
+    p.add_argument("--max-grid-subsets", type=int,
+                   help=f"oracle cap (default {OracleLimits.max_grid_subsets})")
     add_output(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -375,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--input", default=None)
     source.add_argument("--curve", choices=bounds.CURVE_KINDS, default=None)
-    p.add_argument("--K", dest="order_cost", type=int, default=1)
+    p.add_argument("--K", dest="order_cost", type=int, help="order cost of --curve (default 1)")
     p.add_argument("--w2", type=float, default=None)
     add_output(p)
     p.set_defaults(func=_cmd_bounds)

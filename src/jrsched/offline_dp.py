@@ -28,11 +28,11 @@ read:
 
 A partial solution carries its value, its start vector, indexed by sorted
 job id with 0 for a job not yet placed, and its order vector, one mask per
-layer; the winner's schedule and orders are read from the vectors.  The
-two max-flow DPs share their passes: a Pareto pass over (worst flow, order
-cost) finds the optimum and every final flow F that attains it, and one
-pass per F, with every block's flow capped at F, keeps per key the
-smallest (order cost, start vector, order vector).
+layer; the winner's schedule and orders are read from the vectors.  All
+three layered DPs run on :func:`_least`, an exact pass that keeps per key
+the smallest (value, start vector, order vector).  The max-flow DPs first
+find the optimum and every optimal final flow F by a Pareto pass over
+(worst flow, order cost), then run one exact pass per F, blocks capped at F.
 
 One tie rule holds for every solver: it returns the smallest (total, start
 vector, order vector) over the solutions its graph represents.  Two
@@ -103,14 +103,17 @@ class _Graph(NamedTuple):
     edges: Callable[[int, bool], Callable[[Hashable, int, float], list[tuple]]]
 
 
-def _least(graph: _Graph, cap: float, budget: float) -> tuple | None:
+def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple | None:
     """Smallest (value, starts, orders) over the complete paths of ``graph``
     with blocks under ``cap`` and value at most ``budget``.  A path's value
-    is its order costs plus what its blocks add."""
+    is its order costs plus what its blocks add.  ``sizes``, when given,
+    receives the number of states of each layer."""
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
     layers[0][graph.start] = (0, (0,) * graph.jobs, (0,) * graph.layers)
     best = None
     for idx in range(graph.layers):
+        if sizes is not None:
+            sizes.append(len(layers[idx]))
         blocks_for = graph.edges(idx, True)
         for key, (value, starts, masks) in layers[idx].items():
             for mask, order_cost in graph.orders:
@@ -222,13 +225,14 @@ def _least_max_flow(graph: _Graph, undominated: Callable[[list], list]) -> tuple
 def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     """Optimal weighted total completion time plus ordering cost, unit jobs.
 
-    Layers run over the distinct release dates plus one horizon layer.  A
-    state is keyed on the last ordering time per resource and the set of
-    scheduled jobs, which is all that later layers read; its value is the
-    weighted completion time plus the ordering cost so far, both of which
-    add up.  Expanding a state orders any resource subset at the layer date,
-    then greedily starts the largest-weight ready jobs, as many as fit before
-    the next layer.
+    The layers are the distinct release dates.  A state is keyed on the last
+    ordering time per resource and the set of scheduled jobs, which is all
+    that later layers read; its value is the weighted completion time plus
+    the ordering cost so far, both of which add up.  Each order mask at the
+    layer date leads to one block: the largest-weight ready jobs, as many as
+    fit before the next date.  At the last date the block completes the path
+    if it schedules every job, and otherwise it has no edge.  One exact pass
+    of the shared driver returns the answer under the module's tie rule.
 
     The key holds the scheduled set itself, not just how many jobs of each
     class (jobs sharing a required resource subset) are done.  Counts alone
@@ -236,13 +240,8 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     scheduled different weight profiles, and the cheaper prefix may have the
     worse continuation, so merging on counts can lose the optimum.
 
-    A partial solution carries its start vector, indexed by sorted job id
-    with 0 for a job not yet placed, and its order vector, one resource mask
-    per layer, as in :func:`dp_equalp`.  Each key keeps its smallest
-    (value, start vector, order vector), and the answer is the smallest
-    complete one.
-
-    ``stats``, when given, receives ``states_per_layer`` for bound checks.
+    ``stats``, when given, receives ``states_per_layer``, the number of
+    states at each release date, for bound checks.
     """
     objective = Objective.WEIGHTED_COMPLETION
     for job in instance.jobs:
@@ -264,58 +263,49 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
         for job in sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
     ]
 
-    # key: (last order time per resource, -1 if never, scheduled positions)
-    # value: (weighted completion plus order cost, start per position or 0
-    # while unplaced, order mask per layer)
-    layer: dict[tuple, tuple] = {
-        ((-1,) * s, frozenset()): (0, (0,) * n, (0,) * (len(layer_times) - 1))
-    }
-    if stats is not None:
-        stats["states_per_layer"] = [len(layer)]
+    def edges(idx: int, exact: bool):
+        """The one block of each (key, mask) at layer ``idx`` (see
+        :class:`_Graph`); every pass is exact."""
+        tau = layer_times[idx]
+        window = layer_times[idx + 1] - tau
+        target = None if idx + 2 == len(layer_times) else idx + 1
 
-    for k, tau in enumerate(layer_times[:-1]):
-        window = layer_times[k + 1] - tau
-        nxt: dict[tuple, tuple] = {}
-        for (betas, scheduled), (value, starts, masks) in layer.items():
-            for mask, (_, order_cost) in enumerate(orders):
-                new_betas = tuple(tau if mask >> i & 1 else betas[i] for i in range(s))
-                chosen: list = []
-                for weight, pos, release, needs in by_weight:
-                    if pos in scheduled:
-                        continue
-                    for i in needs:
-                        if release > new_betas[i]:
-                            break
-                    else:
-                        chosen.append((weight, pos))
-                        if len(chosen) == window:
-                            break
-
-                new_value = value + order_cost
-                for offset, (weight, _) in enumerate(chosen):
-                    new_value += weight * (tau + offset + 1)
-                key = (new_betas, scheduled.union(pos for _, pos in chosen))
-                incumbent = nxt.get(key)
-                if incumbent is not None and new_value > incumbent[0]:
+        def blocks_for(key: tuple, mask: int, cap: float) -> list[tuple]:
+            betas, scheduled = key
+            if mask:
+                betas = tuple(tau if mask >> i & 1 else betas[i] for i in range(s))
+            chosen: list = []
+            for weight, pos, release, needs in by_weight:
+                if pos in scheduled:
                     continue
-                new_starts = starts
-                if chosen:
-                    placed = list(starts)
-                    for offset, (_, pos) in enumerate(chosen):
-                        placed[pos] = tau + offset
-                    new_starts = tuple(placed)
-                new_masks = masks[:k] + (mask,) + masks[k + 1:] if mask else masks
-                state = (new_value, new_starts, new_masks)
-                if incumbent is None or state < incumbent:
-                    nxt[key] = state
-        layer = nxt
-        if stats is not None:
-            stats["states_per_layer"].append(len(layer))
+                for i in needs:
+                    if release > betas[i]:
+                        break
+                else:
+                    chosen.append((weight, pos))
+                    if len(chosen) == window:
+                        break
+            done = scheduled.union(pos for _, pos in chosen)
+            if target is None and len(done) < n:
+                return []
+            added = 0
+            placed = [0] * n if chosen else []
+            for offset, (weight, pos) in enumerate(chosen):
+                added += weight * (tau + offset + 1)
+                placed[pos] = tau + offset
+            return [((betas, done), target, added, tuple(placed))]
 
-    # ordering every resource at the last release always leaves a complete state
-    _, starts, masks = min(
-        state for (_, scheduled), state in layer.items() if len(scheduled) == n
+        return blocks_for
+
+    # key: (last order time per resource, -1 if never, scheduled positions)
+    graph = _Graph(
+        len(layer_times) - 1, n, ((-1,) * s, frozenset()),
+        [(mask, cost) for mask, (_, cost) in enumerate(orders)], edges,
     )
+    sizes = None
+    if stats is not None:
+        sizes = stats["states_per_layer"] = []
+    _, starts, masks = _least(graph, math.inf, math.inf, sizes)
     schedule = Schedule(dict(zip(ids, starts)))
     events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
     return evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)

@@ -189,6 +189,11 @@ class TestBounds:
         assert document["t"] in (48, 49)
         assert document["bound"] < 1.5
 
+    def test_curve_order_cost_defaults_to_one(self, capsys):
+        out, _ = run_cli(capsys, ["bounds", "--curve", "sum_cj_3_2"])
+        assert out == run_cli(capsys, ["bounds", "--curve", "sum_cj_3_2", "--K", "1"])[0]
+        assert json.loads(out)["K"] == 1
+
     def test_needs_input_or_curve(self, capsys):
         _, err = run_cli(capsys, ["bounds"], expect=1)
         assert "--input or --curve" in err
@@ -434,6 +439,9 @@ class TestInputErrors:
              "w2 applies only to weighted_golden, not to sum_cj_3_2"),
             (["bounds", "--input", "{one}", "--w2", "0.5"],
              "w2 applies only to weighted_golden, not to --input"),
+            (["bounds", "--input", "{one}", "--K", "7"], "--K applies only to --curve"),
+            (["solve", "--algo", "dp-equalp", "--objective", "max_flow", "--input", "{one}",
+              "--max-jobs", "1"], "--algo dp-equalp reads no --max-jobs or --max-grid-subsets"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):

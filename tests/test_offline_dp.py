@@ -78,7 +78,11 @@ class TestWeightedUnit:
             stats = {}
             dp_wjcj_unit(inst, stats)
             bound = n ** (3 * s + 2)
+            assert len(stats["states_per_layer"]) == len(inst.release_grid)
             assert all(count <= bound for count in stats["states_per_layer"])
+        stats = {}
+        dp_wjcj_unit(random_instance(random.Random(7), 7, s=2, max_weight=3), stats)
+        assert stats["states_per_layer"] == [1, 4, 9, 20, 45, 66]
 
 
 class TestEqualProcessing:

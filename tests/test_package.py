@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,20 @@ def test_lazy_export_is_its_home_modules_object(name):
     # classes and functions are defined in their home, not re-exported there
     if hasattr(value, "__qualname__"):
         assert value.__module__ == home.__name__
+
+
+def test_every_benchmark_wrapped_name_resolves():
+    # the benchmark replaces these attributes; a dropped import would break
+    # only its own suite, which Tier-1 does not run
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attribute}" for module, attribute, _, _ in tracing.WRAPPED
+        if not callable(getattr(importlib.import_module(f"jrsched.{module}"), attribute, None))
+    ]
+    assert missing == []
 
 
 def test_unknown_name_raises_attribute_error():
