@@ -230,9 +230,9 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     that later layers read; its value is the weighted completion time plus
     the ordering cost so far, both of which add up.  Each order mask at the
     layer date leads to one block: the largest-weight ready jobs, as many as
-    fit before the next date.  At the last date the block completes the path
-    if it schedules every job, and otherwise it has no edge.  One exact pass
-    of the shared driver returns the answer under the module's tie rule.
+    fit before the next date, or the horizon after the last.  There the block
+    completes the path if it schedules every job, and otherwise it has no
+    edge.  One exact pass of the shared driver keeps the module's tie rule.
 
     The key holds the scheduled set itself, not just how many jobs of each
     class (jobs sharing a required resource subset) are done.  Counts alone
