@@ -21,7 +21,16 @@ The evaluation runs in three steps:
    vector and is strictly cheaper (see :func:`_resource_candidates`).
 2. One pass over the structures keeps, for each distinct effective-release
    vector, its cheapest structure, ties going to the smallest
-   (order times, resource subsets).
+   (order times, resource subsets).  Each time set carries a cover code in
+   which every job owns a field of bits, and a job whose first order at or
+   after its release is at point index b has the low b + 1 bits of its
+   field set.  The points are ascending, so OR on two fields keeps the
+   later covering point: OR on the codes is the per-job maximum, and a
+   structure's effective releases are the OR of its time sets' codes, one
+   int.  The pass walks the product of every resource but the last, folds
+   each prefix once into (union of masks, code, item cost), and then spends
+   a few int operations and one dict lookup on each time set of the last
+   resource (see :func:`_cheapest_structures`).
 3. The vectors are solved in ascending order of ordering cost plus a lower
    bound on the scheduling cost, until a bound exceeds the best total.  Two
    bounds are used (see :func:`_residual_bounds`): a cheap one that
@@ -55,6 +64,7 @@ on (order times, resource subsets), which identifies a structure.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -287,54 +297,57 @@ def _residual_bounds(
     return cheap, tight
 
 
-def _cover_vector(
-    times: tuple[int, ...], needing: tuple[tuple[int, int], ...], n: int
-) -> tuple[int, ...] | None:
-    """First ordering time at/after each needing job's release, 0 elsewhere.
-
-    Returns None when some needing job is never covered.
-    """
-    cover = [0] * n
-    for idx, release in needing:
-        for t in times:
-            if t >= release:
-                cover[idx] = t
-                break
-        else:
-            return None
-    return tuple(cover)
-
-
 def _resource_candidates(
     points: tuple[int, ...],
-    needing: tuple[tuple[int, int], ...],
+    needing: list[tuple[int, int, list[int]]],
     item_cost: int,
     n: int,
     size_cap: int,
     idle_order_costs: bool,
-) -> list[tuple[int, int, tuple[int, ...]]]:
+) -> list[tuple[int, int, int, tuple[int, ...]]]:
     """All usable ordering-time sets of at most ``size_cap`` points for one
     resource, by size.
 
-    Each entry is (bitmask over points, item-cost term, cover vector).
-    Orders that cover no job can always be dropped without raising the cost,
-    so capping at the number of jobs needing the resource loses nothing.
-    With ``idle_order_costs`` set, an order that covers no job first costs
-    something, so a set holding one is strictly dearer than the same set
-    without it, which has the same cover vector; such sets are dropped.
-    Without it they stay, since a free order can win the tie on the key.
+    ``needing`` holds (job index, index of the first point at or after its
+    release, the job's row of cover codes) for every job needing the
+    resource, in order of that point; ``row[b - first]`` codes the job
+    covered at point b.  Each entry is (bitmask over points, item-cost term,
+    cover code, cover vector), where the cover vector holds each needing
+    job's first ordering time at or after its release and 0 elsewhere, and
+    the cover code ORs the needing jobs' codes; sets that leave a needing
+    job uncovered are skipped.  Orders that cover no job can always be
+    dropped without raising the cost, so capping at the number of jobs
+    needing the resource loses nothing.  With ``idle_order_costs`` set, an
+    order that covers no job first costs something, so a set holding one is
+    strictly dearer than the same set without it, which has the same cover
+    vector; such sets are dropped.  Without it they stay, since a free order
+    can win the tie on the key.
     """
     m = len(points)
+    last_first = needing[-1][1] if needing else -1
     out = []
     for k in range(min(size_cap, m) + 1):
         for combo in itertools.combinations(range(m), k):
-            times = tuple(points[b] for b in combo)
-            cover = _cover_vector(times, needing, n)
-            if cover is None:
+            if needing and (not combo or combo[-1] < last_first):
                 continue
-            if idle_order_costs and len({cover[idx] for idx, _ in needing}) < k:
+            cover = [0] * n
+            code = 0
+            used = 0  # points that cover some job first
+            previous = -1
+            # needing is in order of first point, so each job's covering
+            # point is no earlier than the one before it
+            for idx, first, row in needing:
+                for b in combo:
+                    if b >= first:
+                        break
+                cover[idx] = points[b]
+                code |= row[b - first]
+                if b != previous:
+                    used += 1
+                    previous = b
+            if idle_order_costs and used < k:
                 continue
-            out.append((sum(1 << b for b in combo), item_cost * k, cover))
+            out.append((sum(1 << b for b in combo), item_cost * k, code, tuple(cover)))
     return out
 
 
@@ -344,6 +357,95 @@ def _enumeration_size(points: int, caps: list[int]) -> int:
     return math.prod(
         sum(math.comb(points, k) for k in range(min(cap, points) + 1)) for cap in caps
     )
+
+
+def _structure_key(
+    points: tuple[int, ...], masks: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(order times, resource subset per time) of the structure that orders
+    resource i at the points of ``masks[i - 1]``, walking only the points
+    some resource is ordered at."""
+    union = reduce(operator.or_, masks)
+    times = []
+    subsets = []
+    while union:
+        low = union & -union
+        times.append(points[low.bit_length() - 1])
+        subsets.append(tuple([i for i, mask in enumerate(masks, 1) if mask & low]))
+        union ^= low
+    return tuple(times), tuple(subsets)
+
+
+def _cheapest_structures(
+    instance: Instance, points: tuple[int, ...], caps: list[int]
+) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
+    """Step 2 of the module docstring: each distinct effective-release
+    vector's cheapest structure, as (ordering cost, time-set mask per
+    resource), ties going to the smallest :func:`_structure_key`.
+
+    Resource i's time sets are those of at most ``caps[i]`` points.  With
+    m = ``len(points)``, job j's field in a cover code is bits j*m to
+    j*m + m - 1; ``rows[j]`` holds its codes from the first point at or
+    after its release on.  The effective releases of a held structure are
+    read from its time sets' cover vectors once, when the pass is over.  A
+    held structure's key is computed only when one of equal cost first
+    needs it.
+    """
+    jobs = instance.jobs
+    n = len(jobs)
+    m = len(points)
+    s = instance.num_resources
+    joint = instance.joint_cost
+    firsts = [bisect.bisect_left(points, job.release) for job in jobs]
+    rows = [
+        [((2 << b) - 1) << (j * m) for b in range(first, m)] for j, first in enumerate(firsts)
+    ]
+    candidates = []
+    for i in range(s):
+        needing = sorted(
+            ((j, firsts[j], rows[j]) for j, job in enumerate(jobs) if i + 1 in job.resources),
+            key=operator.itemgetter(1),
+        )
+        item_cost = instance.item_costs[i]
+        idle_order_costs = item_cost > 0 or (s == 1 and joint > 0)
+        candidates.append(
+            _resource_candidates(points, needing, item_cost, n, caps[i], idle_order_costs)
+        )
+
+    # code -> (ordering cost, prefix time sets, last mask, last cover, key or None)
+    cheapest: dict[int, tuple] = {}
+    get = cheapest.get
+    for prefix in itertools.product(*candidates[:-1]):
+        prefix_union = prefix_code = prefix_cost = 0
+        for mask, cost_term, code, _ in prefix:
+            prefix_union |= mask
+            prefix_code |= code
+            prefix_cost += cost_term
+        prefix_masks = tuple([entry[0] for entry in prefix])
+        for mask, cost_term, code, cover in candidates[-1]:
+            eff_code = prefix_code | code
+            repl = prefix_cost + cost_term + joint * (prefix_union | mask).bit_count()
+            held = get(eff_code)
+            if held is None or repl < held[0]:
+                cheapest[eff_code] = (repl, prefix, mask, cover, None)
+            elif repl == held[0]:
+                key = _structure_key(points, prefix_masks + (mask,))
+                held_key = held[4]
+                if held_key is None:
+                    held_key = _structure_key(
+                        points, tuple(entry[0] for entry in held[1]) + (held[2],)
+                    )
+                if key < held_key:
+                    cheapest[eff_code] = (repl, prefix, mask, cover, key)
+                else:
+                    cheapest[eff_code] = held[:4] + (held_key,)
+
+    structures = {}
+    for repl, prefix, mask, eff, _ in cheapest.values():
+        for entry in prefix:
+            eff = tuple(map(max, eff, entry[3]))
+        structures[eff] = (repl, tuple(entry[0] for entry in prefix) + (mask,))
+    return structures
 
 
 def _solve_over_points(
@@ -363,66 +465,17 @@ def _solve_over_points(
         raise SolverError("no candidate replenishment times for a non-empty job set")
     s = instance.num_resources
 
-    needing: list[tuple[tuple[int, int], ...]] = []
-    caps: list[int] = []
-    for i in range(1, s + 1):
-        need = tuple((idx, job.release) for idx, job in enumerate(jobs) if i in job.resources)
-        needing.append(need)
-        caps.append(len(need) if size_capped else len(points))
+    caps = [
+        sum(i in job.resources for job in jobs) if size_capped else len(points)
+        for i in range(1, s + 1)
+    ]
     size = _enumeration_size(len(points), caps)
     if size > limits.max_grid_subsets:
         raise OracleLimitError(
             f"{size} replenishment structures exceed the cap {limits.max_grid_subsets}"
         )
-
-    joint = instance.joint_cost
-    candidates = [
-        _resource_candidates(
-            points,
-            needing[i],
-            instance.item_costs[i],
-            n,
-            caps[i],
-            instance.item_costs[i] > 0 or (s == 1 and joint > 0),
-        )
-        for i in range(s)
-    ]
-
-    def structure_key(combo: tuple) -> tuple:
-        """(order times, resource subset per time) of one structure."""
-        union = 0
-        for mask, _, _ in combo:
-            union |= mask
-        times = tuple(points[b] for b in range(len(points)) if union >> b & 1)
-        subsets = tuple(
-            tuple(i + 1 for i in range(s) if combo[i][0] >> b & 1)
-            for b in range(len(points))
-            if union >> b & 1
-        )
-        return times, subsets
-
-    # The starts depend only on the effective releases, so within one vector
-    # the cheapest structure with the smallest (times, subsets) wins.  A held
-    # structure's key is computed when one of equal cost first needs it.
-    cheapest: dict[tuple[int, ...], tuple[int, tuple, tuple | None]] = {}
-    for combo in itertools.product(*candidates):
-        union = 0
-        repl = 0
-        for mask, cost_term, _ in combo:
-            union |= mask
-            repl += cost_term
-        repl += joint * union.bit_count()
-        eff = combo[0][2]
-        for entry in combo[1:]:
-            eff = tuple(map(max, eff, entry[2]))
-        held = cheapest.get(eff)
-        if held is None or repl < held[0]:
-            cheapest[eff] = (repl, combo, None)
-        elif repl == held[0]:
-            key = structure_key(combo)
-            held_key = held[2] if held[2] is not None else structure_key(held[1])
-            cheapest[eff] = (repl, combo, key) if key < held_key else (repl, held[1], held_key)
-    if not cheapest:
+    structures = _cheapest_structures(instance, points, caps)
+    if not structures:
         raise SolverError("no feasible replenishment structure exists")
 
     jobs_data = tuple((job.release, job.processing, job.weight) for job in jobs)
@@ -431,7 +484,7 @@ def _solve_over_points(
 
     # Step 3 of the module docstring.  The stop is strict, so every vector
     # that ties the best total is still solved.
-    heap = [(repl + cheap_bound(eff), repl, eff, False) for eff, (repl, _, _) in cheapest.items()]
+    heap = [(repl + cheap_bound(eff), repl, eff, False) for eff, (repl, _) in structures.items()]
     heapq.heapify(heap)
     best: tuple | None = None  # (total, times, starts, subsets)
     solved: list[tuple[int, tuple[int, ...]]] = []
@@ -454,7 +507,7 @@ def _solve_over_points(
         solved.append((repl, eff))
         total = repl + sched_cost
         if best is None or total <= best[0]:
-            times, subsets = structure_key(cheapest[eff][1])
+            times, subsets = _structure_key(points, structures[eff][1])
             candidate = (total, times, starts, subsets)
             if best is None or candidate < best:
                 best = candidate

@@ -29,7 +29,7 @@ from jrsched.model import (
     evaluate_solution,
 )
 from jrsched.oracle import (
-    _cover_vector,
+    _cheapest_structures,
     _residual_bounds,
     _sequence_exact,
     _sequence_release_order,
@@ -77,6 +77,17 @@ class TestFineGrid:
     def test_empty(self):
         assert exact_solve_fine_grid(Instance(1, 1, (1,), ()), Objective.MAX_FLOW).total == 0
 
+    def test_far_released_job(self):
+        # 300,002 points, one of them used: the structure key walks only the
+        # points some resource is ordered at
+        release = 300_000
+        inst = Instance(1, 3, (2,), (Job(1, release, 1, R1),))
+        sol = exact_solve_fine_grid(inst, Objective.TOTAL_COMPLETION)
+        assert sol.total == 5 + release + 1
+        assert sol.replenishments.times() == (release,)
+        assert sol.schedule.starts == {1: release}
+        assert emit_solution(sol) == emit_solution(exact_solve(inst, Objective.TOTAL_COMPLETION))
+
     def test_agrees_with_release_grid(self, rng):
         for trial in range(30):
             s = 2 if trial % 5 == 0 else 1
@@ -122,6 +133,36 @@ class TestLimits:
             assert emit_solution(at_cap) == expected
             with pytest.raises(OracleLimitError, match="^instance has 5 jobs, limit is 4$"):
                 solve(inst, Objective.TOTAL_COMPLETION, OracleLimits(max_jobs=4))
+
+    @pytest.mark.parametrize("fine", (False, True), ids=("release_grid", "fine_grid"))
+    def test_caps_count_the_full_product_over_several_resources(self, fine):
+        # The structure pass walks only the last resource's time sets per
+        # prefix and never the full product, yet the cap counts all of it.
+        # s = 2: releases 0-2 (3 points) and horizon 5 (6 points), each
+        # resource needed by two jobs; s = 3: releases 0-2 and horizon 6.
+        two = Instance(2, 1, (1, 0), (
+            Job(1, 0, 1, frozenset({1})), Job(2, 1, 1, frozenset({2})),
+            Job(3, 2, 1, frozenset({1, 2})),
+        ))
+        three = Instance(3, 1, (0, 1, 0), (
+            Job(1, 0, 1, frozenset({1})), Job(2, 1, 1, frozenset({2})),
+            Job(3, 1, 1, frozenset({3})), Job(4, 2, 1, frozenset({1, 2, 3})),
+        ))
+        if fine:
+            cases = ((two, (1 + 6 + 15) ** 2), (three, (1 + 7 + 21) ** 3))
+        else:
+            cases = ((two, (2**3) ** 2), (three, (2**3) ** 3))
+        solve = exact_solve_fine_grid if fine else exact_solve
+        for inst, structures in cases:
+            for objective in (Objective.WEIGHTED_FLOW, Objective.MAX_FLOW):
+                expected = emit_solution(solve(inst, objective))
+                at_cap = solve(inst, objective, OracleLimits(max_grid_subsets=structures))
+                assert emit_solution(at_cap) == expected
+                message = (
+                    f"^{structures} replenishment structures exceed the cap {structures - 1}$"
+                )
+                with pytest.raises(OracleLimitError, match=message):
+                    solve(inst, objective, OracleLimits(max_grid_subsets=structures - 1))
 
     def test_bad_limits(self):
         with pytest.raises(ValueError, match="max_jobs must be >= 0, got -1"):
@@ -351,6 +392,87 @@ class TestAgainstFullEnumeration:
                 _sequence_release_order(early, jobs_data)[0]
                 <= _sequence_release_order(late, jobs_data)[0]
             ), (early, late, jobs_data)
+
+
+class TestStructurePass:
+    """The structure pass against a product over tuple cover vectors."""
+
+    @pytest.mark.parametrize("fine", (False, True), ids=("release_grid", "fine_grid"))
+    def test_matches_tuple_cover_product(self, fine):
+        rng = random.Random(1919 + fine)
+        for trial in range(120):
+            s = 1 + trial % 4
+            costs = ((0,), (0, 1))[trial // 4 % 2]
+            # from s = 2 on, every other instance has a resource that no job
+            # needs, so all of its time sets stay on the release grid
+            idle = s > 1 and trial // 8 % 2 == 1
+            needed = s - idle
+            if fine:
+                n, max_release, max_processing = ((4, 3, 2), (3, 2, 1), (2, 2, 1), (2, 1, 1))[s - 1]
+            else:
+                n, max_release, max_processing = ((6, 6, 2), (5, 4, 2), (4, 3, 2), (4, 2, 2))[s - 1]
+            inst = random_instance(
+                rng, rng.randint(1, n), s=needed, max_processing=max_processing,
+                max_weight=2, max_release=max_release, cost_choices=costs,
+            )
+            if idle:
+                inst = Instance(
+                    s, inst.joint_cost, inst.item_costs + (rng.choice(costs),), inst.jobs
+                )
+            points = tuple(range(inst.horizon + 1)) if fine else inst.release_grid
+            caps = [
+                sum(i in job.resources for job in inst.jobs) if fine else len(points)
+                for i in range(1, s + 1)
+            ]
+            expected = tuple_cover_structures(inst, points, caps)
+            assert _cheapest_structures(inst, points, caps) == expected, (trial, inst)
+
+
+def _cover_vector(times, needing, n):
+    """First ordering time at/after each needing job's release, 0 elsewhere;
+    None when some needing job is never covered."""
+    cover = [0] * n
+    for idx, release in needing:
+        for t in times:
+            if t >= release:
+                cover[idx] = t
+                break
+        else:
+            return None
+    return tuple(cover)
+
+
+def tuple_cover_structures(instance, points, caps):
+    """{effective releases: (ordering cost, time-set mask per resource)} of
+    the smallest (ordering cost, order times, resource subsets) per vector,
+    over the product of every resource's time sets of at most ``caps[i]``
+    points, each with its cover vector as a tuple.  No time set is dropped."""
+    jobs = instance.jobs
+    n = len(jobs)
+    s = instance.num_resources
+    options = []
+    for i in range(1, s + 1):
+        needing = tuple((idx, job.release) for idx, job in enumerate(jobs) if i in job.resources)
+        sets = []
+        for k in range(min(caps[i - 1], len(points)) + 1):
+            for combo in itertools.combinations(range(len(points)), k):
+                cover = _cover_vector(tuple(points[b] for b in combo), needing, n)
+                if cover is not None:
+                    sets.append((sum(1 << b for b in combo), instance.item_costs[i - 1] * k, cover))
+        options.append(sets)
+    best = {}
+    for combo in itertools.product(*options):
+        masks = tuple(mask for mask, _, _ in combo)
+        union = reduce(operator.or_, masks)
+        used = [b for b in range(len(points)) if union >> b & 1]
+        repl = sum(term for _, term, _ in combo) + instance.joint_cost * len(used)
+        eff = tuple(max(column) for column in zip(*(cover for _, _, cover in combo)))
+        times = tuple(points[b] for b in used)
+        subsets = tuple(tuple(i + 1 for i in range(s) if masks[i] >> b & 1) for b in used)
+        candidate = (repl, times, subsets, masks)
+        if eff not in best or candidate < best[eff]:
+            best[eff] = candidate
+    return {eff: (repl, masks) for eff, (repl, _, _, masks) in best.items()}
 
 
 def tie_heavy_specs(fine):
