@@ -412,7 +412,7 @@ def _cheapest_structures(
             _resource_candidates(points, needing, item_cost, n, caps[i], idle_order_costs)
         )
 
-    # code -> (ordering cost, prefix time sets, last mask, last cover, key or None)
+    # code -> (ordering cost, masks, prefix time sets, last cover, key or None)
     cheapest: dict[int, tuple] = {}
     get = cheapest.get
     for prefix in itertools.product(*candidates[:-1]):
@@ -427,24 +427,23 @@ def _cheapest_structures(
             repl = prefix_cost + cost_term + joint * (prefix_union | mask).bit_count()
             held = get(eff_code)
             if held is None or repl < held[0]:
-                cheapest[eff_code] = (repl, prefix, mask, cover, None)
+                cheapest[eff_code] = (repl, prefix_masks + (mask,), prefix, cover, None)
             elif repl == held[0]:
-                key = _structure_key(points, prefix_masks + (mask,))
+                masks = prefix_masks + (mask,)
+                key = _structure_key(points, masks)
                 held_key = held[4]
                 if held_key is None:
-                    held_key = _structure_key(
-                        points, tuple(entry[0] for entry in held[1]) + (held[2],)
-                    )
+                    held_key = _structure_key(points, held[1])
                 if key < held_key:
-                    cheapest[eff_code] = (repl, prefix, mask, cover, key)
+                    cheapest[eff_code] = (repl, masks, prefix, cover, key)
                 else:
                     cheapest[eff_code] = held[:4] + (held_key,)
 
     structures = {}
-    for repl, prefix, mask, eff, _ in cheapest.values():
+    for repl, masks, prefix, eff, _ in cheapest.values():
         for entry in prefix:
             eff = tuple(map(max, eff, entry[3]))
-        structures[eff] = (repl, tuple(entry[0] for entry in prefix) + (mask,))
+        structures[eff] = (repl, masks)
     return structures
 
 
