@@ -79,10 +79,11 @@ class RatioCurvePoint:
 
 def _curves(kind: str, order_cost: int, w2: float | None):
     K = order_cost
-    if kind == SUM_CJ_3_2:
 
-        def c1(t: int) -> float:
-            return (K + t + 1) / (K + 1)
+    def c1(t: int) -> float:
+        return (K + t + 1) / (K + 1)
+
+    if kind == SUM_CJ_3_2:
 
         def c2(t: int) -> float:
             return (2 * K + 2 * t + 3) / (K + 2 * t + 5)
@@ -92,9 +93,6 @@ def _curves(kind: str, order_cost: int, w2: float | None):
         if w2 is None or not math.isfinite(w2) or w2 <= 0:
             raise SolverError(f"the weighted curve needs a finite w2 > 0, got {w2}")
 
-        def c1(t: int) -> float:
-            return (K + t + 1) / (K + 1)
-
         def c2(t: int) -> float:
             return (2 * K + t + 1 + (t + 2) * w2) / (K + t + 2 + (t + 3) * w2)
 
@@ -103,17 +101,14 @@ def _curves(kind: str, order_cost: int, w2: float | None):
     if kind == SUM_FJ_3_2:
         # this game's adversary always releases the second job, so only the
         # strike branch constrains the policy
-        def c1(t: int) -> float:
+        def flat(t: int) -> float:
             return 1.0
 
         def c2(t: int) -> float:
             return (2 * K + t + 2) / min(2 * K + 2, K + t + 2)
 
-        return c1, c2, 1.5
+        return flat, c2, 1.5
     if kind == FMAX_GENERAL_GOLDEN:
-
-        def c1(t: int) -> float:
-            return (K + t + 1) / (K + 1)
 
         def c2(t: int) -> float:
             return (2 * K + t + 1) / (K + t + 2)

@@ -9,10 +9,7 @@ all their resources are covered), and the residual one-machine problem is
 solved exactly by a subset DP over (jobs sequenced, time the machine becomes
 free) with earliest-start placement, which is optimal among active schedules
 for every supported criterion.  Among the optimal orders the DP returns the
-lexicographically smallest start vector (see :func:`_subset_dp`).  The one
-exception is max flow on a single resource: there the residual is sequenced
-in release order (see :func:`_sequence_release_order`), which is optimal
-but need not give the smallest start vector among the optimal orders.
+lexicographically smallest start vector (see :func:`_subset_dp`).
 
 The evaluation runs in three steps:
 
@@ -48,9 +45,7 @@ The evaluation runs in three steps:
 Each structure left out either costs strictly more than another one or has
 the same effective releases and cost and a larger (order times, resource
 subsets), so the result is the smallest (total, order times, start times,
-resource subsets) over all structures, exactly as a full enumeration finds,
-where the start times are each residual's own (release-ordered for max flow
-on one resource).
+resource subsets) over all structures, exactly as a full enumeration finds.
 
 Two enumeration grids are offered: the release dates of the jobs (sufficient
 for optimality, used by :func:`exact_solve`) and every integer time up to the
@@ -71,7 +66,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 from .model import (
     CRITERIA,
@@ -193,31 +188,6 @@ def _subset_dp(
     return min(layer[(1 << n) - 1].values())
 
 
-def _sequence_release_order(
-    effective: tuple[int, ...],
-    jobs_data: tuple[tuple[int, int, int], ...],
-) -> tuple[int, tuple[int, ...]]:
-    """Max-flow residual for a single resource: non-decreasing release order.
-
-    With one resource the effective releases are monotone in the release
-    dates, so this order is optimal; cross-checked against full sequencing
-    in the test suite.
-    """
-    n = len(effective)
-    order = sorted(range(n), key=lambda j: (jobs_data[j][0], j))
-    starts = [0] * n
-    now = 0
-    worst = 0
-    for j in order:
-        start = now if now > effective[j] else effective[j]
-        starts[j] = start
-        now = start + jobs_data[j][1]
-        flow = now - jobs_data[j][0]
-        if flow > worst:
-            worst = flow
-    return worst, tuple(starts)
-
-
 def _preemptive_completions(
     effective: tuple[int, ...], procs: tuple[int, ...], due: tuple[int, ...]
 ) -> list[int]:
@@ -298,7 +268,7 @@ def _residual_bounds(
 
 
 def _resource_candidates(
-    points: tuple[int, ...],
+    points: Sequence[int],
     needing: list[tuple[int, int, list[int]]],
     item_cost: int,
     n: int,
@@ -360,7 +330,7 @@ def _enumeration_size(points: int, caps: list[int]) -> int:
 
 
 def _structure_key(
-    points: tuple[int, ...], masks: tuple[int, ...]
+    points: Sequence[int], masks: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(order times, resource subset per time) of the structure that orders
     resource i at the points of ``masks[i - 1]``, walking only the points
@@ -377,7 +347,7 @@ def _structure_key(
 
 
 def _cheapest_structures(
-    instance: Instance, points: tuple[int, ...], caps: list[int]
+    instance: Instance, points: Sequence[int], caps: list[int]
 ) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
     """Step 2 of the module docstring: each distinct effective-release
     vector's cheapest structure, as (ordering cost, time-set mask per
@@ -450,10 +420,12 @@ def _cheapest_structures(
 def _solve_over_points(
     instance: Instance,
     objective: Objective,
-    limits: OracleLimits,
-    points: tuple[int, ...],
+    limits: OracleLimits | None,
+    points: Sequence[int],
     size_capped: bool,
 ) -> Solution:
+    if limits is None:
+        limits = OracleLimits()
     jobs = instance.jobs
     n = len(jobs)
     if n == 0:
@@ -478,7 +450,6 @@ def _solve_over_points(
         raise SolverError("no feasible replenishment structure exists")
 
     jobs_data = tuple((job.release, job.processing, job.weight) for job in jobs)
-    use_edd = objective is Objective.MAX_FLOW and s == 1
     cheap_bound, tight_bound = _residual_bounds(jobs_data, objective)
 
     # Step 3 of the module docstring.  The stop is strict, so every vector
@@ -499,10 +470,7 @@ def _solve_over_points(
             for done_repl, done_eff in solved
         ):
             continue
-        if use_edd:
-            sched_cost, starts = _sequence_release_order(eff, jobs_data)
-        else:
-            sched_cost, starts = _sequence_exact(eff, jobs_data, objective)
+        sched_cost, starts = _sequence_exact(eff, jobs_data, objective)
         solved.append((repl, eff))
         total = repl + sched_cost
         if best is None or total <= best[0]:
@@ -526,15 +494,10 @@ def exact_solve(
     back to the latest release at or before it keeps every served job ready.
     Ties between equal-cost optima are broken toward the lexicographically
     smallest (order times, start times by job, resource subset per order
-    time) triple for reproducible results, where each structure's start
-    times are those its residual sequencing returns.  Under max flow with
-    one resource that sequencing is release order, so the start vector need
-    not be the smallest among the optimal ones for that structure.
+    time) triple for reproducible results.
 
     Which residuals get sequenced is step 3 of the module docstring.
     """
-    if limits is None:
-        limits = OracleLimits()
     return _solve_over_points(instance, objective, limits, instance.release_grid, False)
 
 
@@ -545,9 +508,7 @@ def exact_solve_fine_grid(
 
     Validation variant: its value must equal :func:`exact_solve` on every
     instance where both run.  Meant for very small instances only; the
-    enumeration cap guards against blow-up.
+    enumeration cap guards against blow-up, and is checked before anything
+    is built over the grid.
     """
-    if limits is None:
-        limits = OracleLimits()
-    points = tuple(range(0, instance.horizon + 1))
-    return _solve_over_points(instance, objective, limits, points, True)
+    return _solve_over_points(instance, objective, limits, range(instance.horizon + 1), True)

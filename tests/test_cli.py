@@ -338,6 +338,15 @@ TWO_RESOURCES = {
 }
 
 
+# one job released at 10**7: its fine grid is far past the default cap
+FAR_RELEASED = {
+    "s": 1,
+    "joint_cost": 1,
+    "item_costs": [1],
+    "jobs": [{"id": 1, "release": 10**7, "processing": 1, "resources": [1]}],
+}
+
+
 def error_line(err):
     """The one ``error:`` line a failed command prints on stderr."""
     lines = err.splitlines()
@@ -442,11 +451,14 @@ class TestInputErrors:
             (["bounds", "--input", "{one}", "--K", "7"], "--K applies only to --curve"),
             (["solve", "--algo", "dp-equalp", "--objective", "max_flow", "--input", "{one}",
               "--max-jobs", "1"], "--algo dp-equalp reads no --max-jobs or --max-grid-subsets"),
+            (["solve", "--algo", "oracle-fine", "--objective", "total_completion", "--input",
+              "{far}"], "replenishment structures exceed the cap"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
         paths = {
             "one": write(tmp_path, "one.json", json.dumps(WALKTHROUGH)),
+            "far": write(tmp_path, "far.json", json.dumps(FAR_RELEASED)),
             "two": write(tmp_path, "two.json", json.dumps(TWO_RESOURCES)),
             "not_json": write(tmp_path, "not.json", "{not json"),
             "no_solution": write(tmp_path, "half.json", json.dumps({"instance": WALKTHROUGH})),

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -32,7 +33,6 @@ from jrsched.oracle import (
     _cheapest_structures,
     _residual_bounds,
     _sequence_exact,
-    _sequence_release_order,
 )
 from conftest import R1, random_instance, single_job_instance, walkthrough_instance
 
@@ -87,6 +87,19 @@ class TestFineGrid:
         assert sol.replenishments.times() == (release,)
         assert sol.schedule.starts == {1: release}
         assert emit_solution(sol) == emit_solution(exact_solve(inst, Objective.TOTAL_COMPLETION))
+
+    def test_cap_refuses_before_the_grid_is_built(self):
+        # 10**7 + 2 points exceed the default cap; a tuple of them alone
+        # would take about 400 MB
+        inst = Instance(1, 3, (2,), (Job(1, 10**7, 1, R1),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleLimitError, match="exceed the cap"):
+                exact_solve_fine_grid(inst, Objective.TOTAL_COMPLETION)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_agrees_with_release_grid(self, rng):
         for trial in range(30):
@@ -220,21 +233,6 @@ class TestStructuralInvariants:
 
 
 class TestResidualSequencing:
-    def test_release_order_matches_full_search_for_max_flow(self):
-        # the one-resource max-flow shortcut must agree with exhaustive
-        # sequencing whenever effective releases are monotone in releases
-        rng = random.Random(17)
-        for _ in range(200):
-            n = rng.randint(1, 6)
-            releases = sorted(rng.randint(0, 8) for _ in range(n))
-            bump = rng.randint(0, 3)
-            effective = tuple(r + rng.randint(0, bump) for r in releases)
-            effective = tuple(max(effective[: i + 1]) for i in range(n))  # keep monotone
-            jobs_data = tuple((releases[i], rng.randint(1, 4), 1) for i in range(n))
-            fast = _sequence_release_order(effective, jobs_data)
-            full = _sequence_exact(effective, jobs_data, Objective.MAX_FLOW)
-            assert fast[0] == full[0]
-
     def test_sequencing_tie_break_prefers_smallest_starts(self):
         effective = (0, 0)
         jobs_data = ((0, 1, 1), (0, 1, 1))
@@ -242,18 +240,16 @@ class TestResidualSequencing:
         assert cost == 3
         assert starts == (0, 1)
 
-    def test_one_resource_max_flow_keeps_release_order(self):
-        # the release-order shortcut is optimal but does not pick the
-        # smallest start vector: 1, 2, 3 from t = 9 ties at total 16
+    def test_one_resource_max_flow_takes_the_smallest_starts(self):
+        # among the optimal orders the smallest start vector, as for every
+        # other criterion: release order (1, 3, 2) ties at 16 but starts
+        # job 2 at 14
         inst = gen_instance(GeneratorSpec(seed=2, n=3, num_resources=1, joint_cost=3,
                                           item_cost_max=3, max_release=9, max_processing=3))
         sol = exact_solve(inst, Objective.MAX_FLOW)
-        assert dict(sol.schedule.starts) == {1: 9, 2: 14, 3: 11}
+        assert dict(sol.schedule.starts) == {1: 9, 2: 11, 3: 12}
         assert sol.total == 16
-        smaller = evaluate_solution(inst, Schedule({1: 9, 2: 11, 3: 12}), sol.replenishments,
-                                    Objective.MAX_FLOW)
-        assert check_feasible(inst, smaller).ok
-        assert smaller.total == sol.total
+        assert check_feasible(inst, sol).ok
 
     def test_matches_brute_force_over_all_orders(self):
         rng = random.Random(2024)
@@ -346,10 +342,11 @@ def golden_specs():
         )
 
 
-# sha256 of the emitted exact_solve solutions below, computed with the
-# permutation branch-and-bound that sequenced the residuals before the subset
-# DP.  Every oracle change must keep every byte, tie-breaks included.
-GOLDEN_DIGEST = "ea021017ff145d1dd3a94569a9b8423811b7d3f7867b0ff1c0b7d2d27c0b4158"
+# sha256 of the emitted exact_solve solutions below, each the smallest
+# (total, order times, start times, resource subsets) over all structures.
+# Every oracle change must keep every byte, tie-breaks included, unless it
+# states a tie-rule change.
+GOLDEN_DIGEST = "b4001188d22d4bf2f4d346811b2fa104085b1f42c3d47bccbde241b9269865b2"
 
 
 def test_exact_solve_outputs_are_pinned():
@@ -388,10 +385,6 @@ class TestAgainstFullEnumeration:
                     _sequence_exact(early, jobs_data, objective)[0]
                     <= _sequence_exact(late, jobs_data, objective)[0]
                 ), (early, late, jobs_data, objective)
-            assert (
-                _sequence_release_order(early, jobs_data)[0]
-                <= _sequence_release_order(late, jobs_data)[0]
-            ), (early, late, jobs_data)
 
 
 class TestStructurePass:
@@ -529,7 +522,6 @@ def full_enumeration(instance, objective, fine):
     procs = tuple(job.processing for job in jobs)
     weights = tuple(job.weight for job in jobs)
     joint = instance.joint_cost
-    use_edd = objective is Objective.MAX_FLOW and s == 1
     job_value, combine = CRITERIA[objective]
 
     def sched_lower_bound(eff):
@@ -541,10 +533,7 @@ def full_enumeration(instance, objective, fine):
     def residual(eff):
         hit = residual_memo.get(eff)
         if hit is None:
-            if use_edd:
-                hit = _sequence_release_order(eff, jobs_data)
-            else:
-                hit = _sequence_exact(eff, jobs_data, objective)
+            hit = _sequence_exact(eff, jobs_data, objective)
             residual_memo[eff] = hit
         return hit
 
