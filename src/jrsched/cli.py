@@ -79,6 +79,20 @@ _POLICIES: dict[str, Callable[[int], OnlinePolicy]] = {
 }
 
 
+# gen option -> the GeneratorSpec field it sets
+_GEN_FIELDS = {
+    "--seed": "seed",
+    "--n": "n",
+    "--s": "num_resources",
+    "--joint-cost": "joint_cost",
+    "--item-cost-max": "item_cost_max",
+    "--max-release": "max_release",
+    "--max-processing": "max_processing",
+    "--max-weight": "max_weight",
+    "--tight-name": "tight_name",
+}
+
+
 class _CliError(Exception):
     """Data-level failure: reported on stderr, exit status 1."""
 
@@ -107,10 +121,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _make_policy(name: str, order_cost: int) -> OnlinePolicy:
-    try:
-        return _POLICIES[name](order_cost)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    # checked here for every policy: the immediate one reads no order cost
+    if order_cost < 1:
+        raise _CliError("order cost must be >= 1")
+    return _POLICIES[name](order_cost)
 
 
 def _oracle_limits(args: argparse.Namespace) -> OracleLimits | None:
@@ -128,18 +142,24 @@ def _oracle_limits(args: argparse.Namespace) -> OracleLimits | None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(
-        family=args.family,
-        seed=args.seed,
-        n=args.n,
-        num_resources=args.s,
-        joint_cost=args.joint_cost,
-        item_cost_max=args.item_cost_max,
-        max_release=args.max_release,
-        max_processing=args.max_processing,
-        max_weight=args.max_weight,
-        tight_name=args.tight_name,
-    )
+    # what reads the options: the family, and for tight the instance name
+    reader = f"--family {args.family}"
+    if args.family == "random":
+        reads = set(_GEN_FIELDS) - {"--tight-name"}
+    elif args.family == "regular":
+        reads = {"--n", "--joint-cost"}
+    else:
+        tight_name = args.tight_name or GeneratorSpec.tight_name
+        reader += f" --tight-name {tight_name}"
+        reads = {"--tight-name", "--joint-cost"}
+        if tight_name == "three-jobs":
+            reads.add("--item-cost-max")
+    given = {field: value for field in _GEN_FIELDS.values()
+             if (value := getattr(args, field)) is not None}
+    for option, field in _GEN_FIELDS.items():
+        if field in given and option not in reads:
+            raise _CliError(f"{reader} reads no {option}")
+    spec = GeneratorSpec(family=args.family, **given)
     _write_output(emit_instance(gen_instance(spec)), args.output)
     return 0
 
@@ -341,15 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance document")
     p.add_argument("--family", choices=FAMILIES, default="random")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--joint-cost", type=int, default=1)
-    p.add_argument("--item-cost-max", type=int, default=2)
-    p.add_argument("--max-release", type=int, default=10)
-    p.add_argument("--max-processing", type=int, default=3)
-    p.add_argument("--max-weight", type=int, default=1)
-    p.add_argument("--tight-name", choices=TIGHT_NAMES, default="single-job")
+    # no defaults here: an option left out keeps the GeneratorSpec default
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--s", dest="num_resources", metavar="S", type=int)
+    p.add_argument("--joint-cost", type=int)
+    p.add_argument("--item-cost-max", type=int)
+    p.add_argument("--max-release", type=int)
+    p.add_argument("--max-processing", type=int)
+    p.add_argument("--max-weight", type=int)
+    p.add_argument("--tight-name", choices=TIGHT_NAMES)
     add_output(p)
     p.set_defaults(func=_cmd_gen)
 

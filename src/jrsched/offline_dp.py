@@ -26,13 +26,17 @@ read:
   count is part of the order cost.  Its Pareto pass also drops the pairs
   of a state dominated by a state that frees the machine earlier.
 
-A partial solution carries its value, its start vector, indexed by sorted
-job id with 0 for a job not yet placed, and its order vector, one mask per
-layer; the winner's schedule and orders are read from the vectors.  All
-three layered DPs run on :func:`_least`, an exact pass that keeps per key
-the smallest (value, start vector, order vector).  The max-flow DPs first
-find the optimum and every optimal final flow F by a Pareto pass over
-(worst flow, order cost), then run one exact pass per F, blocks capped at F.
+A partial solution is three ints: value, start code and order code.  In
+the start code, sorted-id position k owns the w-bit field at shift
+(n - 1 - k) * w, w the horizon's bit length; it holds the job's start,
+never above the horizon, or 0 until the job is placed.  In the order
+code, layer i owns the s-bit field at shift (layers - 1 - i) * s, which
+holds its order mask.  Fields never overlap and the first is the most
+significant, so codes compare as ints as their vectors do as tuples.
+All three layered DPs run on :func:`_least`, an exact pass that keeps
+per key the smallest (value, start code, order code).  The max-flow DPs
+first find the optimum and every optimal final flow F by a Pareto pass
+over (worst flow, order cost), then one exact pass per F, capped at F.
 
 One tie rule holds for every solver: it returns the smallest (total, start
 vector, order vector) over the solutions its graph represents.  Two
@@ -53,7 +57,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Hashable
 from itertools import accumulate
-from operator import add, ge
+from operator import ge
 from typing import NamedTuple
 
 from .model import (
@@ -81,6 +85,19 @@ def _order_table(instance: Instance) -> list[tuple[frozenset[int], int]]:
     return table
 
 
+def _start_shifts(instance: Instance) -> dict[int, int]:
+    """Per job id, in id order, the shift of its field in a start code."""
+    width = instance.horizon.bit_length()
+    ids = sorted(job.id for job in instance.jobs)
+    return {job_id: (len(ids) - 1 - k) * width for k, job_id in enumerate(ids)}
+
+
+def _decode_starts(instance: Instance, shifts: dict[int, int], code: int) -> Schedule:
+    """The schedule whose start code is ``code``."""
+    field = (1 << instance.horizon.bit_length()) - 1
+    return Schedule({job_id: code >> shift & field for job_id, shift in shifts.items()})
+
+
 # ---------------------------------------------------------------------------
 # Layered graphs
 
@@ -90,51 +107,54 @@ class _Graph(NamedTuple):
 
     ``edges(idx, exact)`` maps (key, order mask, cap) at layer ``idx`` to
     the blocks that may follow, as (target key, target layer or None when
-    complete, value, placed starts), less those of worst flow above
-    ``cap``.  In an exact pass the value is what the block adds to the
-    path's value, and the placed starts hold its start per vector position
-    (() if empty); otherwise they are its worst flow and ().
+    complete, value, start code), less those of worst flow above ``cap``.
+    In an exact pass the value is what the block adds to the path's value
+    and the code, added to the path's, holds the block's starts in their
+    fields (0 if it is empty); otherwise the value is its worst flow and the
+    code is not read.  The largest mask of ``orders`` sets the field width.
     """
 
     layers: int
-    jobs: int  # length of the start vector
     start: Hashable  # the key of layer 0
     orders: list[tuple[int, int]]  # (mask, cost) of each order a layer may place
     edges: Callable[[int, bool], Callable[[Hashable, int, float], list[tuple]]]
 
 
-def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple | None:
-    """Smallest (value, starts, orders) over the complete paths of ``graph``
-    with blocks under ``cap`` and value at most ``budget``.  A path's value
-    is its order costs plus what its blocks add.  ``sizes``, when given,
-    receives the number of states of each layer."""
+def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple:
+    """Smallest (value, start code, order code) over the complete paths of
+    ``graph`` with blocks under ``cap`` and value at most ``budget``, the
+    order code decoded into its masks.  A path's value is its order costs
+    plus what its blocks add; ``sizes`` receives each layer's state count."""
+    width = max(mask for mask, _ in graph.orders).bit_length()
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
-    layers[0][graph.start] = (0, (0,) * graph.jobs, (0,) * graph.layers)
+    layers[0][graph.start] = (0, 0, 0)
     best = None
     for idx in range(graph.layers):
         if sizes is not None:
             sizes.append(len(layers[idx]))
         blocks_for = graph.edges(idx, True)
+        shift = (graph.layers - 1 - idx) * width
         for key, (value, starts, masks) in layers[idx].items():
             for mask, order_cost in graph.orders:
                 value_after = value + order_cost
                 if value_after > budget:
                     continue
-                masks_after = masks[:idx] + (mask,) + masks[idx + 1:] if mask else masks
+                masks_after = masks | mask << shift
                 for target_key, target, added, placed in blocks_for(key, mask, cap):
                     new_value = value_after + added
                     kept = best if target is None else layers[target].get(target_key)
                     if kept is not None and new_value > kept[0]:
                         continue
-                    new_starts = tuple(map(add, starts, placed)) if placed else starts
-                    state = (new_value, new_starts, masks_after)
+                    state = (new_value, starts + placed, masks_after)
                     if kept is None or state < kept:
                         if target is None:
                             best = state
                         else:
                             layers[target][target_key] = state
         layers[idx] = None
-    return best
+    value, starts, masks = best
+    fields = range((graph.layers - 1) * width, -1, -width)
+    return value, starts, [masks >> shift & (1 << width) - 1 for shift in fields]
 
 
 def _pareto(bucket: list[tuple], optimum: float) -> list[tuple]:
@@ -207,15 +227,12 @@ def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[
 
 
 def _least_max_flow(graph: _Graph, undominated: Callable[[list], list]) -> tuple:
-    """Smallest (order cost, starts, orders) over the max-flow optima of
+    """Smallest (order cost, start code, orders) over the max-flow optima of
     ``graph``: one exact pass per optimal final flow F, blocks capped at F.
     Its least cost is the optimum minus F, reached only by paths of flow F,
-    so the passes' answers differ in their vectors alone."""
+    so the passes' answers differ in their codes alone."""
     optimum, flows = _optimal_flows(graph, undominated)
-    return min(
-        (_least(graph, flow, optimum - flow) for flow in flows),
-        key=lambda state: state[1:],
-    )
+    return min((_least(graph, flow, optimum - flow) for flow in flows), key=lambda run: run[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +271,11 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     n = len(instance.jobs)
     layer_times = instance.release_grid + (instance.horizon,)
     orders = _order_table(instance)
-    ids = sorted(job.id for job in instance.jobs)
-    position = {job_id: pos for pos, job_id in enumerate(ids)}
-    # (weight, start-vector position, release, 0-based resource indices),
+    shifts = _start_shifts(instance)
+    # (weight, start-code shift, release, 0-based resource indices),
     # heaviest first, ties to the smaller id
     by_weight = [
-        (job.weight, position[job.id], job.release, tuple(r - 1 for r in sorted(job.resources)))
+        (job.weight, shifts[job.id], job.release, tuple(r - 1 for r in sorted(job.resources)))
         for job in sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
     ]
 
@@ -275,38 +291,37 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
             if mask:
                 betas = tuple(tau if mask >> i & 1 else betas[i] for i in range(s))
             chosen: list = []
-            for weight, pos, release, needs in by_weight:
-                if pos in scheduled:
+            for weight, shift, release, needs in by_weight:
+                if shift in scheduled:
                     continue
                 for i in needs:
                     if release > betas[i]:
                         break
                 else:
-                    chosen.append((weight, pos))
+                    chosen.append((weight, shift))
                     if len(chosen) == window:
                         break
-            done = scheduled.union(pos for _, pos in chosen)
+            done = scheduled.union(shift for _, shift in chosen)
             if target is None and len(done) < n:
                 return []
-            added = 0
-            placed = [0] * n if chosen else []
-            for offset, (weight, pos) in enumerate(chosen):
+            added = placed = 0
+            for offset, (weight, shift) in enumerate(chosen):
                 added += weight * (tau + offset + 1)
-                placed[pos] = tau + offset
-            return [((betas, done), target, added, tuple(placed))]
+                placed += (tau + offset) << shift
+            return [((betas, done), target, added, placed)]
 
         return blocks_for
 
-    # key: (last order time per resource, -1 if never, scheduled positions)
+    # key: (last order time per resource, -1 if never, scheduled shifts)
     graph = _Graph(
-        len(layer_times) - 1, n, ((-1,) * s, frozenset()),
+        len(layer_times) - 1, ((-1,) * s, frozenset()),
         [(mask, cost) for mask, (_, cost) in enumerate(orders)], edges,
     )
     sizes = None
     if stats is not None:
         sizes = stats["states_per_layer"] = []
     _, starts, masks = _least(graph, math.inf, math.inf, sizes)
-    schedule = Schedule(dict(zip(ids, starts)))
+    schedule = _decode_starts(instance, shifts, starts)
     events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
     return evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)
 
@@ -335,12 +350,10 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     back onto the release grid, which preserves feasibility and cost.
 
     The answer is the smallest (total, start vector, order vector) over the
-    solutions the layered graph represents.  The start vector is indexed by
-    job id, with 0 for a job not yet placed, and the order vector holds one
-    resource mask per layer.  Total completion takes one pass, in which
-    each key keeps its smallest (total, starts, orders); max flow takes the
-    two shared passes the module docstring describes.  Blocks above
-    the cap, or above the incumbent in the Pareto pass, are not built.
+    solutions the layered graph represents: one pass for total completion,
+    each key keeping its smallest (total, start code, order code), and the
+    module's two shared passes for max flow.  Blocks above the cap, or
+    above the Pareto pass's incumbent, are not built.
 
     When all jobs form one class, the Pareto pass also compares the states
     of one layer across anchors.  Take two states with the same count,
@@ -395,10 +408,9 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         next_release[idx] = later if layer_times[later] in release_dates else next_release[later]
 
     orders = _order_table(instance)
-    ids = sorted(job.id for job in instance.jobs)
-    position = {job_id: k for k, job_id in enumerate(ids)}
+    shifts = _start_shifts(instance)
     # a class is the jobs sharing one resource set; per class, in release
-    # order: (rank in the release order of all jobs, start-vector position,
+    # order: (rank in the release order of all jobs, start-code shift,
     # job, class), plus the releases and the 0-based resources
     class_keys = sorted({tuple(sorted(job.resources)) for job in instance.jobs})
     class_index = {key: idx for idx, key in enumerate(class_keys)}
@@ -406,7 +418,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
     for rank, job in enumerate(by_release):
         ell = class_index[tuple(sorted(job.resources))]
-        class_jobs[ell].append((rank, position[job.id], job, ell))
+        class_jobs[ell].append((rank, shifts[job.id], job, ell))
     class_releases = [[job.release for _, _, job, _ in jobs] for jobs in class_jobs]
     class_needs = [tuple(r - 1 for r in key) for key in class_keys]
     anchors = [release_anchor(grid, tau) for tau in layer_times]
@@ -448,15 +460,14 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                 ready.sort()
             # the empty block waits for the next release date
             if (use_max_flow or not ready) and next_release[idx] is not None:
-                blocks.append(((alphas, betas), next_release[idx], 0, ()))
+                blocks.append(((alphas, betas), next_release[idx], 0, 0))
             new_alphas = list(alphas)
-            placed = [0] * n
-            block_value = 0
+            placed = block_value = 0
             start = layer_times[idx]
             remaining = n - sum(alphas)
-            for size, (_, k, job, ell) in enumerate(ready, start=1):
+            for size, (_, shift, job, ell) in enumerate(ready, start=1):
                 new_alphas[ell] += 1
-                placed[k] = start
+                placed += start << shift
                 start += p
                 block_value = combine(block_value, job_value(job.weight, job.release, start))
                 if not use_max_flow and size < len(ready):
@@ -471,8 +482,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                     if target >= num_layers:
                         continue
                 blocks.append(
-                    ((tuple(new_alphas), betas), target, block_value if weigh else 0,
-                     tuple(placed) if exact else ())
+                    ((tuple(new_alphas), betas), target, block_value if weigh else 0, placed)
                 )
             return blocks
 
@@ -500,7 +510,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
 
     # a resource never ordered has anchor -1, before every release
     graph = _Graph(
-        num_layers, n, ((0,) * len(class_keys), (-1,) * s),
+        num_layers, ((0,) * len(class_keys), (-1,) * s),
         [(mask, cost) for mask, (_, cost) in enumerate(orders)], edges,
     )
     if use_max_flow:
@@ -510,10 +520,8 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     else:
         _, starts, masks = _least(graph, math.inf, math.inf)
 
-    schedule = Schedule(dict(zip(ids, starts)))
-    events = tuple(
-        (layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask
-    )
+    schedule = _decode_starts(instance, shifts, starts)
+    events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
     solution = evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)
     return normalize_replenishments(instance, solution)
 
@@ -545,10 +553,8 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     if not instance.jobs:
         return empty_solution(objective)
 
-    n = len(instance.jobs)
     ordered = sorted(instance.jobs, key=lambda job: (job.release, job.id))
-    ids = sorted(job.id for job in instance.jobs)
-    slots = [bisect_left(ids, job.id) for job in ordered]  # start-vector positions
+    shifts = _start_shifts(instance)
     dates = instance.release_grid
     m = len(dates)
     # group_end[g] = index in ``ordered`` one past group g (1-based)
@@ -562,6 +568,10 @@ def dp_fmax_s1(instance: Instance) -> Solution:
         max(prefix_p[k + 1] - releases[k] for k in range(lo, hi))
         for lo, hi in zip(group_end, group_end[1:])
     ]
+    # It starts job k at offset + prefix_p[k], offset = b - prefix_p[lo], so its
+    # start code is cum_p[hi] - cum_p[lo] + offset * (cum_u[hi] - cum_u[lo]).
+    cum_p = [0, *accumulate(prefix_p[k] << shifts[job.id] for k, job in enumerate(ordered))]
+    cum_u = [0, *accumulate(1 << shifts[job.id] for job in ordered)]
 
     def edges(i: int, exact: bool):
         """The blocks leaving layer ``i`` (see :class:`_Graph`), one per
@@ -571,9 +581,6 @@ def dp_fmax_s1(instance: Instance) -> Solution:
         def blocks_for(free: int, mask: int, cap: float) -> list[tuple]:
             blocks = []
             tail = group_tail[i + 1]
-            # the jobs from lo up to ``done`` are placed in ``starts`` at ``at``
-            starts = [0] * n if exact else None
-            done, at = lo, None
             for j in range(i + 1, m + 1):
                 if group_tail[j] > tail:
                     tail = group_tail[j]
@@ -582,18 +589,12 @@ def dp_fmax_s1(instance: Instance) -> Solution:
                 worst = offset + tail
                 if worst > cap:
                     break
-                placed = ()
+                hi = group_end[j]
                 if exact:
-                    if offset != at:
-                        done, at = lo, offset
-                    for k in range(done, group_end[j]):
-                        starts[slots[k]] = offset + prefix_p[k]
-                    done = group_end[j]
-                    placed = tuple(starts)
-                blocks.append(
-                    (offset + prefix_p[group_end[j]], j if j < m else None,
-                     0 if exact else worst, placed)
-                )
+                    placed = cum_p[hi] - cum_p[lo] + offset * (cum_u[hi] - cum_u[lo])
+                    blocks.append((offset + prefix_p[hi], j if j < m else None, 0, placed))
+                else:
+                    blocks.append((offset + prefix_p[hi], j if j < m else None, worst, 0))
             return blocks
 
         return blocks_for
@@ -611,13 +612,12 @@ def dp_fmax_s1(instance: Instance) -> Solution:
                 frontier = _pareto(frontier + entries, math.inf)
         return result
 
-    graph = _Graph(m, n, 0, [(1, instance.single_resource_order_cost)], edges)
+    graph = _Graph(m, 0, [(1, instance.single_resource_order_cost)], edges)
     _, starts, masks = _least_max_flow(graph, undominated)
     left = [i for i, mask in enumerate(masks) if mask]
     events = tuple((dates[j - 1], frozenset({1})) for j in left[1:] + [m])
-    return evaluate_solution(
-        instance, Schedule(dict(zip(ids, starts))), ReplenishmentStructure(events), objective
-    )
+    schedule = _decode_starts(instance, shifts, starts)
+    return evaluate_solution(instance, schedule, ReplenishmentStructure(events), objective)
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,10 @@ class TestInputErrors:
               "--max-jobs", "1"], "--algo dp-equalp reads no --max-jobs or --max-grid-subsets"),
             (["solve", "--algo", "oracle-fine", "--objective", "total_completion", "--input",
               "{far}"], "replenishment structures exceed the cap"),
+            (["online", "--policy", "immediate", "--K", "-5", "--input", "{one}"],
+             "order cost must be >= 1"),
+            (["online", "--policy", "immediate", "--K", "0", "--input", "{one}"],
+             "order cost must be >= 1"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
@@ -466,6 +470,37 @@ class TestInputErrors:
         out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)
         assert out == ""
         assert message in error_line(err)
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--family", "regular", "--n", "2", "--s", "3", "--max-weight", "9"],
+             "error: --family regular reads no --s"),
+            (["--family", "regular", "--seed", "4"], "error: --family regular reads no --seed"),
+            (["--family", "regular", "--tight-name", "three-jobs"],
+             "error: --family regular reads no --tight-name"),
+            (["--family", "tight", "--n", "3"],
+             "error: --family tight --tight-name single-job reads no --n"),
+            (["--family", "tight", "--item-cost-max", "4"],
+             "error: --family tight --tight-name single-job reads no --item-cost-max"),
+            (["--family", "tight", "--tight-name", "three-jobs", "--max-release", "4"],
+             "error: --family tight --tight-name three-jobs reads no --max-release"),
+            (["--tight-name", "single-job"], "error: --family random reads no --tight-name"),
+        ],
+    )
+    def test_gen_refuses_an_option_its_family_does_not_read(self, capsys, argv, line):
+        out, err = run_cli(capsys, ["gen", *argv], expect=1)
+        assert out == ""
+        assert error_line(err) == line
+
+    def test_gen_reads_the_options_of_its_family(self, capsys):
+        out, _ = run_cli(capsys, ["gen", "--family", "tight", "--tight-name", "three-jobs",
+                                  "--item-cost-max", "4", "--joint-cost", "3"])
+        instance = parse_instance(out)
+        assert (instance.joint_cost, instance.item_costs) == (3, (4,))
+        out, _ = run_cli(capsys, ["gen", "--family", "regular", "--n", "3", "--joint-cost", "0"])
+        instance = parse_instance(out)
+        assert (len(instance.jobs), instance.joint_cost) == (3, 0)
 
     @pytest.mark.parametrize(
         "kind", ["sum_cj_3_2", "sum_fj_3_2", "fmax_regular_4_3", "fmax_general_golden"]

@@ -23,6 +23,7 @@ from jrsched import (
     replenishment_cost,
     scheduling_cost,
 )
+from jrsched.adversaries import AdversarySpec, adversary_run
 from jrsched.model import CRITERIA, release_anchor
 from jrsched.offline_dp import equal_flow_cover
 from conftest import R1, random_instance, walkthrough_instance
@@ -245,6 +246,16 @@ class TestPastOracleCap:
                 sol = dp_fmax_s1(inst)
                 assert sol.total == fmax_unit_distinct(inst).total
                 assert_well_formed(inst, sol)
+
+    @pytest.mark.parametrize("order_cost", [100, 200, 300])
+    def test_fmax_matches_unit_distinct_on_the_4_3_game(self, order_cost):
+        """The instances the 4/3 max-flow game realizes, 2K + 1 jobs, which
+        the game prices with dp_fmax_s1."""
+        outcome = adversary_run(AdversarySpec("fmax_regular_4_3", order_cost))
+        assert len(outcome.instance.jobs) == 2 * order_cost + 1
+        assert outcome.offline.total == fmax_unit_distinct(outcome.instance).total
+        assert outcome.offline.total == 3 * order_cost + 1
+        assert_well_formed(outcome.instance, outcome.offline)
 
     def test_wjcj_matches_equalp_on_unit_weights(self, rng):
         for n in (9, 10, 11) * 4:
@@ -618,3 +629,81 @@ def test_dp_fmax_s1_is_the_least_path_of_its_graph():
                     )
                     expected = emit_solution(least_fmax_path(instance))
                     assert emit_solution(dp_fmax_s1(instance)) == expected
+
+
+def horizon_edge_cases(s, max_processing, max_weight, max_jobs):
+    """Instances with horizon 2^k - 1, 2^k or 2^k + 1 (k = 3-5).  A start
+    code field has the horizon's bit length, so the largest start possible,
+    horizon - 1, fills its field at 2^k - 1 and 2^k + 1 and all but its top
+    bit at 2^k.  The highest id is a unit job released last, at the horizon
+    less the total processing; every other job is released at 0, 1 or just
+    before it.  The joint cost runs from 0 to the horizon, so some optima
+    start that unit job at horizon - 1."""
+    rng = random.Random(2021)
+    for k in (3, 4, 5):
+        for horizon in (2**k - 1, 2**k, 2**k + 1):
+            for n in range(1, max_jobs + 1):
+                for joint_cost in (0, 1, horizon):
+                    lengths = [rng.randint(1, max_processing) for _ in range(n - 1)] + [1]
+                    last = horizon - sum(lengths)
+                    releases = [rng.choice((0, 1, last - 1, last)) for _ in range(n - 1)]
+                    jobs = tuple(
+                        Job(job_id, release, length,
+                            frozenset(rng.sample(range(1, s + 1), rng.randint(1, s))),
+                            rng.randint(1, max_weight))
+                        for job_id, (release, length) in enumerate(
+                            zip(releases + [last], lengths), start=1)
+                    )
+                    items = tuple(rng.choice((0, 1)) for _ in range(s))
+                    instance = Instance(s, joint_cost, items, jobs)
+                    assert instance.horizon == horizon
+                    yield instance
+
+
+def assert_largest_starts_reach_the_top(solved):
+    """Per horizon, the largest start over the (instance, solution) pairs
+    ``solved`` has the bit length of horizon - 1: some start sits in the
+    top bit its field can hold."""
+    top: dict[int, int] = {}
+    for instance, solution in solved:
+        largest = max(solution.schedule.starts.values())
+        top[instance.horizon] = max(top.get(instance.horizon, 0), largest)
+    assert len(top) == 9
+    assert {h: t.bit_length() for h, t in top.items()} == {h: (h - 1).bit_length() for h in top}
+
+
+class TestStartCodeFieldWidth:
+    """The DPs where the largest start fills its start-code field: a field
+    one bit too narrow would carry into the next job's field and silently
+    reorder ties, so each answer is compared byte for byte with a reference
+    that keeps its vectors as tuples."""
+
+    @pytest.mark.parametrize("objective", [Objective.TOTAL_COMPLETION, Objective.MAX_FLOW])
+    def test_dp_equalp(self, objective):
+        solved = []
+        for s in (1, 2):
+            for instance in horizon_edge_cases(s, max_processing=1, max_weight=1, max_jobs=4):
+                solution = dp_equalp(instance, objective)
+                expected = emit_solution(least_graph_path(instance, objective))
+                assert emit_solution(solution) == expected
+                solved.append((instance, solution))
+        assert_largest_starts_reach_the_top(solved)
+
+    def test_dp_fmax_s1(self):
+        solved = []
+        for instance in horizon_edge_cases(1, max_processing=2, max_weight=1, max_jobs=3):
+            solution = dp_fmax_s1(instance)
+            assert emit_solution(solution) == emit_solution(least_fmax_path(instance))
+            solved.append((instance, solution))
+        assert_largest_starts_reach_the_top(solved)
+
+    def test_dp_wjcj_unit(self):
+        solved = []
+        for s in (1, 2):
+            for instance in horizon_edge_cases(s, max_processing=1, max_weight=3, max_jobs=4):
+                solution = dp_wjcj_unit(instance)
+                expected = exact_solve(instance, Objective.WEIGHTED_COMPLETION)
+                assert solution.total == expected.total
+                assert_well_formed(instance, solution)
+                solved.append((instance, solution))
+        assert_largest_starts_reach_the_top(solved)
