@@ -27,13 +27,18 @@ The evaluation runs in three steps:
    int.  The pass walks the product of every resource but the last, folds
    each prefix once into (union of masks, code, item cost), and then spends
    a few int operations and one dict lookup on each time set of the last
-   resource (see :func:`_cheapest_structures`).
+   resource (see :func:`_cheapest_structures`).  A tie in cost is decided
+   from the masks and their unions alone, in O(s) int operations (see
+   :func:`_key_precedes`); the (order times, resource subsets) key is built
+   only for a structure whose residual is solved and can win.
 3. The vectors are solved in ascending order of ordering cost plus a lower
    bound on the scheduling cost, until a bound exceeds the best total.  Two
    bounds are used (see :func:`_residual_bounds`): a cheap one that
    completes every job at its effective release plus its processing time,
-   and a tight one from the optimal preemptive schedule (SRPT for the sums,
-   preemptive EDD for max flow).  Every vector enters a heap under its cheap
+   and a tight one: the job-splitting bound of the split-WSPT schedule for
+   the weighted sums, and the optimal preemptive schedule for the others
+   (SRPT for the unweighted sums, preemptive EDD for max flow).  Both are
+   exact integers.  Every vector enters a heap under its cheap
    bound; when it first reaches the top it goes back under its tight bound,
    computed then, and it is solved only when popped under the tight one.
    A vector no earlier anywhere than a solved one of strictly smaller
@@ -139,8 +144,12 @@ def _subset_dp(
     As in Held and Karp's DP, the jobs are placed one by one; a state is the
     set of jobs placed and the time the machine becomes free.  All orders
     through a state share the same continuations, so a state keeps only its
-    smallest (cost, starts).  Unplaced jobs hold start 0, so partial start
-    vectors compare as the full ones will.
+    smallest (cost, starts).  It holds them as one int: the cost above a
+    start code in which job j owns the ``width``-bit field at shift
+    (n - 1 - j) * width.  No start reaches 2**width, so int order is
+    (cost, starts) order, and placing a job adds its start to its field.
+    Unplaced jobs hold start 0, so partial start vectors compare as the full
+    ones will.  The winner is decoded once, at the end.
 
     A state is not expanded when a state of the same set that is free
     earlier holds a smaller (cost, starts).  Continued by the same jobs,
@@ -152,23 +161,27 @@ def _subset_dp(
     dropped.
     """
     n = len(effective)
+    width = (max(effective) + sum(proc for _, proc, _ in jobs_data)).bit_length()
+    cost_shift = n * width
     steps = []
     last_twin: dict[tuple[int, int, int, int], int] = {}
     for j, (release, proc, weight) in enumerate(jobs_data):
         key = (effective[j], release, proc, weight)
-        steps.append((j, 1 << j, last_twin.get(key, 0), effective[j], release, proc, weight))
+        shift = (n - 1 - j) * width
+        steps.append((1 << j, last_twin.get(key, 0), shift, effective[j], release, proc, weight))
         last_twin[key] = 1 << j
-    layer: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {0: {0: (0, (0,) * n)}}
+    layer: dict[int, dict[int, int]] = {0: {0: 0}}
     for _ in range(n):
-        successors: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
+        successors: dict[int, dict[int, int]] = {}
         for mask, states in layer.items():
             least = None
             for now, held in sorted(states.items()):
                 if least is not None and least < held:
                     continue
                 least = held
-                cost, starts = held
-                for j, bit, twin, eff, release, proc, weight in steps:
+                cost = held >> cost_shift
+                code = held - (cost << cost_shift)
+                for bit, twin, shift, eff, release, proc, weight in steps:
                     if mask & bit or mask & twin != twin:
                         continue
                     start = now if now > eff else eff
@@ -176,7 +189,7 @@ def _subset_dp(
                     value = job_value(weight, release, done)
                     if cap is not None and value > cap:
                         continue
-                    state = (combine(cost, value), starts[:j] + (start,) + starts[j + 1 :])
+                    state = (combine(cost, value) << cost_shift) + code + (start << shift)
                     bucket = successors.get(mask | bit)
                     if bucket is None:
                         successors[mask | bit] = {done: state}
@@ -185,7 +198,10 @@ def _subset_dp(
                         if kept is None or state < kept:
                             bucket[done] = state
         layer = successors
-    return min(layer[(1 << n) - 1].values())
+    best = min(layer[(1 << n) - 1].values())
+    field = (1 << width) - 1
+    starts = tuple(best >> (n - 1 - j) * width & field for j in range(n))
+    return best >> cost_shift, starts
 
 
 def _preemptive_completions(
@@ -222,47 +238,110 @@ def _preemptive_completions(
     return done
 
 
+def _split_wspt(
+    effective: tuple[int, ...],
+    procs: tuple[int, ...],
+    ratios: tuple[int, ...],
+    offsets: tuple[int, ...],
+) -> int:
+    """Job-splitting value of the split-WSPT schedule, scaled by L.
+
+    ``ratios[j]`` is w_j * L / p_j for L the lcm of the processing times, an
+    int that ranks the jobs by w_j / p_j.  The machine always runs the
+    released job of largest ratio (of these the one with the least time
+    left), and splits the running job only when a job of strictly larger
+    ratio arrives.  Each run of job j of length q that ends at C counts as a
+    job of weight w_j * q / p_j completing then, so adds
+    ``ratios[j] * q * (C - offsets[j])`` (Belouadah, Posner and Potts, 1992).
+    """
+    n = len(effective)
+    arrivals = sorted(range(n), key=effective.__getitem__)
+    ready: list[tuple[int, int, int]] = []
+    total = 0
+    now = 0
+    i = 0
+    while i < n or ready:
+        if not ready and effective[arrivals[i]] > now:
+            now = effective[arrivals[i]]
+        while i < n and effective[arrivals[i]] <= now:
+            j = arrivals[i]
+            heapq.heappush(ready, (-ratios[j], procs[j], j))
+            i += 1
+        key, left, j = heapq.heappop(ready)
+        end = now + left
+        # jobs of no larger ratio that arrive before j ends only queue up
+        while i < n and effective[arrivals[i]] < end and ratios[arrivals[i]] <= ratios[j]:
+            k = arrivals[i]
+            heapq.heappush(ready, (-ratios[k], procs[k], k))
+            i += 1
+        if i < n and effective[arrivals[i]] < end:  # a larger ratio splits j
+            split = effective[arrivals[i]]
+            total += ratios[j] * (split - now) * (split - offsets[j])
+            heapq.heappush(ready, (key, end - split, j))
+            now = split
+        else:
+            total += ratios[j] * left * (end - offsets[j])
+            now = end
+    return total
+
+
 def _residual_bounds(
     jobs_data: tuple[tuple[int, int, int], ...], objective: Objective
 ) -> tuple[Callable[[tuple[int, ...]], int], Callable[[tuple[int, ...]], int]]:
     """A cheap and a tight lower bound on the residual cost of an
-    effective-release vector, both folded through ``CRITERIA``.
+    effective-release vector.
 
     The cheap bound completes every job at its effective release plus its
-    processing time.  The tight bound takes the completions of the
-    preemptive schedule that is optimal for the criterion (see
-    :func:`_preemptive_completions`): SRPT for the sums, preemptive EDD with
-    the release dates as due dates for max flow.  A weighted sum is split at
-    the least weight w: w times the SRPT sum, plus each job's weight above w
-    at its cheap completion.  The unweighted criteria ignore the weights, so
-    the split would count them twice.  No job completes before its cheap
-    completion, so cheap <= tight.  Every order the residual DP places is
-    also a preemptive schedule, no better than the optimal one for the
-    criterion (for a weighted sum, for its part at the least weight), so
-    tight <= the cost :func:`_sequence_exact` returns.
+    processing time, folded through ``CRITERIA``.  No job completes earlier,
+    so it is at most the residual cost.
+
+    For the weighted sums the tight bound is the larger of the cheap one and
+    the job-splitting bound of :func:`_split_wspt`, rounded up, where a job
+    costs its weight times its completion minus its offset: 0 for weighted
+    completion, its release for weighted flow.  A run of length q of job j
+    ending at C costs (w_j / p_j) * q * (C - offset_j), which is w_j / p_j
+    times the integral of t - offset_j over the run, plus
+    (w_j / p_j) * q**2 / 2.  Over any schedule the first parts add up to its
+    weighted busy time, which by an exchange argument is least for a
+    schedule that never idles while a job is ready and always runs the
+    largest ratio ready, as split-WSPT does.  The second parts add up to at
+    most sum(w_j * p_j) / 2, reached when no job is split, as in every
+    order the residual DP places.  So no such order costs less than
+    split-WSPT.
+
+    For the other criteria the tight bound folds through ``CRITERIA`` the
+    completions of the preemptive schedule that is optimal for the criterion
+    (see :func:`_preemptive_completions`): SRPT for the sums, preemptive EDD
+    with the release dates as due dates for max flow.  Every order the
+    residual DP places is also a preemptive schedule, no better than the
+    optimal one.
+
+    So cheap <= tight <= the cost :func:`_sequence_exact` returns.  All
+    arithmetic is on ints.
     """
     releases, procs, weights = (tuple(column) for column in zip(*jobs_data))
     job_value, combine = CRITERIA[objective]
-    due = (0,) * len(jobs_data) if combine is operator.add else releases
-    excess = None
-    if objective in (Objective.WEIGHTED_COMPLETION, Objective.WEIGHTED_FLOW):
-        least = min(weights)
-        excess = tuple(w - least for w in weights)
-        weights_at_srpt = (least,) * len(weights)
-    else:
-        weights_at_srpt = weights
 
     def cheap(effective: tuple[int, ...]) -> int:
         completions = map(operator.add, effective, procs)
         return reduce(combine, map(job_value, weights, releases, completions), 0)
 
+    if objective in (Objective.WEIGHTED_COMPLETION, Objective.WEIGHTED_FLOW):
+        scale = math.lcm(*procs)
+        ratios = tuple(w * (scale // p) for w, p in zip(weights, procs))
+        offsets = releases if objective is Objective.WEIGHTED_FLOW else (0,) * len(procs)
+
+        def tight(effective: tuple[int, ...]) -> int:
+            split = -(-_split_wspt(effective, procs, ratios, offsets) // scale)
+            return max(cheap(effective), split)
+
+        return cheap, tight
+
+    due = (0,) * len(jobs_data) if combine is operator.add else releases
+
     def tight(effective: tuple[int, ...]) -> int:
-        floor = 0
-        if excess is not None:
-            earliest = map(operator.add, effective, procs)
-            floor = sum(map(job_value, excess, releases, earliest))
         completions = _preemptive_completions(effective, procs, due)
-        return reduce(combine, map(job_value, weights_at_srpt, releases, completions), floor)
+        return reduce(combine, map(job_value, weights, releases, completions), 0)
 
     return cheap, tight
 
@@ -346,6 +425,39 @@ def _structure_key(
     return tuple(times), tuple(subsets)
 
 
+def _key_precedes(
+    union: int, masks: tuple[int, ...], other_union: int, other_masks: tuple[int, ...]
+) -> bool:
+    """Whether ``_structure_key(points, masks) < _structure_key(points,
+    other_masks)``, decided from the masks and their unions in O(s) int
+    operations, whatever the ascending ``points``.
+
+    Two ascending lists of distinct ints first differ at the least int d
+    that only one of them holds.  The list holding d is the smaller exactly
+    when the other one goes on past d; otherwise the other one is a prefix
+    of it.  Applied to the bits of the unions, this orders the order times.
+    With equal unions the first subset that differs is at the lowest point
+    where any mask differs, and the same rule orders the sets of resources
+    ordered there.
+    """
+    if union == other_union:
+        differ = 0
+        for mask, other in zip(masks, other_masks):
+            differ |= mask ^ other
+        if not differ:
+            return False
+        point = differ & -differ
+        union = other_union = 0
+        for i, (mask, other) in enumerate(zip(masks, other_masks)):
+            if mask & point:
+                union |= 1 << i
+            if other & point:
+                other_union |= 1 << i
+    differ = union ^ other_union
+    low = differ & -differ
+    return other_union > low if union & low else union < low
+
+
 def _cheapest_structures(
     instance: Instance, points: Sequence[int], caps: list[int]
 ) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
@@ -358,8 +470,8 @@ def _cheapest_structures(
     j*m + m - 1; ``rows[j]`` holds its codes from the first point at or
     after its release on.  The effective releases of a held structure are
     read from its time sets' cover vectors once, when the pass is over.  A
-    held structure's key is computed only when one of equal cost first
-    needs it.
+    tie in cost is decided from the masks alone by :func:`_key_precedes`,
+    so no key is built here.
     """
     jobs = instance.jobs
     n = len(jobs)
@@ -382,7 +494,7 @@ def _cheapest_structures(
             _resource_candidates(points, needing, item_cost, n, caps[i], idle_order_costs)
         )
 
-    # code -> (ordering cost, masks, prefix time sets, last cover, key or None)
+    # code -> (ordering cost, masks, prefix time sets, last cover, union of masks)
     cheapest: dict[int, tuple] = {}
     get = cheapest.get
     for prefix in itertools.product(*candidates[:-1]):
@@ -394,20 +506,15 @@ def _cheapest_structures(
         prefix_masks = tuple([entry[0] for entry in prefix])
         for mask, cost_term, code, cover in candidates[-1]:
             eff_code = prefix_code | code
-            repl = prefix_cost + cost_term + joint * (prefix_union | mask).bit_count()
+            union = prefix_union | mask
+            repl = prefix_cost + cost_term + joint * union.bit_count()
             held = get(eff_code)
             if held is None or repl < held[0]:
-                cheapest[eff_code] = (repl, prefix_masks + (mask,), prefix, cover, None)
+                cheapest[eff_code] = (repl, prefix_masks + (mask,), prefix, cover, union)
             elif repl == held[0]:
                 masks = prefix_masks + (mask,)
-                key = _structure_key(points, masks)
-                held_key = held[4]
-                if held_key is None:
-                    held_key = _structure_key(points, held[1])
-                if key < held_key:
-                    cheapest[eff_code] = (repl, masks, prefix, cover, key)
-                else:
-                    cheapest[eff_code] = held[:4] + (held_key,)
+                if _key_precedes(union, masks, held[4], held[1]):
+                    cheapest[eff_code] = (repl, masks, prefix, cover, union)
 
     structures = {}
     for repl, masks, prefix, eff, _ in cheapest.values():

@@ -21,6 +21,7 @@ from jrsched import (
     replenishment_cost,
     scheduling_cost,
 )
+from jrsched import oracle
 from jrsched.generate import GeneratorSpec, gen_instance
 from jrsched.model import (
     CRITERIA,
@@ -31,8 +32,11 @@ from jrsched.model import (
 )
 from jrsched.oracle import (
     _cheapest_structures,
+    _key_precedes,
     _residual_bounds,
     _sequence_exact,
+    _split_wspt,
+    _structure_key,
 )
 from conftest import R1, random_instance, single_job_instance, walkthrough_instance
 
@@ -273,6 +277,9 @@ class TestResidualSequencing:
                 )
 
 
+WEIGHTED = (Objective.WEIGHTED_COMPLETION, Objective.WEIGHTED_FLOW)
+
+
 class TestResidualBounds:
     def test_cheap_below_tight_below_residual(self):
         rng = random.Random(4242)
@@ -287,6 +294,58 @@ class TestResidualBounds:
                 assert cheap(effective) <= tight(effective) <= residual, (
                     effective, jobs_data, objective
                 )
+
+    def test_weighted_bounds_against_brute_force(self):
+        # uneven processing times and weights, so that the job-splitting
+        # bound splits often, and effective releases past the releases, so
+        # that weighted flow's offsets differ from them
+        rng = random.Random(5151)
+        for trial in range(600):
+            n = 1 + trial % 7
+            releases = [rng.randint(0, 8) for _ in range(n)]
+            effective = tuple(r + rng.choice((0, rng.randint(1, 6))) for r in releases)
+            jobs_data = tuple((r, rng.randint(1, 5), rng.randint(1, 6)) for r in releases)
+            expected = brute_force_sequence(effective, jobs_data) if n <= 5 else None
+            for objective in WEIGHTED:
+                cheap, tight = _residual_bounds(jobs_data, objective)
+                residual = _sequence_exact(effective, jobs_data, objective)
+                if expected is not None:
+                    assert residual == expected[objective], (effective, jobs_data, objective)
+                assert cheap(effective) <= tight(effective) <= residual[0], (
+                    effective, jobs_data, objective
+                )
+
+    def test_weighted_bound_is_exact_on_one_effective_release(self):
+        # with every job ready at once the split-WSPT schedule never splits:
+        # it is Smith's rule, optimal for the weighted sums
+        rng = random.Random(77)
+        for trial in range(200):
+            n = 1 + trial % 6
+            ready = rng.randint(0, 6)
+            jobs_data = tuple(
+                (rng.randint(0, ready), rng.randint(1, 5), rng.randint(1, 6)) for _ in range(n)
+            )
+            effective = (ready,) * n
+            for objective in WEIGHTED:
+                _, tight = _residual_bounds(jobs_data, objective)
+                residual = _sequence_exact(effective, jobs_data, objective)[0]
+                assert tight(effective) == residual, (effective, jobs_data, objective)
+
+    def test_split_runs_are_priced_by_their_share_of_the_weight(self):
+        # job 0 (p = 2, w = 1, ratio 1 at L = 2) runs 0-1 and is split by job
+        # 1 (p = 2, w = 3, ratio 3), which runs 1-3; job 0 ends 3-4.  The
+        # runs add 1*1*1 + 3*2*3 + 1*1*4 = 23, so the bound is 12, against
+        # the cheap 2 + 9 and the residual 14 of either order
+        jobs_data = ((0, 2, 1), (1, 2, 3))
+        cheap, tight = _residual_bounds(jobs_data, Objective.WEIGHTED_COMPLETION)
+        assert _split_wspt((0, 1), (2, 2), (1, 3), (0, 0)) == 23
+        assert cheap((0, 1)) == 11
+        assert tight((0, 1)) == 12
+        assert _sequence_exact((0, 1), jobs_data, Objective.WEIGHTED_COMPLETION)[0] == 14
+        # under weighted flow each run counts from its job's release
+        _, tight = _residual_bounds(jobs_data, Objective.WEIGHTED_FLOW)
+        assert _split_wspt((0, 1), (2, 2), (1, 3), (0, 1)) == 23 - 3 * 2 * 1
+        assert tight((0, 1)) == 9
 
     def test_tight_on_unit_jobs(self):
         # with unit jobs and integer releases the preemptive schedules never
@@ -358,6 +417,44 @@ def test_exact_solve_outputs_are_pinned():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+def weighted_pool_specs():
+    """60 seeded instances shaped like the multi-resource oracle workload:
+    s = 2-3, n = 5-6, p up to 1-3, w up to 3, order costs 1, 2, 5, 10."""
+    for seed in range(60):
+        s = 2 + seed % 2
+        yield GeneratorSpec(
+            seed=1000 + seed,
+            n=5 + seed // 2 % 2,
+            num_resources=s,
+            joint_cost=(1, 2, 5, 10)[seed // 4 % 4],
+            item_cost_max=3,
+            max_release={2: 9, 3: 5}[s],
+            max_processing=1 + seed % 3,
+            max_weight=3,
+        )
+
+
+def test_weighted_residuals_sequenced_are_pinned(monkeypatch):
+    # How many residuals the weighted sums sequence over a fixed pool.  Every
+    # valid bound gives the same outputs, so only this count shows a weaker
+    # bound or a lost dominance skip.  The two criteria differ by the
+    # constant sum of w_j r_j, in the residuals and in both bounds, so they
+    # sequence the same vectors.
+    calls = {objective: 0 for objective in WEIGHTED}
+    sequence = oracle._sequence_exact
+
+    def counting(effective, jobs_data, objective):
+        calls[objective] += 1
+        return sequence(effective, jobs_data, objective)
+
+    monkeypatch.setattr(oracle, "_sequence_exact", counting)
+    for spec in weighted_pool_specs():
+        instance = gen_instance(spec)
+        for objective in WEIGHTED:
+            exact_solve(instance, objective)
+    assert calls == {Objective.WEIGHTED_COMPLETION: 87, Objective.WEIGHTED_FLOW: 87}
+
+
 class TestAgainstFullEnumeration:
     """The oracle against its earlier loop, which enumerated every structure
     and kept the smallest (total, times, starts, subsets) outright."""
@@ -419,6 +516,55 @@ class TestStructurePass:
             ]
             expected = tuple_cover_structures(inst, points, caps)
             assert _cheapest_structures(inst, points, caps) == expected, (trial, inst)
+
+
+class TestKeyPrecedes:
+    """The tie compare of the structure pass against the key it stands for."""
+
+    def test_matches_structure_key_order(self):
+        rng = random.Random(3131)
+        for trial in range(6000):
+            s = 1 + trial % 3
+            m = rng.randint(1, 6)
+            points = tuple(sorted(rng.sample(range(3 * m), m)))
+            masks = tuple(0 if rng.random() < 0.2 else rng.randrange(1 << m) for _ in range(s))
+            union = reduce(operator.or_, masks)
+            shape = trial // 3 % 3
+            if shape == 0:  # independent, zero masks included
+                other = tuple(
+                    0 if rng.random() < 0.2 else rng.randrange(1 << m) for _ in range(s)
+                )
+            elif shape == 1:  # the same union, resources reshuffled over it
+                other = [0] * s
+                for b in range(m):
+                    if union >> b & 1:
+                        for i in rng.sample(range(s), rng.randint(1, s)):
+                            other[i] |= 1 << b
+                other = tuple(other)
+            else:  # one point toggled in one resource
+                i = rng.randrange(s)
+                other = masks[:i] + (masks[i] ^ 1 << rng.randrange(m),) + masks[i + 1 :]
+            other_union = reduce(operator.or_, other)
+            key = _structure_key(points, masks)
+            other_key = _structure_key(points, other)
+            assert _key_precedes(union, masks, other_union, other) == (key < other_key), (
+                points, masks, other
+            )
+            assert _key_precedes(other_union, other, union, masks) == (other_key < key), (
+                points, masks, other
+            )
+            assert not _key_precedes(union, masks, union, masks)
+
+    def test_prefix_and_subset_rules(self):
+        # point indices (0,) come before (0, 1), and (0, 1) before (0, 2);
+        # at equal times the subset (1,) comes before (1, 2), (1, 2) before
+        # (1, 3), and (2,) after (1, 2)
+        assert _key_precedes(0b001, (0b001,), 0b011, (0b011,))
+        assert _key_precedes(0b011, (0b011,), 0b101, (0b101,))
+        assert not _key_precedes(0b101, (0b101,), 0b011, (0b011,))
+        assert _key_precedes(0b1, (0b1, 0b0), 0b1, (0b1, 0b1))
+        assert _key_precedes(0b1, (0b1, 0b1, 0b0), 0b1, (0b1, 0b0, 0b1))
+        assert not _key_precedes(0b1, (0b0, 0b1), 0b1, (0b1, 0b1))
 
 
 def _cover_vector(times, needing, n):
