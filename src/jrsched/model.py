@@ -92,6 +92,23 @@ class Job:
                 )
 
 
+def _jobs_pass(jobs: tuple[Job, ...], num_resources: int) -> bool:
+    """True when no job fails :meth:`Job.validate` or repeats an id, decided
+    in one pass with the resource range as a subset test.  False means some
+    job may fail; only a check per job can then name the first one."""
+    allowed = frozenset(range(1, num_resources + 1))
+    for job in jobs:
+        if (
+            job.release < 0
+            or job.processing < 1
+            or job.weight < 1
+            or not job.resources
+            or not job.resources <= allowed
+        ):
+            return False
+    return len({job.id for job in jobs}) == len(jobs)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: resource costs plus the job list.
@@ -119,6 +136,9 @@ class Instance:
         for i, cost in enumerate(self.item_costs, start=1):
             if cost < 0:
                 raise InstanceError(f"item cost for resource {i} is negative")
+        if _jobs_pass(self.jobs, self.num_resources):
+            return
+        # some job is bad: name the first one, as a check per job does
         seen: set[int] = set()
         for job in self.jobs:
             if job.id in seen:
@@ -279,10 +299,14 @@ def replenishment_cost(instance: Instance, structure: ReplenishmentStructure) ->
 def scheduling_cost(instance: Instance, schedule: Schedule, objective: Objective) -> int:
     """Exact value of the selected criterion; every job must be scheduled."""
     job_value, combine = CRITERIA[objective]
-    values = (
-        job_value(job.weight, job.release, schedule.start_of(job.id) + job.processing)
-        for job in instance.jobs
-    )
+    starts = schedule.starts
+    try:
+        values = [
+            job_value(job.weight, job.release, starts[job.id] + job.processing)
+            for job in instance.jobs
+        ]
+    except KeyError as missing:
+        raise SolutionError(f"job {missing.args[0]} has no start time") from None
     return reduce(combine, values, 0)
 
 

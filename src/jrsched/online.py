@@ -36,8 +36,9 @@ import math
 from bisect import bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Any, Callable, Iterable
+from itertools import islice
+from operator import attrgetter, lt
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .model import (
     Instance,
@@ -97,24 +98,11 @@ class PendingView(Sequence):
     def release_sum(self) -> int:
         return self._release_sum
 
-    def _extend(self, arrived: list[Job]) -> None:
-        """Add new jobs: appended when they come in order, inserted if not."""
-        jobs = self._jobs
-        last = _ARRIVAL_ORDER(jobs[-1]) if jobs else None
-        for job in arrived:
-            key = _ARRIVAL_ORDER(job)
-            if last is not None and key < last:
-                insort(jobs, job, key=_ARRIVAL_ORDER)
-            else:
-                jobs.append(job)
-                last = key
-        self._release_sum += sum(map(_RELEASE, arrived))
-
     def _drop_started(self, count: int, started: dict[int, int]) -> None:
         """Remove the ``count`` jobs just put into ``started``."""
         jobs = self._jobs
         dropped = jobs[:count]
-        if all(job.id in started for job in dropped):
+        if all([job.id in started for job in dropped]):
             del jobs[:count]
         else:
             dropped = [job for job in jobs if job.id in started]
@@ -122,11 +110,11 @@ class PendingView(Sequence):
         self._release_sum -= sum(map(_RELEASE, dropped))
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(NamedTuple):
     """What a policy sees at one idle decision point.
 
     ``pending`` is a live view of the backlog; see :class:`PendingView`.
+    A named tuple: immutable, built by position or by keyword.
     """
 
     now: int
@@ -214,7 +202,7 @@ class _SumPolicy(OnlinePolicy):
         pending = obs.pending
         backlog = len(pending)
         if backlog and self.backlog_cost(obs.now, backlog, pending.release_sum) >= self.order_cost:
-            return Decision(_RESOURCE_ONE, tuple(job.id for job in pending))
+            return Decision(_RESOURCE_ONE, tuple([job.id for job in pending]))
         return WAIT
 
     def wake(self, obs: Observation) -> int | None:
@@ -282,7 +270,7 @@ class MaxFlowGridPolicy(OnlinePolicy):
         if obs.now >= self._grid_time() or obs.stream_over:
             while obs.now >= self._grid_time():
                 self.grid_index += 1
-            return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
+            return Decision(_RESOURCE_ONE, tuple([job.id for job in obs.pending]))
         return WAIT
 
     def wake(self, obs: Observation) -> int | None:
@@ -298,7 +286,7 @@ class ImmediatePolicy(OnlinePolicy):
 
     def decide(self, obs: Observation) -> Decision:
         if obs.pending:
-            return Decision(_RESOURCE_ONE, tuple(job.id for job in obs.pending))
+            return Decision(_RESOURCE_ONE, tuple([job.id for job in obs.pending]))
         return WAIT
 
     def wake(self, obs: Observation) -> int | None:
@@ -340,8 +328,12 @@ class JobSource:
 
 class StaticSource(JobSource):
     def __init__(self, jobs: Iterable[Job]):
-        self.jobs = sorted(jobs, key=_ARRIVAL_ORDER)
+        self.jobs = list(jobs)
         self.releases = [job.release for job in self.jobs]
+        # jobs with strictly increasing releases are already in (release, id) order
+        if not all(map(lt, self.releases, islice(self.releases, 1, None))):
+            self.jobs.sort(key=_ARRIVAL_ORDER)
+            self.releases = [job.release for job in self.jobs]
         self.cursor = 0
 
     def reveal(self, t: int, view: SimView) -> list[Job]:
@@ -397,6 +389,10 @@ def simulate(
     events: list[tuple[int, frozenset[int]]] = []
     records: list[TraceRecord] = []
     pending = PendingView()
+    backlog = pending._jobs  # kept in (release, id) order, updated in place
+    # the largest (release, id) ever added: a later job goes to the end of
+    # the backlog, any other is inserted in order
+    last_release = last_id = _NEVER
     seen: dict[int, Job] = {}
     last_order: dict[int, int] = {}  # resource -> time of its latest order
     view = SimView(started, events, 0)
@@ -405,32 +401,44 @@ def simulate(
     while True:
         arrived = source.reveal(t, view)
         if arrived:
+            # one pass: check each job, add it to the backlog and the
+            # release sum, and collect the jobs released now
+            fresh = []
+            release_sum = 0
             for job in arrived:
-                if job.id in seen:
-                    raise SimulationError(f"source delivered job {job.id} twice")
-                if job.release > t:
-                    raise SimulationError(f"source delivered job {job.id} before its release")
-                seen[job.id] = job
-            pending._extend(arrived)
-            arrivals_now = tuple(job for job in arrived if job.release == t)
+                job_id = job.id
+                if job_id in seen:
+                    raise SimulationError(f"source delivered job {job_id} twice")
+                release = job.release
+                if release > t:
+                    raise SimulationError(f"source delivered job {job_id} before its release")
+                seen[job_id] = job
+                release_sum += release
+                if release == t:
+                    fresh.append(job)
+                if release > last_release or (release == last_release and job_id > last_id):
+                    backlog.append(job)
+                    last_release, last_id = release, job_id
+                else:
+                    insort(backlog, job, key=_ARRIVAL_ORDER)
+            pending._release_sum += release_sum
+            arrivals_now = tuple(fresh)
         else:
             arrivals_now = ()
         stream_done = source.finished(t, view)
-        if not pending and stream_done:
+        if not backlog and stream_done:
             break
         if t > max_time:
             raise SimulationError(f"policy made no progress by time {max_time}")
         observation = Observation(
-            now=t,
-            arrivals=arrivals_now,
-            machine_busy_until=view.busy_until,
-            pending=pending,
-            stream_over=end_signal and stream_done and not arrivals_now,
+            t, arrivals_now, view.busy_until, pending, end_signal and stream_done and not arrivals_now
         )
         decision = policy.decide(observation)
+        replenish = decision.replenish
+        start = decision.start
 
-        if decision.replenish is not None:
-            subset = frozenset(decision.replenish)
+        if replenish is not None:
+            subset = frozenset(replenish)
             if not subset:
                 raise SimulationError(f"t={t}: order names an empty resource subset")
             for r in subset:
@@ -440,38 +448,46 @@ def simulate(
             for r in subset:
                 last_order[r] = t
 
-        if decision.start:
+        if start:
             clock = t
-            for job_id in decision.start:
+            # a job is ready iff each resource it needs was last ordered at
+            # or after its release (no order lies after t); the least last
+            # order over the resource set checked last serves every later
+            # job with that set and a release at or before it
+            ready_set = None
+            ready_until = _NEVER
+            for job_id in start:
                 job = seen.get(job_id)
                 if job is None or job_id in started:
                     raise SimulationError(
                         f"t={t}: job {job_id} is not pending (unknown, unreleased or already started)"
                     )
-                # ready iff each resource it needs was last ordered at or
-                # after its release (no order lies after t)
-                for r in job.resources:
-                    if last_order.get(r, _NEVER) < job.release:
+                if job.release > ready_until or job.resources != ready_set:
+                    ready_set = job.resources
+                    ready_until = min(
+                        (last_order.get(r, _NEVER) for r in ready_set), default=math.inf
+                    )
+                    if ready_until < job.release:
                         raise SimulationError(
                             f"t={t}: job {job_id} is not ready, a required resource"
                             " was not ordered within its window"
                         )
                 started[job_id] = clock
                 clock += job.processing
-            pending._drop_started(len(decision.start), started)
+            pending._drop_started(len(start), started)
             view.busy_until = clock
 
-        if decision.replenish is not None or decision.start:
+        if replenish is not None or start:
             records.append(
                 TraceRecord(
                     t,
-                    tuple(sorted(decision.replenish)) if decision.replenish is not None else None,
-                    tuple(decision.start),
+                    tuple(sorted(replenish)) if replenish is not None else None,
+                    tuple(start),
                 )
             )
-        if decision.start:
+        if start:
             t = view.busy_until
-        elif decision.replenish is not None or arrivals_now:
+        elif replenish is not None or arrivals_now:
             t += 1
         else:
             times = (policy.wake(observation), source.next_event(t, view))
@@ -479,7 +495,7 @@ def simulate(
             t = min(max(t + 1, nearest), horizon)
 
     return SimResult(
-        jobs=tuple(sorted(seen.values(), key=lambda job: job.id)),
+        jobs=tuple(map(seen.__getitem__, sorted(seen))),
         starts=started,
         events=tuple(events),
         records=tuple(records),
@@ -534,12 +550,16 @@ def run_online(
     """Simulate the policy on a fixed instance and price the realized run."""
     if policy.requires_single_resource and instance.num_resources != 1:
         raise SolverError(f"policy {policy.name} requires a single resource type")
-    if policy.requires_unit_jobs and any(job.processing != 1 for job in instance.jobs):
+    # every processing time is at least 1, so the total is the job count
+    # only when all are 1
+    if policy.requires_unit_jobs and instance.total_processing != len(instance.jobs):
         raise SolverError(f"policy {policy.name} requires unit processing times")
+    source = StaticSource(instance.jobs)
     if max_time is None:
-        max_time = instance.last_release + instance.total_processing + 2_000_000
+        last_release = source.releases[-1] if source.releases else -1
+        max_time = last_release + instance.total_processing + 2_000_000
     result = simulate(
-        StaticSource(instance.jobs),
+        source,
         policy,
         num_resources=instance.num_resources,
         end_signal=end_signal,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -143,6 +144,82 @@ class TestParseInstance:
         for _ in range(25):
             inst = random_instance(rng, rng.randint(0, 6), s=2, max_processing=3, max_weight=4)
             assert parse_instance(emit_instance(inst)) == inst
+
+
+def _first_bad_job(jobs, num_resources):
+    """The error a check per job raises, in job order: duplicate id first,
+    then the job's own fields; None when every job is valid."""
+    seen = set()
+    for job in jobs:
+        if job.id in seen:
+            return f"job {job.id}: duplicate id"
+        seen.add(job.id)
+        try:
+            job.validate(num_resources)
+        except InstanceError as exc:
+            return str(exc)
+    return None
+
+
+# each field rule as (the field values that break it, the error for job 3)
+BAD_FIELDS = {
+    "release": ({"release": -1}, "job 3: negative release -1"),
+    "processing": ({"processing": 0}, "job 3: processing must be >= 1, got 0"),
+    "weight": ({"weight": 0}, "job 3: weight must be >= 1, got 0"),
+    "empty": ({"resources": frozenset()}, "job 3: empty resource set"),
+    "range_high": ({"resources": frozenset({1, 3})}, "job 3: resource index 3 out of range 1..2"),
+    "range_low": ({"resources": frozenset({0})}, "job 3: resource index 0 out of range 1..2"),
+}
+
+
+def _valid_jobs(n):
+    return [Job(j, j % 3, 1 + j % 2, frozenset({1 + j % 2}), 1 + j % 3) for j in range(1, n + 1)]
+
+
+class TestInstanceValidation:
+    @pytest.mark.parametrize("rule", sorted(BAD_FIELDS))
+    def test_bad_field_in_a_later_job_is_named(self, rule):
+        changes, message = BAD_FIELDS[rule]
+        jobs = _valid_jobs(5)
+        jobs[2] = replace(jobs[2], **changes)
+        with pytest.raises(InstanceError) as caught:
+            Instance(2, 1, (1, 1), tuple(jobs))
+        assert str(caught.value) == message
+
+    def test_duplicate_id_in_a_later_job_is_named(self):
+        jobs = _valid_jobs(5)
+        jobs[3] = Job(2, 0, 1, R1)
+        with pytest.raises(InstanceError) as caught:
+            Instance(2, 1, (1, 1), tuple(jobs))
+        assert str(caught.value) == "job 2: duplicate id"
+
+    def test_first_bad_job_wins_over_rule_order(self):
+        # job 2 breaks a rule checked after job 4's, and still comes first
+        jobs = _valid_jobs(5)
+        jobs[1] = Job(2, 0, 1, frozenset({5}))
+        jobs[3] = Job(4, -3, 1, R1)
+        with pytest.raises(InstanceError) as caught:
+            Instance(2, 1, (1, 1), tuple(jobs))
+        assert str(caught.value) == "job 2: resource index 5 out of range 1..2"
+
+    def test_matches_a_check_per_job(self, rng):
+        rules = [changes for changes, _ in BAD_FIELDS.values()]
+        for _ in range(300):
+            jobs = _valid_jobs(rng.randint(1, 8))
+            for _ in range(rng.randint(0, 3)):
+                at = rng.randrange(len(jobs))
+                if rng.random() < 0.2:
+                    changes = {"id": jobs[rng.randrange(len(jobs))].id}
+                else:
+                    changes = rng.choice(rules)
+                jobs[at] = replace(jobs[at], **changes)
+            expected = _first_bad_job(jobs, 2)
+            if expected is None:
+                assert Instance(2, 1, (1, 1), tuple(jobs)).jobs == tuple(jobs)
+            else:
+                with pytest.raises(InstanceError) as caught:
+                    Instance(2, 1, (1, 1), tuple(jobs))
+                assert str(caught.value) == expected
 
 
 class TestReadyAt:

@@ -767,3 +767,179 @@ def test_certificates_match_first_principles():
                 assert judged < order_cost or got == []
                 flagged += bool(got)
     assert flagged
+
+
+# ---------------------------------------------------------------------------
+# The simulator's fast paths against the tick loop, on inputs that take
+# their fallbacks: each run gives the same SimResult or the same error
+
+
+def _outcome(simulator, source, policy, **options):
+    try:
+        return simulator(source, policy, max_time=100, **options)
+    except SimulationError as exc:
+        return f"SimulationError: {exc}"
+
+
+def _same_outcome(make_source, make_policy, **options):
+    fast = _outcome(simulate, make_source(), make_policy(), **options)
+    slow = _outcome(_tick_simulate, make_source(), make_policy(), **options)
+    assert fast == slow
+    return fast
+
+
+class _ScriptedSource(JobSource):
+    """Delivers each batch of ``script`` ((time, jobs) pairs in time order)
+    at the first visit at or after its time, jobs in the order given."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def reveal(self, t, view):
+        out = []
+        while self.script and self.script[0][0] <= t:
+            out += self.script.pop(0)[1]
+        return out
+
+    def finished(self, t, view):
+        return not self.script
+
+
+class _LateSource(JobSource):
+    """Delivers every third job ``delay`` steps after its release, and each
+    batch in reverse (release, id) order."""
+
+    def __init__(self, jobs, delay):
+        self.due = sorted(((job.release + delay * (job.id % 3 == 0), job) for job in jobs),
+                          key=lambda pair: (pair[0], pair[1].release, pair[1].id))
+
+    def reveal(self, t, view):
+        out = []
+        while self.due and self.due[0][0] <= t:
+            out.append(self.due.pop(0)[1])
+        return out[::-1]
+
+    def finished(self, t, view):
+        return not self.due
+
+
+class _Scripted(OnlinePolicy):
+    """Takes the decision ``decisions`` names for the time, else waits."""
+
+    def __init__(self, decisions):
+        self.decisions = decisions
+
+    def decide(self, obs):
+        return self.decisions.get(obs.now, WAIT)
+
+
+def _job(job_id, release, resources=R1):
+    return Job(job_id, release, 1, frozenset(resources))
+
+
+def test_out_of_order_sources_match_tick_loop():
+    makers = [*SHIPPED, lambda order_cost: _OrderThenStart()]
+    makers += [lambda order_cost, seed=seed: _NonPrefixStarts(seed) for seed in range(3)]
+    rng = random.Random(625)
+    inserted = 0
+    for style in ("dense", "duplicate", "zero"):
+        for _ in range(4):
+            inst = unit_jobs_at(stream_releases(rng, style, rng.randint(2, 9)),
+                                rng.choice((1, 2, 5, 10)))
+            for make in makers:
+                for delay in (0, 1, 4):
+                    result = _same_outcome(lambda: _LateSource(inst.jobs, delay),
+                                           lambda: make(inst.joint_cost))
+                    assert isinstance(result, SimResult), result
+            due = _LateSource(inst.jobs, 4).due
+            inserted += any(a[1].release > b[1].release for a, b in zip(due, due[1:]))
+    assert inserted  # some stream delivers a job after a later-released one
+
+
+@pytest.mark.parametrize("batch, error", [
+    ([_job(1, 0), _job(1, 0)], "source delivered job 1 twice"),
+    ([_job(1, 0), _job(2, 3)], "source delivered job 2 before its release"),
+    ([_job(2, 3), _job(1, 0), _job(1, 0)], "source delivered job 2 before its release"),
+    ([_job(1, 0), _job(1, 0), _job(2, 3)], "source delivered job 1 twice"),
+    ([_job(2, 0), _job(1, 0), _job(2, 0)], "source delivered job 2 twice"),
+    ([_job(2, 0), _job(2, 5)], "source delivered job 2 twice"),
+])
+def test_bad_deliveries_in_one_batch_match_tick_loop(batch, error):
+    result = _same_outcome(lambda: _ScriptedSource([(0, batch)]), lambda: _Scripted({}))
+    assert result == f"SimulationError: {error}"
+
+
+@pytest.mark.parametrize("start", [(2, 1, 3), (3, 1, 2), (1, 3), (3,), (2, 3, 1)])
+def test_starts_that_are_not_backlog_prefixes_match_tick_loop(start):
+    # one order at 3 covers all three; what is left starts at 9
+    script = [(0, [_job(1, 0)]), (1, [_job(2, 1)]), (2, [_job(3, 2)])]
+    rest = tuple(j for j in (1, 2, 3) if j not in start)
+    decisions = {3: Decision(frozenset({1}), start)}
+    if rest:
+        decisions[9] = Decision(None, (*rest, start[0]))
+        result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions))
+        assert result.startswith(f"SimulationError: t=9: job {start[0]} is not pending")
+        decisions[9] = Decision(None, rest)
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions))
+    assert list(result.starts) == [*start, *rest]
+
+
+@pytest.mark.parametrize("start, unready", [
+    ((1, 3), 3), ((2, 4), 4), ((1, 2, 3, 4), 3), ((2, 1, 4, 3), 4), ((1, 4, 3), 4),
+    ((3, 1, 2), 3), ((1, 2, 4, 9), 4), ((1, 2, 9, 4), 9),
+])
+def test_unready_job_after_a_checked_resource_set_is_named(start, unready):
+    # jobs 1 and 3 need resource 1, jobs 2 and 4 resource 2; the order at 1
+    # covers jobs 1 and 2 only, and jobs 3 and 4 share a set with a ready job
+    script = [(0, [_job(1, 0), _job(2, 0, {2})]), (2, [_job(3, 2), _job(4, 2, {2})])]
+    decisions = {1: Decision(frozenset({1, 2}), ()), 2: Decision(None, start)}
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions),
+                           num_resources=2)
+    reason = "is not ready" if unready != 9 else "is not pending"
+    assert result.startswith(f"SimulationError: t=2: job {unready} {reason}")
+
+
+@pytest.mark.parametrize("start", [(1, 2), (3, 1, 2), (1, 3, 2)])
+def test_unready_resource_set_released_before_a_checked_one_is_named(start):
+    # job 2 needs resource 2, which is never ordered; its release lies
+    # before the last order of the set checked for jobs 1 and 3
+    script = [(0, [_job(1, 0), _job(2, 0, {2}), _job(3, 0)])]
+    decisions = {1: Decision(frozenset({1}), start)}
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions),
+                           num_resources=2)
+    assert result.startswith("SimulationError: t=1: job 2 is not ready")
+
+
+def test_order_between_decisions_readies_a_checked_resource_set():
+    # the start at 1 finds both resources last ordered at 1; jobs 3 and 4,
+    # released at 2, need the orders at 3 and 4 before they start
+    script = [(0, [_job(1, 0)]), (1, [_job(2, 1, {1, 2})]), (2, [_job(3, 2), _job(4, 2, {1, 2})])]
+    decisions = {
+        1: Decision(frozenset({1, 2}), (1, 2)),
+        3: Decision(frozenset({1}), (3,)),
+        4: Decision(frozenset({2}), ()),
+        5: Decision(None, (4,)),
+    }
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions),
+                           num_resources=2)
+    assert result.starts == {1: 1, 2: 2, 3: 3, 4: 5}
+    decisions[3] = Decision(None, (3,))  # without that order, job 3 is not ready
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions),
+                           num_resources=2)
+    assert result == "SimulationError: t=3: job 3 is not ready, a required resource" \
+                     " was not ordered within its window"
+
+
+def test_observation_keeps_its_interface():
+    pending = ()
+    fields = ("now", "arrivals", "machine_busy_until", "pending", "stream_over")
+    assert tuple(inspect.signature(Observation).parameters) == fields
+    values = (7, (Job(1, 7, 1, R1),), 9, pending, False)
+    by_keyword = Observation(**dict(zip(fields, values)))
+    by_position = Observation(*values)
+    for obs in (by_keyword, by_position):
+        assert tuple(getattr(obs, name) for name in fields) == values
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(obs, name, 0)
+    assert by_keyword == by_position
