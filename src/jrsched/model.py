@@ -146,15 +146,12 @@ class Instance:
             seen.add(job.id)
             job.validate(self.num_resources)
 
-    @cached_property
-    def job_map(self) -> dict[int, Job]:
-        return {job.id: job for job in self.jobs}
-
     def job(self, job_id: int) -> Job:
-        try:
-            return self.job_map[job_id]
-        except KeyError:
-            raise InstanceError(f"unknown job id {job_id}") from None
+        """The job with this id, found by a scan; nothing is cached."""
+        for job in self.jobs:
+            if job.id == job_id:
+                return job
+        raise InstanceError(f"unknown job id {job_id}")
 
     @cached_property
     def release_grid(self) -> tuple[int, ...]:
@@ -347,8 +344,9 @@ def check_feasible(instance: Instance, solution: Solution) -> FeasibilityReport:
     """
     violations: list[Violation] = []
     starts = solution.schedule.starts
+    ids = {job.id for job in instance.jobs}
     for job_id in starts:
-        if job_id not in instance.job_map:
+        if job_id not in ids:
             violations.append(
                 Violation("unknown-job", (job_id,), f"job {job_id} is not in the instance")
             )
@@ -493,14 +491,36 @@ def _list_field(
     return values
 
 
+def _refuse_unknown(
+    document: Mapping[str, Any],
+    fields: frozenset[str],
+    context: str,
+    error: type[ValueError] = InstanceError,
+) -> None:
+    for key in document:
+        if key not in fields:
+            raise error(f"{context}: unknown field {key!r}")
+
+
+_INSTANCE_FIELDS = frozenset({"s", "joint_cost", "item_costs", "jobs"})
+_JOB_FIELDS = frozenset({"id", "release", "processing", "resources", "weight"})
+_SOLUTION_FIELDS = frozenset(
+    {"objective", "starts", "replenishments", "scheduling_cost", "replenishment_cost", "total"}
+)
+_REPLENISHMENT_FIELDS = frozenset({"time", "resources"})
+
+
 def instance_from_document(document: Mapping[str, Any]) -> Instance:
+    """The instance a document describes.  A key outside an object's fields
+    is refused, after every check on the fields it has."""
     if not isinstance(document, Mapping):
         raise InstanceError("instance document must be a JSON object")
     s = _int_field(document, "s", "instance")
     joint = _int_field(document, "joint_cost", "instance")
     item_costs = _list_field(document, "item_costs", "instance")
     jobs = []
-    for raw in _list_field(document, "jobs", "instance", objects=True):
+    raw_jobs = _list_field(document, "jobs", "instance", objects=True)
+    for raw in raw_jobs:
         job_id = _int_field(raw, "id", "job")
         context = f"job {job_id}"
         jobs.append(
@@ -512,9 +532,13 @@ def instance_from_document(document: Mapping[str, Any]) -> Instance:
                 weight=_as_int(raw.get("weight", 1), "weight", context),
             )
         )
-    return Instance(
+    instance = Instance(
         num_resources=s, joint_cost=joint, item_costs=tuple(item_costs), jobs=tuple(jobs)
     )
+    _refuse_unknown(document, _INSTANCE_FIELDS, "instance")
+    for raw, job in zip(raw_jobs, jobs):
+        _refuse_unknown(raw, _JOB_FIELDS, f"job {job.id}")
+    return instance
 
 
 def _load_json(text: str, what: str, error: type[Exception]) -> Any:
@@ -558,6 +582,8 @@ def emit_solution(solution: Solution) -> str:
 
 
 def solution_from_document(document: Mapping[str, Any]) -> Solution:
+    """The solution a document describes.  A key outside an object's fields
+    is refused, after every check on the fields it has."""
     if not isinstance(document, Mapping):
         raise SolutionError("solution document must be a JSON object")
     context = "solution"
@@ -585,11 +611,12 @@ def solution_from_document(document: Mapping[str, Any]) -> Solution:
             raise SolutionError(f"{context}: field 'starts' names job {key} twice")
         starts[key] = _as_int(start, f"starts[{job_id}]", context, SolutionError)
     events = []
-    for entry in _list_field(document, "replenishments", context, SolutionError, objects=True):
+    entries = _list_field(document, "replenishments", context, SolutionError, objects=True)
+    for entry in entries:
         time = _int_field(entry, "time", "replenishment", SolutionError)
         resources = _list_field(entry, "resources", f"replenishment at {time}", SolutionError)
         events.append((time, frozenset(resources)))
-    return Solution(
+    solution = Solution(
         Schedule(starts),
         ReplenishmentStructure(tuple(events)),
         objective,
@@ -597,6 +624,10 @@ def solution_from_document(document: Mapping[str, Any]) -> Solution:
         _int_field(document, "replenishment_cost", context, SolutionError),
         _int_field(document, "total", context, SolutionError),
     )
+    _refuse_unknown(document, _SOLUTION_FIELDS, context, SolutionError)
+    for entry, (time, _) in zip(entries, events):
+        _refuse_unknown(entry, _REPLENISHMENT_FIELDS, f"replenishment at {time}", SolutionError)
+    return solution
 
 
 def parse_solution(text: str) -> Solution:

@@ -5,7 +5,9 @@ observation (newly arrived jobs, the pending backlog, and an end-of-stream
 flag) and answers with a decision: optionally order a resource subset now,
 and start an ordered list of jobs back to back from now.  Started jobs and
 placed orders are permanent.  While a block of jobs runs, the clock jumps to
-its completion and arrivals accumulate silently.
+its completion and arrivals accumulate silently.  Each order opens a block,
+the jobs started from it until the next order; the simulator records it as
+the run goes, and traces and trigger certificates read it from there.
 
 The clock advances to the next event, not to the next integer.  After a
 decision that neither orders nor starts, the policy names the first time its
@@ -144,18 +146,35 @@ class TraceRecord:
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """Jobs started between one order and the next, read from the decision
-    records: t_i, b_i, y_i, z_i."""
+    """One order and the jobs started from it until the next order, in start
+    order, as the simulator recorded them; ``idle_before`` tells whether the
+    machine was idle over [time - 1, time).  Its statistics are the paper's
+    t_i, b_i, y_i, z_i."""
 
     time: int
-    size: int
-    arrived_before: int
-    arrived_at: int
+    jobs: tuple[Job, ...]
+    idle_before: bool
+
+    @property
+    def size(self) -> int:
+        return len(self.jobs)
+
+    @property
+    def arrived_at(self) -> int:
+        """Jobs of the block released exactly at its order."""
+        time = self.time
+        return sum(1 for job in self.jobs if job.release == time)
+
+    @property
+    def arrived_before(self) -> int:
+        """Jobs of the block released before its order."""
+        return len(self.jobs) - self.arrived_at
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Time-ordered log of the acted decisions plus per-order block stats."""
+    """Time-ordered log of the acted decisions plus the run's blocks, one
+    per order, as the simulator recorded them."""
 
     records: tuple[TraceRecord, ...]
     blocks: tuple[Block, ...]
@@ -356,6 +375,7 @@ class SimResult:
     starts: dict[int, int]
     events: tuple[tuple[int, frozenset[int]], ...]
     records: tuple[TraceRecord, ...]
+    blocks: tuple[Block, ...]
 
 
 def simulate(
@@ -371,8 +391,10 @@ def simulate(
     Decisions are validated before they take effect: orders must name a
     non-empty known resource subset, started jobs must be pending (seen and
     not started) and ready under the orders placed so far, and blocks run
-    back to back from now.  Rejected decisions raise
-    :class:`SimulationError`; nothing is revised.
+    back to back from now, after some order.  Rejected decisions raise
+    :class:`SimulationError`; nothing is revised.  Each order opens a block,
+    which records the jobs started until the next order and whether the
+    machine was idle over the step before the order.
 
     The clock advances by next-event time advance, one rule per decision.
     After a start it jumps to the block's completion.  After an order, or
@@ -388,6 +410,8 @@ def simulate(
     started: dict[int, int] = {}
     events: list[tuple[int, frozenset[int]]] = []
     records: list[TraceRecord] = []
+    # per order: its time, the jobs started from it, idle over [t - 1, t)
+    orders: list[tuple[int, list[Job], bool]] = []
     pending = PendingView()
     backlog = pending._jobs  # kept in (release, id) order, updated in place
     # the largest (release, id) ever added: a later job goes to the end of
@@ -447,8 +471,10 @@ def simulate(
             events.append((t, subset))
             for r in subset:
                 last_order[r] = t
+            orders.append((t, [], t >= 1 and view.busy_until <= t - 1))
 
         if start:
+            block = orders[-1][1] if orders else []
             clock = t
             # a job is ready iff each resource it needs was last ordered at
             # or after its release (no order lies after t); the least last
@@ -474,6 +500,9 @@ def simulate(
                         )
                 started[job_id] = clock
                 clock += job.processing
+                block.append(job)
+            if not orders:  # only jobs that need no resource pass the checks
+                raise SimulationError(f"t={t}: job {start[0]} starts before any order")
             pending._drop_started(len(start), started)
             view.busy_until = clock
 
@@ -499,46 +528,11 @@ def simulate(
         starts=started,
         events=tuple(events),
         records=tuple(records),
+        blocks=tuple(Block(time, tuple(jobs), idle) for time, jobs, idle in orders),
     )
 
 
 _NEVER = -math.inf  # the last order time of a resource never ordered
-
-
-def _order_blocks(
-    jobs: Iterable[Job], records: Sequence[TraceRecord]
-) -> list[tuple[int, list[Job], bool]]:
-    """Per order of a run: its time t, the jobs started from it until the
-    next order (in start order), and whether [t - 1, t) was idle.
-
-    One pass over the decision records, which are in time order.  A
-    decision's starts join the latest order; the simulator's readiness
-    check puts an order at or before every start.  Each block runs back to
-    back from its decision, so the machine is busy until the end of the
-    latest one.
-    """
-    by_id = {job.id: job for job in jobs}
-    orders: list[tuple[int, list[Job], bool]] = []
-    busy_until = 0
-    for record in records:
-        t = record.t
-        if record.replenish is not None:
-            orders.append((t, [], t >= 1 and busy_until <= t - 1))
-        if record.start:
-            started = [by_id[job_id] for job_id in record.start]
-            orders[-1][1].extend(started)
-            busy_until = t + sum(job.processing for job in started)
-    return orders
-
-
-def compute_blocks(jobs: Iterable[Job], records: Sequence[TraceRecord]) -> tuple[Block, ...]:
-    """Per-order block statistics, read from the decision records: order
-    time, size, and the release split."""
-    blocks = []
-    for t, group, _ in _order_blocks(jobs, records):
-        fresh = sum(1 for job in group if job.release == t)
-        blocks.append(Block(t, len(group), len(group) - fresh, fresh))
-    return tuple(blocks)
 
 
 def run_online(
@@ -571,16 +565,15 @@ def run_online(
 def price_run(
     instance: Instance, result: SimResult, objective: Objective
 ) -> tuple[Solution, Trace]:
-    """Price a simulated run on the instance it realized, with its trace,
-    whose blocks are read from the run's decision records."""
+    """Price a simulated run on the instance it realized, with its trace:
+    the run's decision records and the blocks the simulator recorded."""
     solution = evaluate_solution(
         instance,
         Schedule(result.starts),
         ReplenishmentStructure(result.events),
         objective,
     )
-    trace = Trace(result.records, compute_blocks(instance.jobs, result.records))
-    return solution, trace
+    return solution, Trace(result.records, result.blocks)
 
 
 def delay_releases(instance: Instance, shift: int = 1) -> Instance:
@@ -600,21 +593,22 @@ def delay_releases(instance: Instance, shift: int = 1) -> Instance:
 # Trigger certificates
 
 def _trigger_violations(
-    instance: Instance, trace: Trace, order_cost: int,
+    trace: Trace, order_cost: int,
     backlog_cost: Callable[[int, int, int], int], message: str,
 ) -> list[str]:
     """Orders after an idle step whose backlog then had met the trigger.
 
-    For an order at t read from the trace's decision records with [t - 1, t)
-    idle, the backlog at t - 1 is the block's jobs released before t; its
+    For a block of the trace ordered at t with [t - 1, t) idle, the backlog
+    at t - 1 is the block's jobs released before t; its
     ``backlog_cost(t - 1, size, release_sum)`` must be below K.  ``message``
     is formatted with t, y (the backlog's size) and prev = t - 1.
     """
     out = []
-    for t, group, idle in _order_blocks(instance.jobs, trace.records):
-        if not idle:
+    for block in trace.blocks:
+        if not block.idle_before:
             continue
-        backlog = [job.release for job in group if job.release < t]
+        t = block.time
+        backlog = [job.release for job in block.jobs if job.release < t]
         if backlog_cost(t - 1, len(backlog), sum(backlog)) >= order_cost:
             out.append(message.format(t=t, y=len(backlog), prev=t - 1))
     return out
@@ -625,14 +619,14 @@ def completion_trigger_violations(
 ) -> list[str]:
     """Check the completion policy's idle certificate on every block.
 
-    Blocks are read from the trace's decision records.  Whenever the machine
-    was idle just before an order at t, the backlog then pending (the
-    block's jobs released before t) must have failed the trigger:
-    y*(t-1) + y(y+1)/2 < K.  Exact integer check.  ``solution`` is not
-    read; the trace's records hold the run.
+    Blocks are the trace's, as the simulator recorded them.  Whenever the
+    machine was idle just before an order at t, the backlog then pending
+    (the block's jobs released before t) must have failed the trigger:
+    y*(t-1) + y(y+1)/2 < K.  Exact integer check.  ``instance`` and
+    ``solution`` are not read; the trace's blocks hold the run.
     """
     return _trigger_violations(
-        instance, trace, order_cost, SumCompletionPolicy.backlog_cost,
+        trace, order_cost, SumCompletionPolicy.backlog_cost,
         "order at {t}: backlog of {y} already met the completion trigger at {prev}",
     )
 
@@ -640,10 +634,10 @@ def completion_trigger_violations(
 def flow_trigger_violations(
     instance: Instance, solution: Solution, trace: Trace, order_cost: int
 ) -> list[str]:
-    """Flow-policy analogue, on blocks read from the trace's decision
-    records: accumulated waiting at t-1 plus backlog cost < K."""
+    """Flow-policy analogue, on the trace's recorded blocks: accumulated
+    waiting at t-1 plus backlog cost < K.  Only the trace is read."""
     return _trigger_violations(
-        instance, trace, order_cost, SumFlowPolicy.backlog_cost,
+        trace, order_cost, SumFlowPolicy.backlog_cost,
         "order at {t}: waiting backlog already met the flow trigger at {prev}",
     )
 

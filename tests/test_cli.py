@@ -410,6 +410,36 @@ class TestInputErrors:
         assert out == ""
         assert error_line(err) == "error: instance document repeats the key 'release' in one object"
 
+    def test_unknown_field_is_refused(self, capsys, tmp_path):
+        # a misspelt weight used to solve with weight 1 and exit 0
+        instance = json.loads(json.dumps(WALKTHROUGH))
+        instance["jobs"][1]["wieght"] = 7
+        path = write(tmp_path, "misspelt.json", json.dumps(instance))
+        out, err = run_cli(capsys, ["solve", "--algo", "oracle", "--objective",
+                                    "total_weighted_completion", "--input", path], expect=1)
+        assert out == ""
+        assert error_line(err) == "error: job 2: unknown field 'wieght'"
+        # a misspelt resource list used to be dropped from the order
+        solution = {
+            "objective": "total_completion",
+            "starts": {"1": 0, "2": 4, "3": 7},
+            "replenishments": [{"time": t, "resources": [1]} for t in (0, 3, 7)],
+            "scheduling_cost": 17,
+            "replenishment_cost": 6,
+            "total": 23,
+        }
+        solution["replenishments"][1]["resorces"] = [2]
+        path = write(tmp_path, "dropped.json", json.dumps({"instance": WALKTHROUGH,
+                                                           "solution": solution}))
+        out, err = run_cli(capsys, ["validate", "--input", path], expect=1)
+        assert out == ""
+        assert error_line(err) == "error: replenishment at 3: unknown field 'resorces'"
+        del solution["replenishments"][1]["resorces"]
+        path = write(tmp_path, "fixed.json", json.dumps({"instance": WALKTHROUGH,
+                                                         "solution": solution}))
+        out, _ = run_cli(capsys, ["validate", "--input", path])
+        assert json.loads(out)["feasible"] is True
+
     def test_bounds_input_and_curve_together_is_usage_error(self, capsys, tmp_path):
         path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
         with pytest.raises(SystemExit) as exc:

@@ -145,6 +145,48 @@ class TestParseInstance:
             inst = random_instance(rng, rng.randint(0, 6), s=2, max_processing=3, max_weight=4)
             assert parse_instance(emit_instance(inst)) == inst
 
+    @pytest.mark.parametrize(
+        "field, where, message",
+        [
+            ("wieght", "job", "job 1: unknown field 'wieght'"),
+            ("weights", "job", "job 1: unknown field 'weights'"),
+            ("items_costs", "instance", "instance: unknown field 'items_costs'"),
+            ("", "instance", "instance: unknown field ''"),
+        ],
+    )
+    def test_unknown_field_is_refused(self, field, where, message):
+        # a job with "wieght": 7 used to parse with weight 1
+        job = {"id": 1, "release": 0, "processing": 1, "resources": [1]}
+        doc = {"s": 1, "joint_cost": 0, "item_costs": [0], "jobs": [job]}
+        (job if where == "job" else doc)[field] = 7
+        with pytest.raises(InstanceError) as exc:
+            parse_instance(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_unknown_field_in_a_later_job_is_named(self):
+        jobs = [{"id": j, "release": 0, "processing": 1, "resources": [1]} for j in (4, 2, 7)]
+        jobs[2]["note"] = "late"
+        doc = {"s": 1, "joint_cost": 0, "item_costs": [0], "jobs": jobs}
+        with pytest.raises(InstanceError, match="^job 7: unknown field 'note'$"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"release": 2.9}, "job 2: field 'release' must be an integer, got 2.9"),
+            ({"processing": 0}, "job 2: processing must be >= 1, got 0"),
+            ({"id": 1}, "job 1: duplicate id"),
+        ],
+    )
+    def test_known_fields_are_checked_before_unknown_ones(self, changes, message):
+        first = {"id": 1, "release": 0, "processing": 1, "resources": [1]}
+        second = {"id": 2, "release": 0, "processing": 1, "resources": [1], "wieght": 7}
+        second.update(changes)
+        doc = {"s": 1, "joint_cost": 0, "item_costs": [0], "jobs": [first, second], "x": 0}
+        with pytest.raises(InstanceError) as exc:
+            parse_instance(json.dumps(doc))
+        assert str(exc.value) == message
+
 
 def _first_bad_job(jobs, num_resources):
     """The error a check per job raises, in job order: duplicate id first,
@@ -242,6 +284,23 @@ class TestReadyAt:
     def test_unknown_job(self):
         with pytest.raises(InstanceError, match="unknown job"):
             ready_at(walkthrough_instance(), events(), 99, 0)
+
+    def test_unknown_job_id_text_and_no_cached_map(self):
+        inst = walkthrough_instance()
+        kept = dict(vars(inst))
+        assert inst.job(3) is inst.jobs[2]
+        with pytest.raises(InstanceError) as exc:
+            inst.job(99)
+        assert str(exc.value) == "unknown job id 99"
+        with pytest.raises(InstanceError) as exc:
+            ready_at(inst, events(), 0, 0)
+        assert str(exc.value) == "unknown job id 0"
+        sol = Solution(Schedule({1: 0, 9: 5}), events((0, {1})), Objective.MAX_FLOW, 4, 2, 6)
+        report = check_feasible(inst, sol)
+        assert [(v.kind, v.detail) for v in report.violations][:1] == [
+            ("unknown-job", "job 9 is not in the instance")
+        ]
+        assert vars(inst) == kept  # lookups leave no id map on the instance
 
     def test_monotone_in_time(self, rng):
         for _ in range(40):
@@ -385,6 +444,44 @@ class TestSolution:
         with pytest.raises(SolutionError) as exc:
             parse_solution(json.dumps(doc))
         assert f"field '{named}'" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"totl": 2}, "solution: unknown field 'totl'"),
+            ({"replenishments": [{"time": 0, "resources": [1], "resorces": [2]}]},
+             "replenishment at 0: unknown field 'resorces'"),
+            ({"replenishments": [{"time": 0, "resources": [1]}, {"time": 4, "resources": [1],
+                                                                  "at": 4}]},
+             "replenishment at 4: unknown field 'at'"),
+        ],
+    )
+    def test_document_refuses_an_unknown_field(self, change, message):
+        doc = {"objective": "max_flow", "starts": {"1": 0},
+               "replenishments": [{"time": 0, "resources": [1]}],
+               "scheduling_cost": 1, "replenishment_cost": 1, "total": 2, **change}
+        with pytest.raises(SolutionError) as exc:
+            parse_solution(json.dumps(doc))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"total": 3}, "total 3 != scheduling 1 + replenishment 1"),
+            ({"replenishments": [{"time": 0, "resources": "1", "resorces": [2]}]},
+             "replenishment at 0: field 'resources' must be a list of integers, got '1'"),
+            ({"replenishments": [{"time": 4, "resources": [1], "x": 0},
+                                 {"time": 0, "resources": [1]}]},
+             "replenishment times must be strictly increasing"),
+        ],
+    )
+    def test_document_checks_known_fields_before_unknown_ones(self, change, message):
+        doc = {"objective": "max_flow", "starts": {"1": 0},
+               "replenishments": [{"time": 0, "resources": [1]}],
+               "scheduling_cost": 1, "replenishment_cost": 1, "total": 2, "note": "", **change}
+        with pytest.raises(SolutionError) as exc:
+            parse_solution(json.dumps(doc))
+        assert str(exc.value) == message
 
     def test_document_refuses_a_second_key_for_one_job(self):
         doc = {"objective": "max_flow", "starts": {1: 0, "1": 5}, "replenishments": [],

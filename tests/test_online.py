@@ -35,10 +35,12 @@ from jrsched.adversaries import (
 from jrsched.model import job_ready
 from jrsched.online import (
     WAIT,
+    Block,
     JobSource,
     Observation,
     SimResult,
     StaticSource,
+    Trace,
     TraceRecord,
     completion_trigger_violations,
     flow_trigger_violations,
@@ -428,6 +430,8 @@ def _tick_simulate(source, policy, num_resources=1, end_signal=True, max_time=No
                     )
                 started[job_id] = clock
                 clock += job.processing
+            if not events:
+                raise SimulationError(f"t={t}: job {decision.start[0]} starts before any order")
             started_set = set(decision.start)
             pending = [job for job in pending if job.id not in started_set]
             view.busy_until = clock
@@ -448,7 +452,28 @@ def _tick_simulate(source, policy, num_resources=1, end_signal=True, max_time=No
         starts=started,
         events=tuple(events),
         records=tuple(records),
+        blocks=_record_blocks(seen.values(), records),
     )
+
+
+def _record_blocks(jobs, records):
+    """The blocks of a run read back from its decision records, in one pass.
+
+    A decision's starts join the latest order, and each block runs back to
+    back from its decision, so the machine is busy until the end of the
+    latest one."""
+    by_id = {job.id: job for job in jobs}
+    orders = []
+    busy_until = 0
+    for record in records:
+        t = record.t
+        if record.replenish is not None:
+            orders.append((t, [], t >= 1 and busy_until <= t - 1))
+        if record.start:
+            started = [by_id[job_id] for job_id in record.start]
+            orders[-1][1].extend(started)
+            busy_until = t + sum(job.processing for job in started)
+    return tuple(Block(t, tuple(group), idle) for t, group, idle in orders)
 
 
 class _Counting(OnlinePolicy):
@@ -767,6 +792,57 @@ def test_certificates_match_first_principles():
                 assert judged < order_cost or got == []
                 flagged += bool(got)
     assert flagged
+
+
+def test_certificates_match_blocks_read_from_the_records():
+    makers = [*SHIPPED, lambda order_cost: _OrderThenStart()]
+    makers += [lambda order_cost, seed=seed: _NonPrefixStarts(seed) for seed in range(3)]
+    flagged = 0
+    for inst in _streams(626, per_style=5, max_n=9):
+        for make in makers:
+            solution, trace = run_online(inst, make(inst.joint_cost), max_time=10**6)
+            from_records = Trace(trace.records, _record_blocks(inst.jobs, trace.records))
+            assert trace == from_records, (inst, make)
+            for certify in (completion_trigger_violations, flow_trigger_violations):
+                for judged in (1, 2, 5, 10, 100):
+                    got = certify(inst, solution, trace, judged)
+                    assert got == certify(inst, solution, from_records, judged)
+                    flagged += bool(got)
+    assert flagged
+
+
+def test_recorded_blocks_cover_empty_and_out_of_order_blocks():
+    # an order at 0 with no start, an order at 1 whose jobs start out of
+    # backlog order, a start at 3 with no new order, an order at 4 while the
+    # machine was busy over [3, 4), and an order at 6 after an idle step
+    script = [(0, [_job(1, 0), _job(2, 0)]), (1, [_job(3, 1)]), (5, [_job(4, 5)])]
+    decisions = {
+        0: Decision(frozenset({1}), ()),
+        1: Decision(frozenset({1}), (3, 1)),
+        3: Decision(None, (2,)),
+        4: Decision(frozenset({1}), ()),
+        6: Decision(frozenset({1}), (4,)),
+    }
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions))
+    assert [(b.time, [job.id for job in b.jobs], b.idle_before) for b in result.blocks] == [
+        (0, [], False), (1, [3, 1, 2], True), (4, [], False), (6, [4], True)
+    ]
+    assert [(b.size, b.arrived_before, b.arrived_at) for b in result.blocks] == [
+        (0, 0, 0), (3, 2, 1), (0, 0, 0), (1, 1, 0)
+    ]
+
+
+def test_start_before_any_order_is_refused():
+    # a job that needs no resource passes every readiness check, but a start
+    # must follow some order to belong to a block
+    script = [(0, [Job(1, 0, 1, frozenset()), Job(2, 0, 1, frozenset())])]
+    decisions = {0: Decision(None, (2, 1))}
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions))
+    assert result == "SimulationError: t=0: job 2 starts before any order"
+    decisions[0] = Decision(frozenset({1}), (2, 1))
+    result = _same_outcome(lambda: _ScriptedSource(script), lambda: _Scripted(decisions))
+    assert result.starts == {2: 0, 1: 1}
+    assert [(b.time, b.size) for b in result.blocks] == [(0, 2)]
 
 
 # ---------------------------------------------------------------------------
