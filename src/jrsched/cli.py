@@ -25,6 +25,7 @@ from .model import (
     SolutionError,
     SolverError,
     _load_json,
+    _refuse_unknown,
     check_feasible,
     emit_instance,
     emit_solution,
@@ -310,12 +311,16 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     return 0
 
 
+_VALIDATE_FIELDS = frozenset({"instance", "solution"})
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     document = _load_json(_read_text(args.input), "document", _CliError)
     if not isinstance(document, dict) or "instance" not in document or "solution" not in document:
         raise _CliError('validate expects {"instance": ..., "solution": ...}')
     instance = instance_from_document(document["instance"])
     solution = solution_from_document(document["solution"])
+    _refuse_unknown(document, _VALIDATE_FIELDS, "document", _CliError)
     report = check_feasible(instance, solution)
     problems = [
         {"kind": v.kind, "jobs": list(v.jobs), "detail": v.detail} for v in report.violations

@@ -147,7 +147,10 @@ class Instance:
             job.validate(self.num_resources)
 
     def job(self, job_id: int) -> Job:
-        """The job with this id, found by a scan; nothing is cached."""
+        """The job with this id, found by a linear scan; nothing is cached.
+
+        A caller that looks up many jobs should build its own id map once.
+        """
         for job in self.jobs:
             if job.id == job_id:
                 return job
@@ -284,7 +287,11 @@ def job_ready(job: Job, events: Sequence[tuple[int, frozenset[int]]], t: int) ->
 def ready_at(
     instance: Instance, structure: ReplenishmentStructure, job_id: int, t: int
 ) -> bool:
-    """True iff every resource the job needs was ordered in [release, t]."""
+    """True iff every resource the job needs was ordered in [release, t].
+
+    The job is found by `Instance.job`, a linear scan; a caller checking many
+    jobs should pass each `Job` to `job_ready` through its own id map.
+    """
     return job_ready(instance.job(job_id), structure.events, t)
 
 

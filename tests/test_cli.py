@@ -439,6 +439,13 @@ class TestInputErrors:
                                                          "solution": solution}))
         out, _ = run_cli(capsys, ["validate", "--input", path])
         assert json.loads(out)["feasible"] is True
+        # a stray key next to a valid pair used to validate as feasible
+        path = write(tmp_path, "stray.json", json.dumps({"instance": WALKTHROUGH,
+                                                         "solution": solution,
+                                                         "soluton": {"starts": {"1": 99}}}))
+        out, err = run_cli(capsys, ["validate", "--input", path], expect=1)
+        assert out == ""
+        assert error_line(err) == "error: document: unknown field 'soluton'"
 
     def test_bounds_input_and_curve_together_is_usage_error(self, capsys, tmp_path):
         path = write(tmp_path, "ex1.json", json.dumps(WALKTHROUGH))
