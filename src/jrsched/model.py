@@ -172,10 +172,6 @@ class Instance:
             return 0
         return self.release_grid[-1] + self.total_processing
 
-    @cached_property
-    def last_release(self) -> int:
-        return self.release_grid[-1] if self.jobs else -1
-
     def order_cost(self, resources: Iterable[int]) -> int:
         """Cost of one order of the given resource subset."""
         cost = self.joint_cost
@@ -549,7 +545,8 @@ def instance_from_document(document: Mapping[str, Any]) -> Instance:
 
 
 def _load_json(text: str, what: str, error: type[Exception]) -> Any:
-    """``text`` parsed as JSON.  Malformed JSON, and an object that repeats a
+    """``text`` parsed as JSON.  Malformed JSON, nesting past the recursion
+    limit, an int literal past the digit limit, and an object that repeats a
     key (plain parsing keeps only the last value), raise ``error``."""
 
     def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -562,7 +559,9 @@ def _load_json(text: str, what: str, error: type[Exception]) -> Any:
 
     try:
         return json.loads(text, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+    except error:
+        raise
+    except (RecursionError, ValueError) as exc:  # ValueError holds JSONDecodeError
         raise error(f"malformed {what}: {exc}") from None
 
 

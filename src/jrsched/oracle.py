@@ -15,7 +15,7 @@ The evaluation runs in three steps:
 
 1. A time set holding an order that covers no job first is dropped where
    that order costs something: the same set without it has the same cover
-   vector and is strictly cheaper (see :func:`_resource_candidates`).
+   code and is strictly cheaper (see :func:`_resource_candidates`).
 2. One pass over the structures keeps, for each distinct effective-release
    vector, its cheapest structure, ties going to the smallest
    (order times, resource subsets).  Each time set carries a cover code in
@@ -24,7 +24,8 @@ The evaluation runs in three steps:
    field set.  The points are ascending, so OR on two fields keeps the
    later covering point: OR on the codes is the per-job maximum, and a
    structure's effective releases are the OR of its time sets' codes, one
-   int.  The pass walks the product of every resource but the last, folds
+   int.  No cover vector is kept; each held code is decoded once, at the
+   end.  The pass walks the product of every resource but the last, folds
    each prefix once into (union of masks, code, item cost), and then spends
    a few int operations and one dict lookup on each time set of the last
    resource (see :func:`_cheapest_structures`).  A tie in cost is decided
@@ -35,10 +36,11 @@ The evaluation runs in three steps:
    bound on the scheduling cost, until a bound exceeds the best total.  Two
    bounds are used (see :func:`_residual_bounds`): a cheap one that
    completes every job at its effective release plus its processing time,
-   and a tight one: the job-splitting bound of the split-WSPT schedule for
-   the weighted sums, and the optimal preemptive schedule for the others
-   (SRPT for the unweighted sums, preemptive EDD for max flow).  Both are
-   exact integers.  Every vector enters a heap under its cheap
+   and a tight one, read off one preemptive loop
+   (:func:`_preemptive_runs`): the job-splitting bound of the split-WSPT
+   schedule for the weighted sums, and the optimal preemptive schedule for
+   the others (SRPT for the unweighted sums, preemptive EDD for max flow).
+   Both are exact integers.  Every vector enters a heap under its cheap
    bound; when it first reaches the top it goes back under its tight bound,
    computed then, and it is solved only when popped under the tight one.
    A vector no earlier anywhere than a solved one of strictly smaller
@@ -71,7 +73,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .model import (
     CRITERIA,
@@ -204,20 +206,23 @@ def _subset_dp(
     return best >> cost_shift, starts
 
 
-def _preemptive_completions(
-    effective: tuple[int, ...], procs: tuple[int, ...], due: tuple[int, ...]
-) -> list[int]:
-    """Completion of each job when the machine always runs the released job
-    of smallest (due date, remaining time), preempting at every release.
+def _preemptive_runs(
+    effective: tuple[int, ...], procs: tuple[int, ...], rank: tuple[int, ...], ties_split: bool
+) -> Iterator[tuple[int, int, int]]:
+    """The runs (job, run length, end) of the schedule that always runs the
+    released job of least (rank, time left, index), releases being the
+    effective ones.
 
-    Releases are the effective ones.  With every due date 0 this is SRPT,
-    optimal for 1|r_j,pmtn|sum C_j (Schrage, 1968); with the release dates
-    as due dates it is preemptive EDD, optimal for 1|r_j,pmtn|L_max (Horn,
-    1974), and so for the largest flow time.
+    An arrival splits the running job when its rank is smaller, and with
+    ``ties_split`` also when its (rank, time left, index) is smaller.  With
+    ranks all 0 and ties split this is SRPT, optimal for 1|r_j,pmtn|sum C_j
+    (Schrage, 1968); with the release dates as ranks and ties split it is
+    preemptive EDD, optimal for 1|r_j,pmtn|L_max (Horn, 1974), and so for
+    the largest flow time; with ranks -w_j / p_j and ties kept whole it is
+    split-WSPT (Belouadah, Posner and Potts, 1992).
     """
     n = len(effective)
     arrivals = sorted(range(n), key=effective.__getitem__)
-    done = [0] * n
     ready: list[tuple[int, int, int]] = []
     now = 0
     i = 0
@@ -226,63 +231,24 @@ def _preemptive_completions(
             now = effective[arrivals[i]]
         while i < n and effective[arrivals[i]] <= now:
             j = arrivals[i]
-            heapq.heappush(ready, (due[j], procs[j], j))
-            i += 1
-        key, left, j = heapq.heappop(ready)
-        if i < n and now + left > effective[arrivals[i]]:
-            heapq.heappush(ready, (key, now + left - effective[arrivals[i]], j))
-            now = effective[arrivals[i]]
-        else:
-            now += left
-            done[j] = now
-    return done
-
-
-def _split_wspt(
-    effective: tuple[int, ...],
-    procs: tuple[int, ...],
-    ratios: tuple[int, ...],
-    offsets: tuple[int, ...],
-) -> int:
-    """Job-splitting value of the split-WSPT schedule, scaled by L.
-
-    ``ratios[j]`` is w_j * L / p_j for L the lcm of the processing times, an
-    int that ranks the jobs by w_j / p_j.  The machine always runs the
-    released job of largest ratio (of these the one with the least time
-    left), and splits the running job only when a job of strictly larger
-    ratio arrives.  Each run of job j of length q that ends at C counts as a
-    job of weight w_j * q / p_j completing then, so adds
-    ``ratios[j] * q * (C - offsets[j])`` (Belouadah, Posner and Potts, 1992).
-    """
-    n = len(effective)
-    arrivals = sorted(range(n), key=effective.__getitem__)
-    ready: list[tuple[int, int, int]] = []
-    total = 0
-    now = 0
-    i = 0
-    while i < n or ready:
-        if not ready and effective[arrivals[i]] > now:
-            now = effective[arrivals[i]]
-        while i < n and effective[arrivals[i]] <= now:
-            j = arrivals[i]
-            heapq.heappush(ready, (-ratios[j], procs[j], j))
+            heapq.heappush(ready, (rank[j], procs[j], j))
             i += 1
         key, left, j = heapq.heappop(ready)
         end = now + left
-        # jobs of no larger ratio that arrive before j ends only queue up
-        while i < n and effective[arrivals[i]] < end and ratios[arrivals[i]] <= ratios[j]:
+        while i < n and effective[arrivals[i]] < end:  # arrivals before j ends
             k = arrivals[i]
-            heapq.heappush(ready, (-ratios[k], procs[k], k))
+            split = effective[k]
+            arrival = (rank[k], procs[k], k)
+            if arrival[0] < key or ties_split and arrival < (key, end - split, j):
+                yield j, split - now, split
+                heapq.heappush(ready, (key, end - split, j))
+                now = split
+                break
+            heapq.heappush(ready, arrival)
             i += 1
-        if i < n and effective[arrivals[i]] < end:  # a larger ratio splits j
-            split = effective[arrivals[i]]
-            total += ratios[j] * (split - now) * (split - offsets[j])
-            heapq.heappush(ready, (key, end - split, j))
-            now = split
         else:
-            total += ratios[j] * left * (end - offsets[j])
+            yield j, left, end
             now = end
-    return total
 
 
 def _residual_bounds(
@@ -296,10 +262,11 @@ def _residual_bounds(
     so it is at most the residual cost.
 
     For the weighted sums the tight bound is the larger of the cheap one and
-    the job-splitting bound of :func:`_split_wspt`, rounded up, where a job
-    costs its weight times its completion minus its offset: 0 for weighted
-    completion, its release for weighted flow.  A run of length q of job j
-    ending at C costs (w_j / p_j) * q * (C - offset_j), which is w_j / p_j
+    the job-splitting bound, rounded up, where a job costs its weight times
+    its completion minus its offset: 0 for weighted completion, its release
+    for weighted flow.  Each run of length q of job j ending at C in the
+    split-WSPT schedule counts as a job of weight w_j * q / p_j completing
+    then, so costs (w_j / p_j) * q * (C - offset_j), which is w_j / p_j
     times the integral of t - offset_j over the run, plus
     (w_j / p_j) * q**2 / 2.  Over any schedule the first parts add up to its
     weighted busy time, which by an exchange argument is least for a
@@ -307,17 +274,17 @@ def _residual_bounds(
     largest ratio ready, as split-WSPT does.  The second parts add up to at
     most sum(w_j * p_j) / 2, reached when no job is split, as in every
     order the residual DP places.  So no such order costs less than
-    split-WSPT.
+    split-WSPT.  Scaled by L, the lcm of the processing times, every ratio
+    is an int.
 
     For the other criteria the tight bound folds through ``CRITERIA`` the
-    completions of the preemptive schedule that is optimal for the criterion
-    (see :func:`_preemptive_completions`): SRPT for the sums, preemptive EDD
-    with the release dates as due dates for max flow.  Every order the
-    residual DP places is also a preemptive schedule, no better than the
-    optimal one.
+    completions of the preemptive schedule that is optimal for the
+    criterion: SRPT for the sums, preemptive EDD for max flow.  Every order
+    the residual DP places is also a preemptive schedule, no better than
+    the optimal one.
 
-    So cheap <= tight <= the cost :func:`_sequence_exact` returns.  All
-    arithmetic is on ints.
+    All three schedules come from :func:`_preemptive_runs`.  So cheap <=
+    tight <= the cost :func:`_sequence_exact` returns, all in ints.
     """
     releases, procs, weights = (tuple(column) for column in zip(*jobs_data))
     job_value, combine = CRITERIA[objective]
@@ -329,74 +296,72 @@ def _residual_bounds(
     if objective in (Objective.WEIGHTED_COMPLETION, Objective.WEIGHTED_FLOW):
         scale = math.lcm(*procs)
         ratios = tuple(w * (scale // p) for w, p in zip(weights, procs))
+        ranks = tuple(-ratio for ratio in ratios)
         offsets = releases if objective is Objective.WEIGHTED_FLOW else (0,) * len(procs)
 
         def tight(effective: tuple[int, ...]) -> int:
-            split = -(-_split_wspt(effective, procs, ratios, offsets) // scale)
-            return max(cheap(effective), split)
+            runs = _preemptive_runs(effective, procs, ranks, False)
+            split = sum(ratios[j] * q * (end - offsets[j]) for j, q, end in runs)
+            return max(cheap(effective), -(-split // scale))
 
         return cheap, tight
 
     due = (0,) * len(jobs_data) if combine is operator.add else releases
 
     def tight(effective: tuple[int, ...]) -> int:
-        completions = _preemptive_completions(effective, procs, due)
+        completions = [0] * len(procs)
+        for j, _, end in _preemptive_runs(effective, procs, due, True):
+            completions[j] = end
         return reduce(combine, map(job_value, weights, releases, completions), 0)
 
     return cheap, tight
 
 
 def _resource_candidates(
-    points: Sequence[int],
-    needing: list[tuple[int, int, list[int]]],
+    m: int,
+    needing: list[tuple[int, list[int]]],
     item_cost: int,
-    n: int,
     size_cap: int,
     idle_order_costs: bool,
-) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """All usable ordering-time sets of at most ``size_cap`` points for one
-    resource, by size.
+) -> list[tuple[int, int, int]]:
+    """All usable ordering-time sets of at most ``size_cap`` of the ``m``
+    points for one resource, by size.
 
-    ``needing`` holds (job index, index of the first point at or after its
-    release, the job's row of cover codes) for every job needing the
-    resource, in order of that point; ``row[b - first]`` codes the job
-    covered at point b.  Each entry is (bitmask over points, item-cost term,
-    cover code, cover vector), where the cover vector holds each needing
-    job's first ordering time at or after its release and 0 elsewhere, and
-    the cover code ORs the needing jobs' codes; sets that leave a needing
-    job uncovered are skipped.  Orders that cover no job can always be
-    dropped without raising the cost, so capping at the number of jobs
-    needing the resource loses nothing.  With ``idle_order_costs`` set, an
-    order that covers no job first costs something, so a set holding one is
-    strictly dearer than the same set without it, which has the same cover
-    vector; such sets are dropped.  Without it they stay, since a free order
-    can win the tie on the key.
+    ``needing`` holds (index of the first point at or after its release, row
+    of cover codes) for every job needing the resource, in order of that
+    point; ``row[b - first]`` codes the job covered at point b.  Each entry
+    is (bitmask over points, item-cost term, cover code), where the cover
+    code ORs the needing jobs' codes; sets that leave a needing job
+    uncovered are skipped.  Orders that cover no job can always be dropped
+    without raising the cost, so capping at the number of jobs needing the
+    resource loses nothing.  With ``idle_order_costs`` set, an order that
+    covers no job first costs something, so a set holding one is strictly
+    dearer than the same set without it, which has the same cover code;
+    such sets are dropped.  Without it they stay, since a free order can
+    win the tie on the key.
     """
-    m = len(points)
-    last_first = needing[-1][1] if needing else -1
+    last_first = needing[-1][0] if needing else -1
     out = []
     for k in range(min(size_cap, m) + 1):
         for combo in itertools.combinations(range(m), k):
             if needing and (not combo or combo[-1] < last_first):
                 continue
-            cover = [0] * n
             code = 0
             used = 0  # points that cover some job first
             previous = -1
             # needing is in order of first point, so each job's covering
             # point is no earlier than the one before it
-            for idx, first, row in needing:
+            for first, row in needing:
                 for b in combo:
                     if b >= first:
                         break
-                cover[idx] = points[b]
                 code |= row[b - first]
                 if b != previous:
                     used += 1
                     previous = b
             if idle_order_costs and used < k:
                 continue
-            out.append((sum(1 << b for b in combo), item_cost * k, code, tuple(cover)))
+            out.append((sum(1 << b for b in combo), item_cost * k, code))
     return out
 
 
@@ -468,13 +433,13 @@ def _cheapest_structures(
     Resource i's time sets are those of at most ``caps[i]`` points.  With
     m = ``len(points)``, job j's field in a cover code is bits j*m to
     j*m + m - 1; ``rows[j]`` holds its codes from the first point at or
-    after its release on.  The effective releases of a held structure are
-    read from its time sets' cover vectors once, when the pass is over.  A
-    tie in cost is decided from the masks alone by :func:`_key_precedes`,
-    so no key is built here.
+    after its release on.  The pass holds (ordering cost, masks, union of
+    masks) per code, and each held code is decoded once, when the pass is
+    over: job j's effective release is the point of the highest set bit of
+    its field.  A tie in cost is decided from the masks alone by
+    :func:`_key_precedes`, so no key is built here.
     """
     jobs = instance.jobs
-    n = len(jobs)
     m = len(points)
     s = instance.num_resources
     joint = instance.joint_cost
@@ -485,41 +450,40 @@ def _cheapest_structures(
     candidates = []
     for i in range(s):
         needing = sorted(
-            ((j, firsts[j], rows[j]) for j, job in enumerate(jobs) if i + 1 in job.resources),
-            key=operator.itemgetter(1),
+            ((firsts[j], rows[j]) for j, job in enumerate(jobs) if i + 1 in job.resources),
+            key=operator.itemgetter(0),
         )
         item_cost = instance.item_costs[i]
         idle_order_costs = item_cost > 0 or (s == 1 and joint > 0)
-        candidates.append(
-            _resource_candidates(points, needing, item_cost, n, caps[i], idle_order_costs)
-        )
+        candidates.append(_resource_candidates(m, needing, item_cost, caps[i], idle_order_costs))
 
-    # code -> (ordering cost, masks, prefix time sets, last cover, union of masks)
-    cheapest: dict[int, tuple] = {}
+    # code -> (ordering cost, masks, union of masks)
+    cheapest: dict[int, tuple[int, tuple[int, ...], int]] = {}
     get = cheapest.get
     for prefix in itertools.product(*candidates[:-1]):
         prefix_union = prefix_code = prefix_cost = 0
-        for mask, cost_term, code, _ in prefix:
+        for mask, cost_term, code in prefix:
             prefix_union |= mask
             prefix_code |= code
             prefix_cost += cost_term
         prefix_masks = tuple([entry[0] for entry in prefix])
-        for mask, cost_term, code, cover in candidates[-1]:
+        for mask, cost_term, code in candidates[-1]:
             eff_code = prefix_code | code
             union = prefix_union | mask
             repl = prefix_cost + cost_term + joint * union.bit_count()
             held = get(eff_code)
             if held is None or repl < held[0]:
-                cheapest[eff_code] = (repl, prefix_masks + (mask,), prefix, cover, union)
+                cheapest[eff_code] = (repl, prefix_masks + (mask,), union)
             elif repl == held[0]:
                 masks = prefix_masks + (mask,)
-                if _key_precedes(union, masks, held[4], held[1]):
-                    cheapest[eff_code] = (repl, masks, prefix, cover, union)
+                if _key_precedes(union, masks, held[2], held[1]):
+                    cheapest[eff_code] = (repl, masks, union)
 
+    field = (1 << m) - 1
+    shifts = range(0, len(jobs) * m, m)
     structures = {}
-    for repl, masks, prefix, eff, _ in cheapest.values():
-        for entry in prefix:
-            eff = tuple(map(max, eff, entry[3]))
+    for code, (repl, masks, _) in cheapest.items():
+        eff = tuple([points[(code >> shift & field).bit_length() - 1] for shift in shifts])
         structures[eff] = (repl, masks)
     return structures
 

@@ -494,6 +494,13 @@ class TestInputErrors:
              "order cost must be >= 1"),
             (["online", "--policy", "immediate", "--K", "0", "--input", "{one}"],
              "order cost must be >= 1"),
+            # JSON past json.loads's limits used to end in a traceback
+            (["solve", "--algo", "oracle", "--objective", "total_completion", "--input",
+              "{deep}"], "malformed instance document: maximum recursion depth"),
+            (["solve", "--algo", "oracle", "--objective", "total_completion", "--input",
+              "{long_int}"], "malformed instance document: Exceeds the limit"),
+            (["validate", "--input", "{deep}"], "malformed document: maximum recursion depth"),
+            (["validate", "--input", "{long_int}"], "malformed document: Exceeds the limit"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
@@ -503,6 +510,8 @@ class TestInputErrors:
             "two": write(tmp_path, "two.json", json.dumps(TWO_RESOURCES)),
             "not_json": write(tmp_path, "not.json", "{not json"),
             "no_solution": write(tmp_path, "half.json", json.dumps({"instance": WALKTHROUGH})),
+            "deep": write(tmp_path, "deep.json", "[" * 200_000),
+            "long_int": write(tmp_path, "long_int.json", '{"s": ' + "9" * 5000 + "}"),
         }
         out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)
         assert out == ""

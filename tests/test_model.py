@@ -31,6 +31,16 @@ def events(*pairs):
     return ReplenishmentStructure(tuple((t, frozenset(rs)) for t, rs in pairs))
 
 
+# JSON that ``json.loads`` cannot take: nesting past the recursion limit and
+# an int literal past the digit limit
+PAST_PARSER_LIMITS = pytest.mark.parametrize(
+    "text, cause",
+    [("[" * 200_000, "maximum recursion depth"),
+     ('{"total": ' + "9" * 5000 + "}", "Exceeds the limit")],
+    ids=("deep_nesting", "long_int"),
+)
+
+
 WALKTHROUGH_DOC = json.dumps(
     {
         "s": 1,
@@ -56,7 +66,6 @@ class TestParseInstance:
     def test_empty_job_list(self):
         inst = parse_instance('{"s": 1, "joint_cost": 2, "item_costs": [3], "jobs": []}')
         assert inst.release_grid == ()
-        assert inst.last_release == -1
 
     def test_empty_resource_set(self):
         doc = {"s": 1, "joint_cost": 0, "item_costs": [0],
@@ -96,6 +105,11 @@ class TestParseInstance:
     def test_malformed_json(self):
         with pytest.raises(InstanceError, match="malformed"):
             parse_instance("{nope")
+
+    @PAST_PARSER_LIMITS
+    def test_json_past_the_parser_limits_is_malformed(self, text, cause):
+        with pytest.raises(InstanceError, match=f"^malformed instance document: {cause}"):
+            parse_instance(text)
 
     @pytest.mark.parametrize(
         "text, key",
@@ -498,6 +512,11 @@ class TestSolution:
         text = ('{"objective": "max_flow", "starts": ' + starts + ', "replenishments": [],'
                 ' "scheduling_cost": 0, "replenishment_cost": 0, "total": 0}')
         with pytest.raises(SolutionError, match=f"repeats the key '{key}'"):
+            parse_solution(text)
+
+    @PAST_PARSER_LIMITS
+    def test_json_past_the_parser_limits_is_malformed(self, text, cause):
+        with pytest.raises(SolutionError, match=f"^malformed solution document: {cause}"):
             parse_solution(text)
 
     def test_schedule_starts_are_read_only(self):

@@ -33,9 +33,9 @@ from jrsched.model import (
 from jrsched.oracle import (
     _cheapest_structures,
     _key_precedes,
+    _preemptive_runs,
     _residual_bounds,
     _sequence_exact,
-    _split_wspt,
     _structure_key,
 )
 from conftest import R1, random_instance, single_job_instance, walkthrough_instance
@@ -338,14 +338,36 @@ class TestResidualBounds:
         # the cheap 2 + 9 and the residual 14 of either order
         jobs_data = ((0, 2, 1), (1, 2, 3))
         cheap, tight = _residual_bounds(jobs_data, Objective.WEIGHTED_COMPLETION)
-        assert _split_wspt((0, 1), (2, 2), (1, 3), (0, 0)) == 23
+        assert list(_preemptive_runs((0, 1), (2, 2), (-1, -3), False)) == [
+            (0, 1, 1), (1, 2, 3), (0, 1, 4)
+        ]
         assert cheap((0, 1)) == 11
         assert tight((0, 1)) == 12
         assert _sequence_exact((0, 1), jobs_data, Objective.WEIGHTED_COMPLETION)[0] == 14
-        # under weighted flow each run counts from its job's release
+        # under weighted flow each run counts from its job's release, so
+        # the runs add 23 - 3*2*1 = 17 and the bound is 9
         _, tight = _residual_bounds(jobs_data, Objective.WEIGHTED_FLOW)
-        assert _split_wspt((0, 1), (2, 2), (1, 3), (0, 1)) == 23 - 3 * 2 * 1
         assert tight((0, 1)) == 9
+
+    def test_shared_loop_splits_ties_for_srpt_only(self):
+        # job 0 (p = 3) runs from 0; job 1 (p = 1) arrives at 1 with the
+        # same rank.  SRPT splits job 0, since job 1 has less time left, so
+        # the total completion bound is 2 + 4 = 6 against the residual 7.
+        # Split-WSPT keeps job 0 whole on an equal ratio: at L = 3 both
+        # ratios are 3, the runs add 3*3*3 + 3*1*4 = 39, and the bound is
+        # 13, the residual itself; with job 0 split it would be 33 / 3 = 11
+        assert list(_preemptive_runs((0, 1), (3, 1), (0, 0), True)) == [
+            (0, 1, 1), (1, 1, 2), (0, 2, 4)
+        ]
+        runs = list(_preemptive_runs((0, 1), (3, 1), (-1, -1), False))
+        assert runs == [(0, 3, 3), (1, 1, 4)]
+        assert sum(q * end for _, q, end in runs) == 13
+        _, tight = _residual_bounds(((0, 3, 1), (1, 1, 1)), Objective.TOTAL_COMPLETION)
+        assert tight((0, 1)) == 6
+        jobs_data = ((0, 3, 3), (1, 1, 1))
+        _, tight = _residual_bounds(jobs_data, Objective.WEIGHTED_COMPLETION)
+        assert tight((0, 1)) == 13
+        assert _sequence_exact((0, 1), jobs_data, Objective.WEIGHTED_COMPLETION)[0] == 13
 
     def test_tight_on_unit_jobs(self):
         # with unit jobs and integer releases the preemptive schedules never
@@ -417,7 +439,7 @@ def test_exact_solve_outputs_are_pinned():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
-def weighted_pool_specs():
+def oracle_pool_specs():
     """60 seeded instances shaped like the multi-resource oracle workload:
     s = 2-3, n = 5-6, p up to 1-3, w up to 3, order costs 1, 2, 5, 10."""
     for seed in range(60):
@@ -434,13 +456,13 @@ def weighted_pool_specs():
         )
 
 
-def test_weighted_residuals_sequenced_are_pinned(monkeypatch):
-    # How many residuals the weighted sums sequence over a fixed pool.  Every
-    # valid bound gives the same outputs, so only this count shows a weaker
-    # bound or a lost dominance skip.  The two criteria differ by the
-    # constant sum of w_j r_j, in the residuals and in both bounds, so they
-    # sequence the same vectors.
-    calls = {objective: 0 for objective in WEIGHTED}
+def test_residuals_sequenced_are_pinned(monkeypatch):
+    # How many residuals each criterion sequences over a fixed pool.  Every
+    # valid bound gives the same outputs, so only these counts show a weaker
+    # bound or a lost dominance skip.  The two weighted criteria differ by
+    # the constant sum of w_j r_j, in the residuals and in both bounds, so
+    # they sequence the same vectors.
+    calls = {objective: 0 for objective in Objective}
     sequence = oracle._sequence_exact
 
     def counting(effective, jobs_data, objective):
@@ -448,11 +470,17 @@ def test_weighted_residuals_sequenced_are_pinned(monkeypatch):
         return sequence(effective, jobs_data, objective)
 
     monkeypatch.setattr(oracle, "_sequence_exact", counting)
-    for spec in weighted_pool_specs():
+    for spec in oracle_pool_specs():
         instance = gen_instance(spec)
-        for objective in WEIGHTED:
+        for objective in Objective:
             exact_solve(instance, objective)
-    assert calls == {Objective.WEIGHTED_COMPLETION: 87, Objective.WEIGHTED_FLOW: 87}
+    assert calls == {
+        Objective.WEIGHTED_COMPLETION: 87,
+        Objective.TOTAL_COMPLETION: 83,
+        Objective.TOTAL_FLOW: 83,
+        Objective.WEIGHTED_FLOW: 87,
+        Objective.MAX_FLOW: 76,
+    }
 
 
 class TestAgainstFullEnumeration:
