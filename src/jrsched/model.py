@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -584,7 +585,40 @@ def solution_to_document(solution: Solution) -> dict[str, Any]:
 
 
 def emit_solution(solution: Solution) -> str:
-    return json.dumps(solution_to_document(solution), indent=2, sort_keys=True)
+    """The solution document as JSON text.  An int with more digits than
+    Python writes out (``sys.get_int_max_str_digits``) raises SolutionError
+    naming its field."""
+    document = solution_to_document(solution)
+    try:
+        return json.dumps(document, indent=2, sort_keys=True)
+    except ValueError:
+        field = _unwritable_field(document, "")
+        if field is None:
+            raise
+        raise SolutionError(
+            f"solution: field {field!r} has more than {sys.get_int_max_str_digits()} digits"
+            " and cannot be written"
+        ) from None
+
+
+def _unwritable_field(value: Any, path: str) -> str | None:
+    """The path of the first int under ``value``, in the order ``json.dumps``
+    with sorted keys writes it, that has too many digits to be written."""
+    if isinstance(value, Mapping):
+        items = sorted(value.items())
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        try:
+            str(value)
+        except ValueError:
+            return path
+        return None
+    for key, item in items:
+        field = _unwritable_field(item, f"{path}[{key}]" if path else key)
+        if field is not None:
+            return field
+    return None
 
 
 def solution_from_document(document: Mapping[str, Any]) -> Solution:

@@ -9,7 +9,12 @@ all their resources are covered), and the residual one-machine problem is
 solved exactly by a subset DP over (jobs sequenced, time the machine becomes
 free) with earliest-start placement, which is optimal among active schedules
 for every supported criterion.  Among the optimal orders the DP returns the
-lexicographically smallest start vector (see :func:`_subset_dp`).
+lexicographically smallest start vector (see :func:`_subset_dp`).  It places
+twins in index order only: jobs of the same effective release, processing
+time and value function, the latter up to a constant under a sum, so a
+job's release matters only under max flow and its weight only under the
+weighted sums.  On unit jobs under an unweighted sum, the jobs that one
+order covers form one chain.
 
 The evaluation runs in three steps:
 
@@ -24,11 +29,13 @@ The evaluation runs in three steps:
    field set.  The points are ascending, so OR on two fields keeps the
    later covering point: OR on the codes is the per-job maximum, and a
    structure's effective releases are the OR of its time sets' codes, one
-   int.  No cover vector is kept; each held code is decoded once, at the
-   end.  The pass walks the product of every resource but the last, folds
-   each prefix once into (union of masks, code, item cost), and then spends
-   a few int operations and one dict lookup on each time set of the last
-   resource (see :func:`_cheapest_structures`).  A tie in cost is decided
+   int.  On one resource each time set also carries its cover vector,
+   which is then the structure's effective releases; on several, only the
+   codes are kept and each held code is decoded once, at the end.  The pass
+   walks the product of every resource but the last, folds each prefix once
+   into (union of masks, code, item cost), and then spends a few int
+   operations and one dict lookup on each time set of the last resource
+   (see :func:`_cheapest_structures`).  A tie in cost is decided
    from the masks and their unions alone, in O(s) int operations (see
    :func:`_key_precedes`); the (order times, resource subsets) key is built
    only for a structure whose residual is solved and can win.
@@ -157,18 +164,38 @@ def _subset_dp(
     earlier holds a smaller (cost, starts).  Continued by the same jobs,
     that state starts each of them no later, so it ends no dearer and with
     the smaller start vector; under max it ends no dearer, which is all the
-    cost-finding pass needs.  Identical jobs are placed in index order only:
-    swapping two of them keeps every cost and gives the lower index the
-    earlier start.  With ``cap`` set, steps whose job value exceeds it are
-    dropped.
+    cost-finding pass needs.
+
+    Twins are placed in index order only.  Two jobs are twins when they
+    share the effective release, the processing time and the value
+    function, the latter up to a constant when ``combine`` adds.  Every job
+    value in ``CRITERIA`` is affine in the completion time C, so a value
+    function is its slope and intercept, and up to a constant its slope
+    alone: w for the weighted sums and 1 for the others, whatever the
+    release.  Swap two twins in any order (Smith's interchange): they
+    start at the same two times and every other job keeps its start.  Under
+    a sum the two values are slope * C plus a constant of the job, so their
+    sum is slope * (C1 + C2) plus both constants either way; otherwise each
+    completion goes to the same value function, so every value, and each
+    test against ``cap``, is kept.  The lower index takes the earlier
+    start, so the start vector gets smaller, and the smallest
+    (cost, starts) has its twins in index order.  Each group of twins is
+    one chain, so the DP visits about the product of (group size + 1) sets
+    instead of 2**n.  With ``cap`` set, steps whose job value exceeds it
+    are dropped.
     """
     n = len(effective)
     width = (max(effective) + sum(proc for _, proc, _ in jobs_data)).bit_length()
     cost_shift = n * width
     steps = []
-    last_twin: dict[tuple[int, int, int, int], int] = {}
+    last_twin: dict[tuple[int, ...], int] = {}
     for j, (release, proc, weight) in enumerate(jobs_data):
-        key = (effective[j], release, proc, weight)
+        intercept = job_value(weight, release, 0)
+        slope = job_value(weight, release, 1) - intercept
+        if combine is operator.add:
+            key = (effective[j], proc, slope)
+        else:
+            key = (effective[j], proc, slope, intercept)
         shift = (n - 1 - j) * width
         steps.append((1 << j, last_twin.get(key, 0), shift, effective[j], release, proc, weight))
         last_twin[key] = 1 << j
@@ -318,29 +345,36 @@ def _residual_bounds(
 
 
 def _resource_candidates(
-    m: int,
-    needing: list[tuple[int, list[int]]],
+    points: Sequence[int],
+    needing: list[tuple[int, list[int], int]],
     item_cost: int,
     size_cap: int,
     idle_order_costs: bool,
-) -> list[tuple[int, int, int]]:
-    """All usable ordering-time sets of at most ``size_cap`` of the ``m``
-    points for one resource, by size.
+    lone: bool,
+) -> list[tuple[int, int, int, tuple[int, ...] | None]]:
+    """All usable ordering-time sets of at most ``size_cap`` of the
+    ``points`` for one resource, by size.
 
     ``needing`` holds (index of the first point at or after its release, row
-    of cover codes) for every job needing the resource, in order of that
-    point; ``row[b - first]`` codes the job covered at point b.  Each entry
-    is (bitmask over points, item-cost term, cover code), where the cover
-    code ORs the needing jobs' codes; sets that leave a needing job
-    uncovered are skipped.  Orders that cover no job can always be dropped
-    without raising the cost, so capping at the number of jobs needing the
-    resource loses nothing.  With ``idle_order_costs`` set, an order that
+    of cover codes, job index) for every job needing the resource, in order
+    of that point; ``row[b - first]`` codes the job covered at point b.
+    Each entry is (bitmask over points, item-cost term, cover code, cover
+    vector), where the cover code ORs the needing jobs' codes; sets that
+    leave a needing job uncovered are skipped.  With ``lone`` set the
+    resource is the only one, so every job needs it, and the cover vector
+    holds each job's covering point, stored as its code is ORed: it is the
+    effective-release vector of the set's structure.  Otherwise the cover
+    vector is None.  Orders that cover no job can always be dropped without
+    raising the cost, so capping at the number of jobs needing the resource
+    loses nothing.  With ``idle_order_costs`` set, an order that
     covers no job first costs something, so a set holding one is strictly
     dearer than the same set without it, which has the same cover code;
     such sets are dropped.  Without it they stay, since a free order can
     win the tie on the key.
     """
+    m = len(points)
     last_first = needing[-1][0] if needing else -1
+    cover = [0] * len(needing) if lone else None
     out = []
     for k in range(min(size_cap, m) + 1):
         for combo in itertools.combinations(range(m), k):
@@ -351,17 +385,20 @@ def _resource_candidates(
             previous = -1
             # needing is in order of first point, so each job's covering
             # point is no earlier than the one before it
-            for first, row in needing:
+            for first, row, j in needing:
                 for b in combo:
                     if b >= first:
                         break
                 code |= row[b - first]
+                if lone:
+                    cover[j] = points[b]
                 if b != previous:
                     used += 1
                     previous = b
             if idle_order_costs and used < k:
                 continue
-            out.append((sum(1 << b for b in combo), item_cost * k, code))
+            entry_cover = tuple(cover) if lone else None
+            out.append((sum(1 << b for b in combo), item_cost * k, code, entry_cover))
     return out
 
 
@@ -434,10 +471,12 @@ def _cheapest_structures(
     m = ``len(points)``, job j's field in a cover code is bits j*m to
     j*m + m - 1; ``rows[j]`` holds its codes from the first point at or
     after its release on.  The pass holds (ordering cost, masks, union of
-    masks) per code, and each held code is decoded once, when the pass is
-    over: job j's effective release is the point of the highest set bit of
-    its field.  A tie in cost is decided from the masks alone by
-    :func:`_key_precedes`, so no key is built here.
+    masks, cover vector) per code.  On one resource there is no prefix, and
+    the held time set's cover vector is the effective-release vector.
+    Otherwise each held code is decoded once, when the pass is over: job
+    j's effective release is the point of the highest set bit of its field.
+    A tie in cost is decided from the masks alone by :func:`_key_precedes`,
+    so no key is built here.
     """
     jobs = instance.jobs
     m = len(points)
@@ -450,40 +489,43 @@ def _cheapest_structures(
     candidates = []
     for i in range(s):
         needing = sorted(
-            ((firsts[j], rows[j]) for j, job in enumerate(jobs) if i + 1 in job.resources),
+            ((firsts[j], rows[j], j) for j, job in enumerate(jobs) if i + 1 in job.resources),
             key=operator.itemgetter(0),
         )
         item_cost = instance.item_costs[i]
         idle_order_costs = item_cost > 0 or (s == 1 and joint > 0)
-        candidates.append(_resource_candidates(m, needing, item_cost, caps[i], idle_order_costs))
+        candidates.append(
+            _resource_candidates(points, needing, item_cost, caps[i], idle_order_costs, s == 1)
+        )
 
-    # code -> (ordering cost, masks, union of masks)
-    cheapest: dict[int, tuple[int, tuple[int, ...], int]] = {}
+    # code -> (ordering cost, masks, union of masks, cover vector or None)
+    cheapest: dict[int, tuple[int, tuple[int, ...], int, tuple[int, ...] | None]] = {}
     get = cheapest.get
     for prefix in itertools.product(*candidates[:-1]):
         prefix_union = prefix_code = prefix_cost = 0
-        for mask, cost_term, code in prefix:
+        for mask, cost_term, code, _ in prefix:
             prefix_union |= mask
             prefix_code |= code
             prefix_cost += cost_term
         prefix_masks = tuple([entry[0] for entry in prefix])
-        for mask, cost_term, code in candidates[-1]:
+        for mask, cost_term, code, cover in candidates[-1]:
             eff_code = prefix_code | code
             union = prefix_union | mask
             repl = prefix_cost + cost_term + joint * union.bit_count()
             held = get(eff_code)
             if held is None or repl < held[0]:
-                cheapest[eff_code] = (repl, prefix_masks + (mask,), union)
+                cheapest[eff_code] = (repl, prefix_masks + (mask,), union, cover)
             elif repl == held[0]:
                 masks = prefix_masks + (mask,)
                 if _key_precedes(union, masks, held[2], held[1]):
-                    cheapest[eff_code] = (repl, masks, union)
+                    cheapest[eff_code] = (repl, masks, union, cover)
 
     field = (1 << m) - 1
     shifts = range(0, len(jobs) * m, m)
     structures = {}
-    for code, (repl, masks, _) in cheapest.items():
-        eff = tuple([points[(code >> shift & field).bit_length() - 1] for shift in shifts])
+    for code, (repl, masks, _, eff) in cheapest.items():
+        if eff is None:
+            eff = tuple([points[(code >> shift & field).bit_length() - 1] for shift in shifts])
         structures[eff] = (repl, masks)
     return structures
 

@@ -501,6 +501,9 @@ class TestInputErrors:
               "{long_int}"], "malformed instance document: Exceeds the limit"),
             (["validate", "--input", "{deep}"], "malformed document: maximum recursion depth"),
             (["validate", "--input", "{long_int}"], "malformed document: Exceeds the limit"),
+            # a cost past the digit limit used to end in a traceback from json.dumps
+            (["solve", "--algo", "oracle", "--objective", "total_weighted_completion", "--input",
+              "{huge_weight}"], "solution: field 'scheduling_cost' has more than"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
@@ -512,6 +515,11 @@ class TestInputErrors:
             "no_solution": write(tmp_path, "half.json", json.dumps({"instance": WALKTHROUGH})),
             "deep": write(tmp_path, "deep.json", "[" * 200_000),
             "long_int": write(tmp_path, "long_int.json", '{"s": ' + "9" * 5000 + "}"),
+            # release and weight of 4,001 digits each, so w * C has about 8,001
+            "huge_weight": write(tmp_path, "huge_weight.json", json.dumps(
+                {"s": 1, "joint_cost": 1, "item_costs": [0], "jobs": [
+                    {"id": 1, "release": 10**4000, "processing": 1, "resources": [1],
+                     "weight": 10**4000}]})),
         }
         out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)
         assert out == ""

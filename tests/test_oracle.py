@@ -276,6 +276,28 @@ class TestResidualSequencing:
                     effective, jobs_data, objective
                 )
 
+    def test_twins_by_value_function_match_brute_force(self):
+        # the jobs fall into a few (effective release, processing time)
+        # groups and differ inside a group in release and weight, so only
+        # the value function decides which of them are twins: the release
+        # under max flow, the weight under the weighted sums, neither under
+        # the unweighted sums
+        rng = random.Random(2626)
+        for trial in range(150):
+            n = 2 + trial % 6
+            groups = [(rng.randint(2, 6), rng.randint(1, 2)) for _ in range(1 + trial % 3)]
+            effective, jobs_data = [], []
+            for _ in range(n):
+                eff, proc = rng.choice(groups)
+                effective.append(eff)
+                jobs_data.append((rng.randint(0, eff), proc, rng.randint(1, 2)))
+            effective, jobs_data = tuple(effective), tuple(jobs_data)
+            expected = brute_force_sequence(effective, jobs_data)
+            for objective in Objective:
+                assert _sequence_exact(effective, jobs_data, objective) == expected[objective], (
+                    effective, jobs_data, objective
+                )
+
 
 WEIGHTED = (Objective.WEIGHTED_COMPLETION, Objective.WEIGHTED_FLOW)
 
