@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import replace
 from typing import Callable
@@ -24,6 +23,7 @@ from .model import (
     Solution,
     SolutionError,
     SolverError,
+    _dump_json,
     _load_json,
     _refuse_unknown,
     check_feasible,
@@ -108,6 +108,10 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}") from None
 
 
+def _write_document(document: object, path: str | None) -> None:
+    _write_output(_dump_json(document, "document", _CliError), path)
+
+
 def _write_output(text: str, path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -188,15 +192,17 @@ def _cmd_online(args: argparse.Namespace) -> int:
         instance = delay_releases(instance, 1)
     policy = _make_policy(args.policy, args.order_cost)
     solution, trace = run_online(instance, policy, end_signal=not args.no_end_signal)
-    if args.trace:
-        _write_output(trace_to_jsonl(trace, solution), args.trace)
     document = {
         "policy": args.policy,
         "K": args.order_cost,
         "solution": solution_to_document(solution),
         "blocks": blocks_to_document(trace.blocks),
     }
-    _write_output(json.dumps(document, indent=2, sort_keys=True), args.output)
+    # both texts are made before either is written, so a refused one writes nothing
+    text = _dump_json(document, "document", _CliError)
+    if args.trace:
+        _write_output(trace_to_jsonl(trace, solution), args.trace)
+    _write_output(text, args.output)
     return 0
 
 
@@ -216,7 +222,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         "offline": solution_to_document(outcome.offline),
         "ratio": outcome.ratio,
     }
-    _write_output(json.dumps(document, indent=2, sort_keys=True), args.output)
+    _write_document(document, args.output)
     return 0
 
 
@@ -245,7 +251,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "lb_ceiling": bounds.lb_ceiling(instance),
             "lb_sqrt": bounds.lb_sqrt(instance),
         }
-    _write_output(json.dumps(document, indent=2, sort_keys=True), args.output)
+    _write_document(document, args.output)
     return 0
 
 
@@ -296,6 +302,8 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
                 "ratio": solution.total / offline,
             }
         )
+    # written as JSON first, so an int too long for either format is refused
+    text = _dump_json(rows, "document", _CliError)
     if args.csv:
         buffer = io.StringIO()
         writer = csv.DictWriter(
@@ -307,7 +315,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         writer.writerows(rows)
         _write_output(buffer.getvalue(), args.output)
     else:
-        _write_output(json.dumps(rows, indent=2, sort_keys=True), args.output)
+        _write_output(text, args.output)
     return 0
 
 
@@ -347,10 +355,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 f" recomputed {recomputed_repl}",
             }
         )
-    _write_output(
-        json.dumps({"feasible": not problems, "violations": problems}, indent=2, sort_keys=True),
-        args.output,
-    )
+    _write_document({"feasible": not problems, "violations": problems}, args.output)
     return 0 if not problems else 1
 
 

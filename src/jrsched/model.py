@@ -228,12 +228,6 @@ class Schedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "starts", MappingProxyType(dict(self.starts)))
 
-    def start_of(self, job_id: int) -> int:
-        try:
-            return self.starts[job_id]
-        except KeyError:
-            raise SolutionError(f"job {job_id} has no start time") from None
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -449,7 +443,7 @@ def instance_to_document(instance: Instance) -> dict[str, Any]:
 
 
 def emit_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_document(instance), indent=2, sort_keys=True)
+    return _dump_json(instance_to_document(instance), "instance", InstanceError)
 
 
 def _require(
@@ -585,18 +579,21 @@ def solution_to_document(solution: Solution) -> dict[str, Any]:
 
 
 def emit_solution(solution: Solution) -> str:
-    """The solution document as JSON text.  An int with more digits than
-    Python writes out (``sys.get_int_max_str_digits``) raises SolutionError
-    naming its field."""
-    document = solution_to_document(solution)
+    return _dump_json(solution_to_document(solution), "solution", SolutionError)
+
+
+def _dump_json(document: Any, what: str, error: type[Exception], indent: int | None = 2) -> str:
+    """``document`` as JSON text with sorted keys, the one writer of every
+    document.  An int with more digits than Python writes out
+    (``sys.get_int_max_str_digits``) raises ``error`` naming its field."""
     try:
-        return json.dumps(document, indent=2, sort_keys=True)
+        return json.dumps(document, indent=indent, sort_keys=True)
     except ValueError:
         field = _unwritable_field(document, "")
         if field is None:
             raise
-        raise SolutionError(
-            f"solution: field {field!r} has more than {sys.get_int_max_str_digits()} digits"
+        raise error(
+            f"{what}: field {field!r} has more than {sys.get_int_max_str_digits()} digits"
             " and cannot be written"
         ) from None
 
@@ -615,7 +612,8 @@ def _unwritable_field(value: Any, path: str) -> str | None:
             return path
         return None
     for key, item in items:
-        field = _unwritable_field(item, f"{path}[{key}]" if path else key)
+        label = key if isinstance(key, str) and not path else f"{path}[{key}]"
+        field = _unwritable_field(item, label)
         if field is not None:
             return field
     return None

@@ -38,6 +38,16 @@ per key the smallest (value, start code, order code).  The max-flow DPs
 first find the optimum and every optimal final flow F by a Pareto pass
 over (worst flow, order cost), then one exact pass per F, capped at F.
 
+Both max-flow passes are a branch and bound over the layered graph
+(Morin & Marsten, 1976).  Each max-flow graph bounds the jobs a key has
+not placed: a least final flow, a least further order cost, and one
+complete path from the key, whose value is an incumbent.  The Pareto pass
+drops a pair whose every completion exceeds the incumbent, and the capped
+passes skip a key whose every completion exceeds the cap or the budget.
+Only paths of no optimal value are cut, so every optimal path and every
+optimal F survive, and the tie rule below is decided among the same
+survivors.
+
 One tie rule holds for every solver: it returns the smallest (total, start
 vector, order vector) over the solutions its graph represents.  Two
 partial solutions that meet at one key have placed the same jobs and share
@@ -112,19 +122,28 @@ class _Graph(NamedTuple):
     and the code, added to the path's, holds the block's starts in their
     fields (0 if it is empty); otherwise the value is its worst flow and the
     code is not read.  The largest mask of ``orders`` sets the field width.
+
+    A max-flow graph also has ``bounds(idx)``, which maps a key at layer
+    ``idx`` to four numbers about the jobs its paths have not placed: a
+    least final flow, a least further order cost, and the flow and further
+    order cost of one complete path from the key.
     """
 
     layers: int
     start: Hashable  # the key of layer 0
     orders: list[tuple[int, int]]  # (mask, cost) of each order a layer may place
     edges: Callable[[int, bool], Callable[[Hashable, int, float], list[tuple]]]
+    bounds: Callable[[int], Callable[[Hashable], tuple[int, int, int, int]]] | None = None
 
 
 def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple:
     """Smallest (value, start code, order code) over the complete paths of
     ``graph`` with blocks under ``cap`` and value at most ``budget``, the
     order code decoded into its masks.  A path's value is its order costs
-    plus what its blocks add; ``sizes`` receives each layer's state count."""
+    plus what its blocks add; ``sizes`` receives each layer's state count.
+    With bounds, a key whose least flow exceeds ``cap``, or whose value
+    plus least cost exceeds ``budget``, is not expanded: none of its
+    complete paths is counted, so the smallest one is the same."""
     width = max(mask for mask, _ in graph.orders).bit_length()
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
     layers[0][graph.start] = (0, 0, 0)
@@ -134,7 +153,14 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
             sizes.append(len(layers[idx]))
         blocks_for = graph.edges(idx, True)
         shift = (graph.layers - 1 - idx) * width
-        for key, (value, starts, masks) in layers[idx].items():
+        states = layers[idx].items()
+        if graph.bounds:
+            bound_for = graph.bounds(idx)
+            states = (
+                (key, state) for key, state in states
+                if (bound := bound_for(key))[0] <= cap and state[0] + bound[1] <= budget
+            )
+        for key, (value, starts, masks) in states:
             for mask, order_cost in graph.orders:
                 value_after = value + order_cost
                 if value_after > budget:
@@ -157,16 +183,21 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
     return value, starts, [masks >> shift & (1 << width) - 1 for shift in fields]
 
 
-def _pareto(bucket: list[tuple], optimum: float) -> list[tuple]:
-    """The undominated (flow, cost) pairs of ``bucket`` whose sum is at most
-    ``optimum``, flows rising and costs strictly falling."""
+def _pareto(
+    bucket: list[tuple], optimum: float, least_flow: int = 0, least_cost: int = 0
+) -> list[tuple]:
+    """The undominated (flow, cost) pairs of ``bucket``, flows rising and
+    costs strictly falling, less those whose every completion exceeds
+    ``optimum``: a path completing a pair ends with a flow of at least
+    ``least_flow`` and pays at least ``least_cost`` more."""
     # sorted, a pair is undominated when its cost is below every earlier one's
     entries = []
-    least_cost = math.inf
+    lowest = math.inf
+    limit = optimum - least_cost
     for flow, cost in sorted(bucket):
-        if cost < least_cost and flow + cost <= optimum:
+        if cost < lowest and (flow if flow > least_flow else least_flow) + cost <= limit:
             entries.append((flow, cost))
-            least_cost = cost
+            lowest = cost
     return entries
 
 
@@ -185,9 +216,16 @@ def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[
     What arrives at a key is reduced to its Pareto list once, by one sort,
     when the key's layer is expanded; ``undominated`` then filters the
     layer's (key, Pareto list) pairs, dropping a pair only where a kept one
-    completes its every path at no more flow and cost.  A pair whose flow
-    plus cost exceeds the best complete value so far is dropped too; the
-    comparison is strict, so every optimal final flow survives.
+    completes its every path at no more flow and cost.
+
+    The incumbent ``optimum`` is the least value of a complete path found
+    so far, as a path or as the completion that the graph's bounds give
+    each reduced pair; ``flows`` holds the final flows of the complete
+    paths found at that value, and empties when a completion lowers it.  A
+    pair is dropped when its flow and cost, raised by the key's least flow
+    and least cost, exceed the incumbent.  The comparison is strict and the
+    incumbent is never below the optimum, so every optimal path and final
+    flow survives.
     """
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
     layers[0][graph.start] = [(0, 0)]
@@ -195,9 +233,21 @@ def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[
     flows: set[int] = set()
     for idx in range(graph.layers):
         blocks_for = graph.edges(idx, False)
+        bound_for = graph.bounds(idx)
+        reduced = []
+        for key, bucket in layers[idx].items():
+            least_flow, least_cost, flow_after, cost_after = bound_for(key)
+            entries = _pareto(bucket, optimum, least_flow, least_cost)
+            for crit, cost in entries:
+                value = (crit if crit > flow_after else flow_after) + cost + cost_after
+                if value < optimum:
+                    optimum, flows = value, set()
+            if entries:
+                reduced.append((key, entries, least_flow, least_cost))
+        layers[idx] = None
         states = undominated([
-            (key, entries) for key, bucket in layers[idx].items()
-            if (entries := _pareto(bucket, optimum))
+            (key, kept) for key, entries, least_flow, least_cost in reduced
+            if (kept := _pareto(entries, optimum, least_flow, least_cost))
         ])
         for key, entries in states:
             for mask, order_cost in graph.orders:
@@ -222,7 +272,6 @@ def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[
                             bucket.append((crit, cost))
                         if crit == block_flow:
                             break
-        layers[idx] = None
     return optimum, flows
 
 
@@ -354,6 +403,22 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     each key keeping its smallest (total, start code, order code), and the
     module's two shared passes for max flow.  Blocks above the cap, or
     above the Pareto pass's incumbent, are not built.
+
+    The max-flow passes bound each key by the jobs it has not placed, all
+    of which start at the layer time tau or later:
+
+    - Least flow: tau + max_k(k p - r_(k)), k the rank from 1 in release
+      order, cached per count vector.  With a common start, release order
+      minimizes max(C - r) (Jackson's rule), and no job starts before tau.
+    - Least cost: one order of the short resources, those that some class
+      with an unplaced job needs ordered after its last order's anchor, up
+      to that class's last release.  Every short resource is ordered again,
+      and one order of them all costs no more than several.
+    - Completion: that order at T, the later of tau and the last unplaced
+      release, then every unplaced job back to back from T in release
+      order, for a flow of T + max_k(k p - r_(k)) at the least cost.  It
+      starts at T even when orders are free, because the jobs released
+      after tau are only covered there.
 
     When all jobs form one class, the Pareto pass also compares the states
     of one layer across anchors.  Take two states with the same count,
@@ -508,10 +573,45 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                 result.append(((alphas, betas), entries))
         return result
 
+    # per count vector: max_k(k p - r_(k)) over the unplaced jobs, k their
+    # rank in release order from 1, and their last release
+    tails: dict[tuple, tuple[int, int]] = {}
+
+    def bounds(idx: int):
+        """The four numbers of a key at layer ``idx`` (see :class:`_Graph`)."""
+        tau = layer_times[idx]
+
+        def bound_for(key: tuple) -> tuple[int, int, int, int]:
+            alphas, betas = key
+            tail = tails.get(alphas)
+            if tail is None:
+                rest = sorted(
+                    release for ell, done in enumerate(alphas)
+                    for release in class_releases[ell][done:]
+                )
+                tail = tails[alphas] = (
+                    max(k * p - release for k, release in enumerate(rest, start=1)), rest[-1]
+                )
+            jackson, last = tail
+            # short: the resources whose last anchor is before the last
+            # release of an unfinished class that needs them
+            short = 0
+            for ell, needs in enumerate(class_needs):
+                if alphas[ell] < len(class_releases[ell]):
+                    final = class_releases[ell][-1]
+                    for i in needs:
+                        if betas[i] < final:
+                            short |= 1 << i
+            cost = orders[short][1]
+            return tau + jackson, cost, (last if last > tau else tau) + jackson, cost
+
+        return bound_for
+
     # a resource never ordered has anchor -1, before every release
     graph = _Graph(
         num_layers, ((0,) * len(class_keys), (-1,) * s),
         [(mask, cost) for mask, (_, cost) in enumerate(orders)], edges,
+        bounds if use_max_flow else None,
     )
     if use_max_flow:
         # states compare across anchors with one class only (see above)
@@ -546,6 +646,13 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     graph.  The order vector marks each layer a solution leaves; every
     solution leaves layer 0 and orders at the last release date, so these
     marks compare as the marks of the order dates do.
+
+    The max-flow passes bound a free time at layer i by the jobs after
+    its first i groups.  Each later block starts at the free time or
+    later, so the least flow is free - prefix_p[lo] plus the largest tail
+    of the later groups; at least one more order is placed, so the least
+    cost is its order cost; and the completion is the one block to the
+    last layer, ordered at the last release date.
     """
     objective = Objective.MAX_FLOW
     if instance.num_resources != 1:
@@ -612,7 +719,24 @@ def dp_fmax_s1(instance: Instance) -> Solution:
                 frontier = _pareto(frontier + entries, math.inf)
         return result
 
-    graph = _Graph(m, 0, [(1, instance.single_resource_order_cost)], edges)
+    order_cost = instance.single_resource_order_cost
+    # rest_tail[i]: the largest tail of groups i + 1 to m
+    rest_tail = list(accumulate(reversed(group_tail[1:]), max))[::-1]
+
+    def bounds(i: int):
+        """The four numbers of a free time at layer ``i`` (see
+        :class:`_Graph`): every later block starts at ``free`` or later, and one
+        order at the last release date completes the path."""
+        lo = group_end[i]
+        tail = rest_tail[i]
+
+        def bound_for(free: int) -> tuple[int, int, int, int]:
+            last = free if free > dates[-1] else dates[-1]
+            return free - prefix_p[lo] + tail, order_cost, last - prefix_p[lo] + tail, order_cost
+
+        return bound_for
+
+    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds)
     _, starts, masks = _least_max_flow(graph, undominated)
     left = [i for i, mask in enumerate(masks) if mask]
     events = tuple((dates[j - 1], frozenset({1})) for j in left[1:] + [m])
@@ -654,6 +778,11 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
     can exceed the number of jobs when releases are sparse).  Ties go to
     the smaller F, whose start vector is smaller, as the module's one tie
     rule asks of the candidates.
+
+    The counts are tried in ascending order, so their F falls, and each
+    search starts below the last F.  A count c prices every F not yet
+    tried at K c + 1 or more, so the search stops once that exceeds the
+    best total; the stop is strict, so a tie at a smaller F is still found.
     """
     objective = Objective.MAX_FLOW
     if instance.num_resources != 1:
@@ -668,23 +797,25 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
     if len(set(releases)) != n:
         raise SolverError("release dates must be pairwise distinct")
 
-    span = releases[-1] - releases[0] + 1  # one order suffices from here on
-    candidates = set()
-    max_count = len(equal_flow_cover(releases, 1))
-    for target in range(1, max_count + 1):
-        lo, hi = 1, span
+    order_cost = instance.single_resource_order_cost
+    best = None
+    hi = releases[-1] - releases[0] + 1  # one order suffices from here on
+    for target in range(1, len(equal_flow_cover(releases, 1)) + 1):
+        # every F not yet tried needs at least ``target`` orders
+        if best is not None and order_cost * target + 1 > best[0]:
+            break
+        # the smallest F needing at most ``target`` orders, at most the last one
+        lo = 1
         while lo < hi:
             mid = (lo + hi) // 2
             if len(equal_flow_cover(releases, mid)) <= target:
                 hi = mid
             else:
                 lo = mid + 1
-        candidates.add(lo)
-
-    order_cost = instance.single_resource_order_cost
-    _, flow = min(
-        (flow + order_cost * len(equal_flow_cover(releases, flow)), flow) for flow in candidates
-    )
+        candidate = (hi + order_cost * len(equal_flow_cover(releases, hi)), hi)
+        if best is None or candidate < best:
+            best = candidate
+    _, flow = best
     starts = {job.id: job.release + flow - 1 for job in instance.jobs}
     events = tuple((t, frozenset({1})) for t in equal_flow_cover(releases, flow))
     return evaluate_solution(

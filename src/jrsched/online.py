@@ -33,7 +33,6 @@ Shipped policies (single resource, unit jobs):
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right, insort
 from collections.abc import Sequence
@@ -49,7 +48,9 @@ from .model import (
     ReplenishmentStructure,
     Schedule,
     Solution,
+    SolutionError,
     SolverError,
+    _dump_json,
     evaluate_solution,
 )
 
@@ -655,13 +656,13 @@ def trace_to_jsonl(trace: Trace, solution: Solution) -> str:
     lines = []
     for record in trace.records:
         lines.append(
-            json.dumps(
+            _dump_json(
                 {
                     "t": record.t,
                     "replenish": list(record.replenish) if record.replenish is not None else None,
                     "start": list(record.start),
                 },
-                sort_keys=True,
+                "trace", SolutionError, indent=None,
             )
         )
     summary = {
@@ -670,5 +671,5 @@ def trace_to_jsonl(trace: Trace, solution: Solution) -> str:
         "replenishment_cost": solution.replenishment_cost,
         "total": solution.total,
     }
-    lines.append(json.dumps(summary, sort_keys=True))
+    lines.append(_dump_json(summary, "trace", SolutionError, indent=None))
     return "\n".join(lines) + "\n"

@@ -504,6 +504,13 @@ class TestInputErrors:
             # a cost past the digit limit used to end in a traceback from json.dumps
             (["solve", "--algo", "oracle", "--objective", "total_weighted_completion", "--input",
               "{huge_weight}"], "solution: field 'scheduling_cost' has more than"),
+            # every command writes through one writer, which refuses such an int
+            (["online", "--policy", "sum-cj", "--K", "2", "--input", "{far_pair}"],
+             "document: field 'solution[scheduling_cost]' has more than"),
+            (["online", "--policy", "sum-cj", "--K", "2", "--input", "{far_pair}",
+              "--trace", "{trace}"], "document: field 'solution[scheduling_cost]' has more than"),
+            (["adversary", "--kind", "sum_cj_3_2", "--K", "9" * 4300],
+             "document: field 'offline[replenishment_cost]' has more than"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
@@ -520,10 +527,17 @@ class TestInputErrors:
                 {"s": 1, "joint_cost": 1, "item_costs": [0], "jobs": [
                     {"id": 1, "release": 10**4000, "processing": 1, "resources": [1],
                      "weight": 10**4000}]})),
+            # two unit jobs released at the largest release of 4,300 digits
+            "far_pair": write(tmp_path, "far_pair.json", json.dumps(
+                {"s": 1, "joint_cost": 1, "item_costs": [0], "jobs": [
+                    {"id": job_id, "release": 10**4300 - 1, "processing": 1, "resources": [1]}
+                    for job_id in (1, 2)]})),
+            "trace": str(tmp_path / "trace.jsonl"),
         }
         out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)
         assert out == ""
         assert message in error_line(err)
+        assert not (tmp_path / "trace.jsonl").exists()
 
     @pytest.mark.parametrize(
         "argv, line",

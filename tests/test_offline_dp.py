@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from functools import partial
 
@@ -25,6 +26,7 @@ from jrsched import (
 )
 from jrsched.adversaries import AdversarySpec, adversary_run
 from jrsched.model import CRITERIA, release_anchor
+from jrsched import offline_dp
 from jrsched.offline_dp import equal_flow_cover
 from conftest import R1, random_instance, walkthrough_instance
 
@@ -463,6 +465,217 @@ def test_dp_equalp_one_class_max_flow_is_pinned():
     for instance in one_class_max_flow_cases():
         digest.update(emit_solution(dp_equalp(instance, Objective.MAX_FLOW)).encode())
     assert digest.hexdigest() == GOLDEN_EQUALP_ONE_CLASS_DIGEST
+
+
+def multi_class_sweep_cases():
+    """Max-flow instances on two or three resources, n = 9-13, common p =
+    1-3, where the bounds of the max-flow passes cut the most: the Pareto
+    pass over them took 11-14 s on 2 vCPUs before it had bounds."""
+    rng = random.Random(2027)
+    for _ in range(40):
+        s = rng.randint(2, 3)
+        n = rng.randint(9, 13)
+        yield random_instance(
+            rng, n, s=s, max_release=rng.choice([4, 8, 12]),
+            equal_processing=rng.randint(1, 3),
+            cost_choices=rng.choice([(0, 1), (1, 2, 5), (0, 2, 4, 8)]),
+        )
+
+
+# sha256 of the emitted max-flow solutions of multi_class_sweep_cases,
+# computed before the max-flow passes had bounds.
+GOLDEN_EQUALP_MULTI_CLASS_SWEEP_DIGEST = (
+    "6f99ef13cb841c7c0391d57d710903ac0b44f61cdc06a6270b1aeecf3882ba9b"
+)
+
+
+def test_dp_equalp_multi_class_sweep_is_pinned():
+    digest = hashlib.sha256()
+    for instance in multi_class_sweep_cases():
+        digest.update(emit_solution(dp_equalp(instance, Objective.MAX_FLOW)).encode())
+    assert digest.hexdigest() == GOLDEN_EQUALP_MULTI_CLASS_SWEEP_DIGEST
+
+
+def asked_bounds(monkeypatch, solve, instance):
+    """Per (layer, key) that the max-flow passes reach while ``solve``
+    runs on ``instance``, in either pass, the four numbers of its bounds."""
+    asked = {}
+    passes = offline_dp._least_max_flow
+
+    def recorded(graph, undominated):
+        def bounds(idx):
+            bound_for = graph.bounds(idx)
+
+            def record(key):
+                asked[idx, key] = bound_for(key)
+                return asked[idx, key]
+
+            return record
+
+        return passes(graph._replace(bounds=bounds), undominated)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(offline_dp, "_least_max_flow", recorded)
+        solve(instance)
+    return asked
+
+
+def completion(instance, unplaced, start, orders):
+    """The rest of a schedule: the ``unplaced`` jobs alone, back to back
+    from ``start`` in release order, under the order events ``orders``."""
+    rest = Instance(instance.num_resources, instance.joint_cost, instance.item_costs, unplaced)
+    starts = {}
+    for job in sorted(unplaced, key=lambda job: (job.release, job.id)):
+        starts[job.id] = start
+        start += job.processing
+    events = ReplenishmentStructure(tuple(sorted(orders.items())))
+    return rest, evaluate_solution(rest, Schedule(starts), events, Objective.MAX_FLOW)
+
+
+def equalp_rest(instance, times, idx, unplaced, betas, memo):
+    """(least flow, least order cost) of the jobs whose ids are in
+    ``unplaced`` over every way dp_equalp's graph, less its skip, can
+    place them from layer ``idx`` on, each resource's last order at
+    release anchor ``betas`` (-1 if none): an order of any resource subset,
+    then an empty block waiting one layer or a release-ordered prefix of
+    the ready jobs.  The two least values may come from different paths."""
+    state = (idx, unplaced, betas)
+    if state in memo:
+        return memo[state]
+    p = instance.jobs[0].processing
+    s = instance.num_resources
+    tau = times[idx]
+    anchor = release_anchor(instance.release_grid, tau)
+    waiting = sorted(
+        (job for job in instance.jobs if job.id in unplaced), key=lambda job: (job.release, job.id)
+    )
+    least = (math.inf, math.inf)
+    for mask in range(1 << s):
+        resources = frozenset(i + 1 for i in range(s) if mask >> i & 1)
+        order_cost = instance.order_cost(resources) if mask else 0
+        after = tuple(anchor if mask >> i & 1 else beta for i, beta in enumerate(betas))
+        ready = [
+            job for job in waiting if all(job.release <= after[r - 1] for r in job.resources)
+        ]
+        blocks = [(0, idx + 1, unplaced)] if idx + 1 < len(times) else []
+        flow = 0
+        for size, job in enumerate(ready, start=1):
+            flow = max(flow, tau + size * p - job.release)
+            left = unplaced - {placed.id for placed in ready[:size]}
+            later = [k for k, t in enumerate(times) if t >= tau + size * p]
+            if not left or later:
+                blocks.append((flow, later[0] if left else None, left))
+        for flow, target, left in blocks:
+            rest = (0, 0) if target is None else equalp_rest(
+                instance, times, target, left, after, memo
+            )
+            least = (min(least[0], max(flow, rest[0])), min(least[1], order_cost + rest[1]))
+    memo[state] = least
+    return least
+
+
+def test_dp_equalp_bounds_are_sound(monkeypatch):
+    """At every key the max-flow passes reach, on tiny instances: the
+    least flow and least cost are at most the least over every way to
+    place the rest, and the completion, built as its own solution, is
+    feasible at the flow and order cost claimed: the short resources ordered
+    once at the later of the layer time and the last unplaced release, then
+    every unplaced job back to back in release order."""
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(60):
+        instance = random_instance(
+            rng, rng.randint(1, 5), s=rng.randint(1, 2), max_release=4,
+            equal_processing=rng.randint(1, 2), cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
+        )
+        solve = partial(dp_equalp, objective=Objective.MAX_FLOW)
+        asked = asked_bounds(monkeypatch, solve, instance)
+        p = instance.jobs[0].processing
+        times = sorted(
+            {r + k * p for r in instance.release_grid for k in range(len(instance.jobs) + 1)}
+        )
+        class_keys = sorted({tuple(sorted(job.resources)) for job in instance.jobs})
+        classes = [
+            sorted(
+                (job for job in instance.jobs if tuple(sorted(job.resources)) == key),
+                key=lambda job: (job.release, job.id),
+            )
+            for key in class_keys
+        ]
+        memo = {}
+        for (idx, (alphas, betas)), (least_flow, least_cost, flow, cost) in asked.items():
+            unplaced = tuple(job for jobs, done in zip(classes, alphas) for job in jobs[done:])
+            rest_flow, rest_cost = equalp_rest(
+                instance, times, idx, frozenset(job.id for job in unplaced), betas, memo
+            )
+            assert least_flow <= rest_flow and least_cost <= rest_cost
+            short = frozenset(
+                r for job in unplaced for r in job.resources if betas[r - 1] < job.release
+            )
+            start = max(times[idx], *(job.release for job in unplaced))
+            orders = {}
+            for i, beta in enumerate(betas):
+                if beta >= 0:
+                    orders[beta] = orders.get(beta, frozenset()) | {i + 1}
+            if short:
+                orders[start] = orders.get(start, frozenset()) | short
+            rest, solution = completion(instance, unplaced, start, orders)
+            assert check_feasible(rest, solution).ok
+            assert solution.scheduling_cost == flow
+            assert (instance.order_cost(short) if short else 0) == cost
+            checked += 1
+    assert checked > 500
+
+
+def fmax_rest(instance, i, free):
+    """(least flow, least order cost) of the jobs after dp_fmax_s1's first
+    ``i`` groups, the machine free at ``free``, over every set of later
+    order dates that holds the last one, each order serving the jobs
+    released since the previous one as one block in (release, id) order."""
+    dates = instance.release_grid
+    by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
+    least_flow = least_cost = math.inf
+    for subset in range(1 << (len(dates) - 1 - i)):
+        chosen = [date for k, date in enumerate(dates[i:-1]) if subset >> k & 1] + [dates[-1]]
+        served = dates[i - 1] if i else -1
+        end = free
+        flow = 0
+        for date in chosen:
+            end = max(end, date)
+            for job in by_release:
+                if served < job.release <= date:
+                    end += job.processing
+                    flow = max(flow, end - job.release)
+            served = date
+        least_flow = min(least_flow, flow)
+        least_cost = min(least_cost, instance.single_resource_order_cost * len(chosen))
+    return least_flow, least_cost
+
+
+def test_dp_fmax_s1_bounds_are_sound(monkeypatch):
+    """dp_fmax_s1's bounds at every key its max-flow passes reach, as for
+    dp_equalp above; the completion orders once at the last release date
+    and runs every unplaced job from then, or from the free time if later."""
+    rng = random.Random(1828)
+    checked = 0
+    for _ in range(60):
+        instance = random_instance(
+            rng, rng.randint(1, 6), max_processing=rng.randint(1, 3), max_release=6,
+            cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
+        )
+        dates = instance.release_grid
+        for (i, free), (least_flow, least_cost, flow, cost) in asked_bounds(
+            monkeypatch, dp_fmax_s1, instance
+        ).items():
+            rest_flow, rest_cost = fmax_rest(instance, i, free)
+            assert least_flow <= rest_flow and least_cost <= rest_cost
+            unplaced = tuple(job for job in instance.jobs if not i or job.release > dates[i - 1])
+            rest, solution = completion(instance, unplaced, max(free, dates[-1]), {dates[-1]: R1})
+            assert check_feasible(rest, solution).ok
+            assert solution.scheduling_cost == flow
+            assert instance.single_resource_order_cost == cost
+            checked += 1
+    assert checked > 200
 
 
 def least_graph_path(instance, objective):
