@@ -11,8 +11,9 @@ The names below are loaded on first use, so importing one submodule (say
 from importlib import import_module
 
 _EXPORTS = {
-    "adversaries": ("AdversaryOutcome", "AdversarySpec", "adversary_run"),
-    "bounds": ("KINDS", "RatioCurvePoint", "lb_ceiling", "lb_sqrt", "ratio_curve"),
+    "adversaries": ("AdversaryOutcome", "AdversarySpec", "KINDS", "RatioCurvePoint",
+                    "adversary_run", "ratio_curve"),
+    "bounds": ("lb_ceiling", "lb_sqrt"),
     "generate": ("GeneratorSpec", "gen_instance"),
     "model": (
         "FeasibilityReport",

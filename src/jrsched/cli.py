@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from typing import Callable
 
-from . import bounds
+from . import adversaries, bounds
 from .adversaries import KINDS, AdversarySpec, adversary_run, default_policy
 from .generate import FAMILIES, TIGHT_NAMES, GeneratorSpec, gen_instance
 from .model import (
@@ -229,7 +229,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.curve:
         order_cost = 1 if args.order_cost is None else args.order_cost
-        point = bounds.ratio_curve(args.curve, order_cost, args.w2)
+        point = adversaries.ratio_curve(args.curve, order_cost, args.w2)
         document = {
             "kind": args.curve,
             "K": point.order_cost,
@@ -243,7 +243,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         if not args.input:
             raise _CliError("bounds needs --input or --curve")
         if args.w2 is not None:
-            raise _CliError(bounds.W2_MISPLACED.format("--input"))
+            raise _CliError(adversaries.W2_MISPLACED.format("--input"))
         if args.order_cost is not None:
             raise _CliError("--K applies only to --curve; an --input instance has its own costs")
         instance = parse_instance(_read_text(args.input))
@@ -333,28 +333,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     problems = [
         {"kind": v.kind, "jobs": list(v.jobs), "detail": v.detail} for v in report.violations
     ]
-    recomputed_sched = None
+    costs = []
     if not any(v.kind == "unscheduled" for v in report.violations):
-        recomputed_sched = scheduling_cost(instance, solution.schedule, solution.objective)
-        if recomputed_sched != solution.scheduling_cost:
-            problems.append(
-                {
-                    "kind": "cost-mismatch",
-                    "jobs": [],
-                    "detail": f"declared scheduling cost {solution.scheduling_cost},"
-                    f" recomputed {recomputed_sched}",
-                }
-            )
-    recomputed_repl = replenishment_cost(instance, solution.replenishments)
-    if recomputed_repl != solution.replenishment_cost:
-        problems.append(
-            {
-                "kind": "cost-mismatch",
-                "jobs": [],
-                "detail": f"declared replenishment cost {solution.replenishment_cost},"
-                f" recomputed {recomputed_repl}",
-            }
-        )
+        recomputed = scheduling_cost(instance, solution.schedule, solution.objective)
+        costs.append(("scheduling", solution.scheduling_cost, recomputed))
+    recomputed = replenishment_cost(instance, solution.replenishments)
+    costs.append(("replenishment", solution.replenishment_cost, recomputed))
+    for name, declared, recomputed in costs:
+        if recomputed == declared:
+            continue
+        try:
+            detail = f"declared {name} cost {declared}, recomputed {recomputed}"
+        except ValueError:
+            # a parsed int is writable, so the recomputed one is too long
+            raise _CliError(
+                f"recomputed {name} cost has more than {sys.get_int_max_str_digits()} digits"
+                " and cannot be written"
+            ) from None
+        problems.append({"kind": "cost-mismatch", "jobs": [], "detail": detail})
     _write_document({"feasible": not problems, "violations": problems}, args.output)
     return 0 if not problems else 1
 
@@ -415,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="instance lower bounds or ratio curves")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--input", default=None)
-    source.add_argument("--curve", choices=bounds.CURVE_KINDS, default=None)
+    source.add_argument("--curve", choices=adversaries.CURVE_KINDS, default=None)
     p.add_argument("--K", dest="order_cost", type=int, help="order cost of --curve (default 1)")
     p.add_argument("--w2", type=float, default=None)
     add_output(p)

@@ -186,7 +186,7 @@ class Instance:
     def single_resource_order_cost(self) -> int:
         """Joint plus item cost when there is exactly one resource type."""
         if self.num_resources != 1:
-            raise SolverError("instance has more than one resource type")
+            raise SolverError("single-resource solvers and bounds need a single resource type")
         return self.joint_cost + self.item_costs[0]
 
 

@@ -655,8 +655,7 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     last layer, ordered at the last release date.
     """
     objective = Objective.MAX_FLOW
-    if instance.num_resources != 1:
-        raise SolverError("single-resource solver applied to a multi-resource instance")
+    order_cost = instance.single_resource_order_cost
     if not instance.jobs:
         return empty_solution(objective)
 
@@ -719,7 +718,6 @@ def dp_fmax_s1(instance: Instance) -> Solution:
                 frontier = _pareto(frontier + entries, math.inf)
         return result
 
-    order_cost = instance.single_resource_order_cost
     # rest_tail[i]: the largest tail of groups i + 1 to m
     rest_tail = list(accumulate(reversed(group_tail[1:]), max))[::-1]
 
@@ -785,8 +783,7 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
     best total; the stop is strict, so a tie at a smaller F is still found.
     """
     objective = Objective.MAX_FLOW
-    if instance.num_resources != 1:
-        raise SolverError("single-resource solver applied to a multi-resource instance")
+    order_cost = instance.single_resource_order_cost
     for job in instance.jobs:
         if job.processing != 1:
             raise SolverError(f"job {job.id} has processing {job.processing}; unit jobs required")
@@ -797,7 +794,6 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
     if len(set(releases)) != n:
         raise SolverError("release dates must be pairwise distinct")
 
-    order_cost = instance.single_resource_order_cost
     best = None
     hi = releases[-1] - releases[0] + 1  # one order suffices from here on
     for target in range(1, len(equal_flow_cover(releases, 1)) + 1):

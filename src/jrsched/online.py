@@ -551,8 +551,10 @@ def run_online(
         raise SolverError(f"policy {policy.name} requires unit processing times")
     source = StaticSource(instance.jobs)
     if max_time is None:
+        # a policy that orders once its backlog costs K may wait about K steps
         last_release = source.releases[-1] if source.releases else -1
         max_time = last_release + instance.total_processing + 2_000_000
+        max_time += getattr(policy, "order_cost", 0)
     result = simulate(
         source,
         policy,

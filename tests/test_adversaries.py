@@ -6,6 +6,7 @@ from jrsched import (
     MaxFlowGridPolicy,
     SumCompletionPolicy,
     SumFlowPolicy,
+    adversaries,
     adversary_run,
     check_feasible,
     lb_ceiling,
@@ -104,6 +105,42 @@ class TestMaxFlowGames:
         if order_cost == 100:
             assert len(outcome.instance.jobs) == 201
             assert outcome.offline.total == 301
+
+    def test_regular_game_at_ten_thousand(self):
+        # 2K + 1 unit jobs at distinct releases, priced by fmax_unit_distinct
+        outcome = adversary_run(AdversarySpec(FMAX_REGULAR_4_3, 10**4))
+        assert len(outcome.instance.jobs) == 20_001
+        assert (outcome.online.total, outcome.offline.total) == (40_000, 30_001)
+        assert outcome.ratio == 40_000 / 30_001
+
+
+class TestOfflineSolvers:
+    EXPECTED = {
+        SUM_CJ_3_2: "exact_solve",
+        WEIGHTED_GOLDEN: "exact_solve",
+        SUM_FJ_3_2: "exact_solve",
+        FMAX_REGULAR_4_3: "fmax_unit_distinct",
+        FMAX_GENERAL_GOLDEN: "dp_fmax_s1",
+    }
+
+    def test_each_kind_calls_its_solver_through_the_module(self, monkeypatch):
+        # the benchmark's tracer replaces these module attributes; a game
+        # that held the function object would hide its offline side from it
+        calls = []
+
+        def counted(name, solver):
+            def run(*args):
+                calls.append(name)
+                return solver(*args)
+            return run
+
+        for name in ("exact_solve", "dp_fmax_s1", "fmax_unit_distinct"):
+            monkeypatch.setattr(adversaries, name, counted(name, getattr(adversaries, name)))
+        assert set(self.EXPECTED) == set(adversaries.KINDS)
+        for kind, name in self.EXPECTED.items():
+            calls.clear()
+            adversary_run(AdversarySpec(kind, 3, 2 if kind == WEIGHTED_GOLDEN else None))
+            assert calls == [name], kind
 
 
 class TestDefaults:

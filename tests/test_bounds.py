@@ -12,7 +12,6 @@ from jrsched import (
     Objective,
     SolverError,
     adversaries,
-    bounds,
     exact_solve,
     lb_ceiling,
     lb_sqrt,
@@ -81,11 +80,12 @@ class TestInstanceBounds:
                 assert lb_ceiling(inst) == dp_fmax_s1(inst).total
 
     def test_requires_single_resource(self):
-        inst = Instance(2, 1, (0, 0), (Job(1, 0, 1, R1),))
-        with pytest.raises(SolverError):
-            lb_ceiling(inst)
-        with pytest.raises(SolverError):
-            lb_sqrt(inst)
+        for jobs in ((Job(1, 0, 1, R1),), ()):
+            inst = Instance(2, 1, (0, 0), jobs)
+            with pytest.raises(SolverError, match="single resource type"):
+                lb_ceiling(inst)
+            with pytest.raises(SolverError, match="single resource type"):
+                lb_sqrt(inst)
 
 
 class TestRatioCurves:
@@ -144,10 +144,10 @@ class TestRatioCurves:
         with pytest.raises(SolverError, match="curve"):
             ratio_curve(FMAX_REGULAR_4_3, 10)
 
-    @pytest.mark.parametrize("kind", bounds.KINDS + ("no_such_game",))
+    @pytest.mark.parametrize("kind", adversaries.KINDS + ("no_such_game",))
     def test_curve_kinds_are_the_kinds_with_a_curve(self, kind):
         w2 = 0.5 if kind == WEIGHTED_GOLDEN else None
-        if kind in bounds.CURVE_KINDS:
+        if kind in adversaries.CURVE_KINDS:
             point = ratio_curve(kind, 10, w2)
             assert point.bound >= 1.0
         else:
@@ -173,7 +173,7 @@ class TestLeafImport:
             assert f"jrsched.{solver}" not in loaded
 
     def test_adversaries_reexports_the_kinds(self):
-        assert adversaries.KINDS is bounds.KINDS is jrsched.KINDS
-        for name in ("SUM_CJ_3_2", "WEIGHTED_GOLDEN", "SUM_FJ_3_2",
-                     "FMAX_REGULAR_4_3", "FMAX_GENERAL_GOLDEN"):
-            assert getattr(adversaries, name) == getattr(bounds, name)
+        assert adversaries.KINDS is jrsched.KINDS
+        names = ("SUM_CJ_3_2", "WEIGHTED_GOLDEN", "SUM_FJ_3_2",
+                 "FMAX_REGULAR_4_3", "FMAX_GENERAL_GOLDEN")
+        assert tuple(getattr(adversaries, name) for name in names) == adversaries.KINDS

@@ -268,6 +268,13 @@ class TestRatio:
         _, err = run_cli(capsys, ["ratio", "--policy", "max-flow", "--K", "2"], expect=1)
         assert "regular" in err
 
+    def test_order_cost_past_the_default_horizon(self, capsys):
+        # the policy waits about K steps, past 2,000,000 plus the jobs' span
+        out, _ = run_cli(capsys, ["ratio", "--policy", "sum-cj", "--K", "10000000",
+                                  "--seeds", "0:1", "--n", "2"])
+        [row] = json.loads(out)
+        assert (row["online"], row["offline"]) == (20_000_001, 10_000_017)
+
 
 class TestValidate:
     def test_feasible_document(self, capsys, tmp_path):
@@ -511,6 +518,9 @@ class TestInputErrors:
               "--trace", "{trace}"], "document: field 'solution[scheduling_cost]' has more than"),
             (["adversary", "--kind", "sum_cj_3_2", "--K", "9" * 4300],
              "document: field 'offline[replenishment_cost]' has more than"),
+            # a declared cost checked against one of about 8,001 digits
+            (["validate", "--input", "{huge_declared}"],
+             "recomputed scheduling cost has more than"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
@@ -532,6 +542,14 @@ class TestInputErrors:
                 {"s": 1, "joint_cost": 1, "item_costs": [0], "jobs": [
                     {"id": job_id, "release": 10**4300 - 1, "processing": 1, "resources": [1]}
                     for job_id in (1, 2)]})),
+            "huge_declared": write(tmp_path, "huge_declared.json", json.dumps({
+                "instance": {"s": 1, "joint_cost": 1, "item_costs": [0], "jobs": [
+                    {"id": 1, "release": 10**4000, "processing": 1, "resources": [1],
+                     "weight": 10**4000}]},
+                "solution": {"objective": "total_weighted_completion",
+                             "starts": {"1": 10**4000},
+                             "replenishments": [{"time": 10**4000, "resources": [1]}],
+                             "scheduling_cost": 0, "replenishment_cost": 1, "total": 1}})),
             "trace": str(tmp_path / "trace.jsonl"),
         }
         out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)
@@ -673,15 +691,18 @@ def pinned_commands(paths):
 # sha256 of the stdout of pinned_commands, gen outputs first, computed before
 # the CLI converted library errors in one place and knew each solver's
 # objectives.  Every successful output must keep every byte.  It was
-# recomputed twice.  First, when the adversaries began refusing w2 outside
-# weighted_golden: the sum_cj_3_2 and sum_fj_3_2 commands lost --w2 2, so
-# their payload job went from weight 2 to weight 1, and no other output
+# recomputed three times.  First, when the adversaries began refusing w2
+# outside weighted_golden: the sum_cj_3_2 and sum_fj_3_2 commands lost --w2 2,
+# so their payload job went from weight 2 to weight 1, and no other output
 # moved.  Second, when dp_wjcj_unit and dp_fmax_s1 took the smallest-vector
 # tie rule: 3 of the 59 outputs changed, each with the same totals (the two
 # dp-wjcj-unit commands on the weighted instance and the fmax_regular_4_3
-# adversary, whose offline side is dp_fmax_s1).  The three bounds curves
-# that lost --w2 0.5 then, now refused there, kept every byte.
-GOLDEN_CLI_DIGEST = "c914fac0b6c85f3b2b7ac86c767b4947887bdc92270a2f9c6cfbbfcd09bdb77f"
+# adversary, whose offline side was dp_fmax_s1).  The three bounds curves
+# that lost --w2 0.5 then, now refused there, kept every byte.  Third, when
+# the fmax_regular_4_3 game's offline side became fmax_unit_distinct: only
+# that adversary's output moved, its offline starts of jobs 1-5 one step
+# later, with the same orders and totals.
+GOLDEN_CLI_DIGEST = "070563b5cf256a079bb116a6702cd09a3c25e27d021f79567088db3097ca4cc4"
 
 
 def test_cli_outputs_are_pinned(capsys, tmp_path):

@@ -160,9 +160,11 @@ class TestMaxFlowSingleResource:
         assert_well_formed(inst, sol)
 
     def test_rejects_multi_resource(self):
-        inst = Instance(2, 1, (1, 1), (Job(1, 0, 1, R1),))
-        with pytest.raises(SolverError, match="single-resource"):
-            dp_fmax_s1(inst)
+        # an empty instance too: the resource count is checked before the jobs
+        for jobs in ((Job(1, 0, 1, R1),), ()):
+            for solver in (dp_fmax_s1, fmax_unit_distinct):
+                with pytest.raises(SolverError, match="single-resource"):
+                    solver(Instance(2, 1, (1, 1), jobs))
 
     def test_empty(self):
         assert dp_fmax_s1(Instance(1, 9, (1,), ())).total == 0
@@ -252,10 +254,10 @@ class TestPastOracleCap:
     @pytest.mark.parametrize("order_cost", [100, 200, 300])
     def test_fmax_matches_unit_distinct_on_the_4_3_game(self, order_cost):
         """The instances the 4/3 max-flow game realizes, 2K + 1 jobs, which
-        the game prices with dp_fmax_s1."""
+        the game prices with fmax_unit_distinct."""
         outcome = adversary_run(AdversarySpec("fmax_regular_4_3", order_cost))
         assert len(outcome.instance.jobs) == 2 * order_cost + 1
-        assert outcome.offline.total == fmax_unit_distinct(outcome.instance).total
+        assert outcome.offline.total == dp_fmax_s1(outcome.instance).total
         assert outcome.offline.total == 3 * order_cost + 1
         assert_well_formed(outcome.instance, outcome.offline)
 
