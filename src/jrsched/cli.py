@@ -261,6 +261,8 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         seed_range = range(int(lo), int(hi))
     except ValueError:
         raise _CliError(f"bad --seeds range {args.seeds!r}, expected LO:HI") from None
+    if not seed_range:
+        raise _CliError(f"empty --seeds range {args.seeds!r}, expected LO below HI")
     if args.n < 1:
         raise _CliError(f"--n must be >= 1, got {args.n}")
     if args.policy == "max-flow" and args.family != "regular":

@@ -40,13 +40,26 @@ over (worst flow, order cost), then one exact pass per F, capped at F.
 
 Both max-flow passes are a branch and bound over the layered graph
 (Morin & Marsten, 1976).  Each max-flow graph bounds the jobs a key has
-not placed: a least final flow, a least further order cost, and one
-complete path from the key, whose value is an incumbent.  The Pareto pass
-drops a pair whose every completion exceeds the incumbent, and the capped
-passes skip a key whose every completion exceeds the cap or the budget.
-Only paths of no optimal value are cut, so every optimal path and every
-optimal F survive, and the tie rule below is decided among the same
-survivors.
+not placed: a least final flow, a least further order cost C(F) that
+depends on the final flow F and does not increase with it, and one
+complete path from the key, whose value is an incumbent; a graph may also
+start from the value of any feasible solution as its incumbent.  The
+Pareto pass drops a pair (f, c) when c plus the least F + C(F) over F at
+least f and the least flow exceeds the incumbent, and the capped pass at
+F skips a key whose value plus C(F) exceeds the budget or whose least
+flow exceeds F.  Only paths of no optimal value are cut, so every optimal
+path and every optimal F survive, and the tie rule below is decided
+among the same survivors.
+
+In :func:`dp_equalp`, C(F) counts orders.  A job released after the
+anchor of the last i-order of a key needs a later i-order at a time from
+its release r up to r + F - p, or its flow exceeds F.  The fewest points
+that stab these windows, u_i(F), is what the greedy from the back of
+:func:`equal_flow_cover` gives, so every completion of flow at most F
+places at least u_i(F) i-orders, at distinct times.  Each order event
+pays the joint cost K once and each i-order its item cost c_i, so it
+pays at least C(F) = K max_i u_i(F) + sum_i c_i u_i(F).  Its incumbent
+is the best piercing schedule (:func:`_piercing`).
 
 One tie rule holds for every solver: it returns the smallest (total, start
 vector, order vector) over the solutions its graph represents.  Two
@@ -65,9 +78,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable
 from itertools import accumulate
-from operator import ge
+from operator import add, ge
 from typing import NamedTuple
 
 from .model import (
@@ -112,6 +125,41 @@ def _decode_starts(instance: Instance, shifts: dict[int, int], code: int) -> Sch
 # Layered graphs
 
 
+class _Cost:
+    """A least further order cost C(F) that does not increase with the
+    final flow F, as steps: ``costs[j]`` from ``flows[j]`` up to
+    ``flows[j + 1]``, flows rising from 0 to a last one that is infinite
+    and costs falling.  ``values[j]`` is the least F + C(F) over F >=
+    ``flows[j]``, infinite at the last flow; ``most`` and ``least`` are the
+    first cost and the last."""
+
+    __slots__ = ("flows", "costs", "values", "most", "least")
+
+    def __init__(self, flows: list[int], costs: list[int]) -> None:
+        """The steps of the costs ``costs`` at the rising ``flows``, the
+        first 0, less every step that does not fall."""
+        self.flows: list[float] = []
+        self.costs: list[int] = []
+        for flow, cost in zip(flows, costs):
+            if not self.costs or cost < self.costs[-1]:
+                self.flows.append(flow)
+                self.costs.append(cost)
+        values = [math.inf]
+        for flow, cost in zip(reversed(self.flows), reversed(self.costs)):
+            values.append(min(values[-1], flow + cost))
+        self.flows.append(math.inf)
+        self.values = values[::-1]
+        self.most = self.costs[0]
+        self.least = self.costs[-1]
+
+    def at(self, flow: float) -> int:
+        """C(``flow``)."""
+        return self.costs[bisect_right(self.flows, flow) - 1]
+
+
+_FREE = _Cost([0], [0])
+
+
 class _Graph(NamedTuple):
     """A layered graph whose complete paths are the solutions of one DP.
 
@@ -124,16 +172,19 @@ class _Graph(NamedTuple):
     code is not read.  The largest mask of ``orders`` sets the field width.
 
     A max-flow graph also has ``bounds(idx)``, which maps a key at layer
-    ``idx`` to four numbers about the jobs its paths have not placed: a
-    least final flow, a least further order cost, and the flow and further
-    order cost of one complete path from the key.
+    ``idx`` to four things about the jobs its paths have not placed: a
+    least final flow; a :class:`_Cost` C, where C(F) is at most the order
+    cost of every way to place them with no flow above F; and the flow and
+    further order cost of one way to place them.  ``incumbent`` is the
+    value of a feasible solution, or infinite: it need not be a path.
     """
 
     layers: int
     start: Hashable  # the key of layer 0
     orders: list[tuple[int, int]]  # (mask, cost) of each order a layer may place
     edges: Callable[[int, bool], Callable[[Hashable, int, float], list[tuple]]]
-    bounds: Callable[[int], Callable[[Hashable], tuple[int, int, int, int]]] | None = None
+    bounds: Callable[[int], Callable[[Hashable], tuple[int, _Cost, int, int]]] | None = None
+    incumbent: float = math.inf
 
 
 def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple:
@@ -142,8 +193,8 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
     order code decoded into its masks.  A path's value is its order costs
     plus what its blocks add; ``sizes`` receives each layer's state count.
     With bounds, a key whose least flow exceeds ``cap``, or whose value
-    plus least cost exceeds ``budget``, is not expanded: none of its
-    complete paths is counted, so the smallest one is the same."""
+    plus least cost C(``cap``) exceeds ``budget``, is not expanded: none of
+    its complete paths is counted, so the smallest one is the same."""
     width = max(mask for mask, _ in graph.orders).bit_length()
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
     layers[0][graph.start] = (0, 0, 0)
@@ -155,11 +206,7 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
         shift = (graph.layers - 1 - idx) * width
         states = layers[idx].items()
         if graph.bounds:
-            bound_for = graph.bounds(idx)
-            states = (
-                (key, state) for key, state in states
-                if (bound := bound_for(key))[0] <= cap and state[0] + bound[1] <= budget
-            )
+            states = _within(states, graph.bounds(idx), cap, budget)
         for key, (value, starts, masks) in states:
             for mask, order_cost in graph.orders:
                 value_after = value + order_cost
@@ -183,21 +230,52 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
     return value, starts, [masks >> shift & (1 << width) - 1 for shift in fields]
 
 
+def _within(states: Iterable[tuple], bound_for: Callable, cap: float, budget: float):
+    """The (key, state) pairs of ``states`` that some complete path under
+    ``cap`` and ``budget`` may pass, by the keys' bounds."""
+    last = None
+    for key, state in states:
+        least_flow, further, _, _ = bound_for(key)
+        # keys share least further costs, so C(cap) is read once per run
+        if further is not last:
+            last, room = further, budget - further.at(cap)
+        if least_flow <= cap and state[0] <= room:
+            yield key, state
+
+
 def _pareto(
-    bucket: list[tuple], optimum: float, least_flow: int = 0, least_cost: int = 0
+    bucket: list[tuple], optimum: float, least_flow: int = 0, further: _Cost = _FREE
 ) -> list[tuple]:
     """The undominated (flow, cost) pairs of ``bucket``, flows rising and
     costs strictly falling, less those whose every completion exceeds
-    ``optimum``: a path completing a pair ends with a flow of at least
-    ``least_flow`` and pays at least ``least_cost`` more."""
+    ``optimum``: a path completing a pair (f, c) ends with a flow F of at
+    least max(f, ``least_flow``) and pays at least c + C(F) in all, C the
+    least further cost ``further``."""
     # sorted, a pair is undominated when its cost is below every earlier one's
     entries = []
     lowest = math.inf
-    limit = optimum - least_cost
+    # C lies between its least cost and its most, so most pairs are decided
+    # by their least final flow plus cost alone
+    kept_below = optimum - further.most
+    dropped_above = optimum - further.least
     for flow, cost in sorted(bucket):
-        if cost < lowest and (flow if flow > least_flow else least_flow) + cost <= limit:
-            entries.append((flow, cost))
-            lowest = cost
+        if cost >= lowest:
+            continue
+        reach = (flow if flow > least_flow else least_flow) + cost
+        if reach > kept_below:
+            if reach > dropped_above:
+                continue
+            # the least F + C(F) over F >= final: on its step, or where a
+            # later one starts
+            final = reach - cost
+            step = bisect_right(further.flows, final)
+            value = final + further.costs[step - 1]
+            if further.values[step] < value:
+                value = further.values[step]
+            if value + cost > optimum:
+                continue
+        entries.append((flow, cost))
+        lowest = cost
     return entries
 
 
@@ -218,36 +296,39 @@ def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[
     layer's (key, Pareto list) pairs, dropping a pair only where a kept one
     completes its every path at no more flow and cost.
 
-    The incumbent ``optimum`` is the least value of a complete path found
-    so far, as a path or as the completion that the graph's bounds give
-    each reduced pair; ``flows`` holds the final flows of the complete
-    paths found at that value, and empties when a completion lowers it.  A
-    pair is dropped when its flow and cost, raised by the key's least flow
-    and least cost, exceed the incumbent.  The comparison is strict and the
-    incumbent is never below the optimum, so every optimal path and final
-    flow survives.
+    The incumbent ``optimum`` is the least value of a solution found so
+    far: the graph's incumbent, a complete path, or the completion that the
+    graph's bounds give each reduced pair; ``flows`` holds the final flows
+    of the complete paths found at that value, and empties when a path or
+    a completion lowers it.  A pair is dropped when the least value of its
+    completions, from the key's least flow and least further cost, exceeds
+    the incumbent.  The comparison is strict and the incumbent is never
+    below the optimum, so every optimal path and final flow survives.
     """
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
     layers[0][graph.start] = [(0, 0)]
-    optimum = math.inf
+    optimum = graph.incumbent
     flows: set[int] = set()
     for idx in range(graph.layers):
         blocks_for = graph.edges(idx, False)
         bound_for = graph.bounds(idx)
         reduced = []
         for key, bucket in layers[idx].items():
-            least_flow, least_cost, flow_after, cost_after = bound_for(key)
-            entries = _pareto(bucket, optimum, least_flow, least_cost)
+            least_flow, further, flow_after, cost_after = bound_for(key)
+            then = optimum
+            entries = _pareto(bucket, then, least_flow, further)
             for crit, cost in entries:
                 value = (crit if crit > flow_after else flow_after) + cost + cost_after
                 if value < optimum:
                     optimum, flows = value, set()
             if entries:
-                reduced.append((key, entries, least_flow, least_cost))
+                reduced.append((key, entries, least_flow, further, then))
         layers[idx] = None
+        # a list reduced at the present incumbent is already filtered
         states = undominated([
-            (key, kept) for key, entries, least_flow, least_cost in reduced
-            if (kept := _pareto(entries, optimum, least_flow, least_cost))
+            (key, kept) for key, entries, least_flow, further, then in reduced
+            if (kept := entries if then == optimum
+                else _pareto(entries, optimum, least_flow, further))
         ])
         for key, entries in states:
             for mask, order_cost in graph.orders:
@@ -379,6 +460,82 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
 # Equal processing times
 
 
+def _stab_widths(needed: list[list[int]]) -> list[int]:
+    """Ascending, every window width w at which the fewest points stabbing
+    the windows [r, r + w - 1] of one list of ``needed`` releases may fall:
+    1, and each positive difference of two releases of one list plus 1."""
+    return sorted({1}.union(*(
+        {later - release + 1 for release in releases for later in releases if later > release}
+        for releases in needed
+    )))
+
+
+def _suffix_stabs(releases: list[int], widths: list[int]) -> list[list[int]]:
+    """Per start k from 0 to len(``releases``), the releases sorted, and
+    per width w of ``widths``: the fewest points stabbing the windows [r,
+    r + w - 1] of releases[k:].  For each w one greedy from the back, as in
+    :func:`equal_flow_cover`, counts every suffix: on releases[k:] it
+    takes the same points until the one that serves the k-th."""
+    counts = [[0] * len(widths) for _ in range(len(releases) + 1)]
+    for column, width in enumerate(widths):
+        idx = len(releases) - 1
+        points = 0
+        while idx >= 0:
+            points += 1
+            first = releases[idx] - width + 1
+            while idx >= 0 and releases[idx] >= first:
+                counts[idx][column] = points
+                idx -= 1
+    return counts
+
+
+def _piercing(
+    instance: Instance, needed: list[list[int]], widths: list[int], orders: list[tuple]
+) -> tuple[int, int, dict[int, int], tuple]:
+    """The least (flow, order cost) of the piercing schedules of
+    ``instance``, whose jobs share one processing time: per width w of
+    ``widths``, each resource is ordered at the fewest points that stab the
+    windows [r, r + w - 1] of its ``needed`` releases
+    (:func:`equal_flow_cover`), then the jobs run in (release, id) order,
+    each as early as the machine and its orders allow.  Returns the flow,
+    order cost, starts by job id and order events of the first least one.
+    Each job has an order of each resource it needs at or after its
+    release, so the schedule is feasible and its value is at least the
+    optimum, though it need not be a path of :func:`dp_equalp`'s graph."""
+    p = instance.jobs[0].processing
+    by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
+    jobs = [(job.release, tuple(r - 1 for r in job.resources)) for job in by_release]
+    best = None
+    last = None
+    for width in widths:
+        covers = [equal_flow_cover(releases, width) for releases in needed]
+        if covers == last:
+            continue
+        last = covers
+        masks: dict[int, int] = {}
+        for i, times in enumerate(covers):
+            for t in times:
+                masks[t] = masks.get(t, 0) | 1 << i
+        cost = sum(orders[mask][1] for mask in masks.values())
+        free = flow = 0
+        starts = []
+        for release, needs in jobs:
+            start = free
+            for i in needs:
+                ordered = covers[i][bisect_left(covers[i], release)]
+                if ordered > start:
+                    start = ordered
+            starts.append(start)
+            free = start + p
+            if free - release > flow:
+                flow = free - release
+        if best is None or flow + cost < best[0]:
+            best = (flow + cost, flow, cost, starts, masks)
+    _, flow, cost, starts, masks = best
+    events = tuple((t, orders[masks[t]][0]) for t in sorted(masks))
+    return flow, cost, {job.id: start for job, start in zip(by_release, starts)}, events
+
+
 def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     """Optimal total completion time or maximum flow time for equal-length jobs.
 
@@ -410,15 +567,33 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     - Least flow: tau + max_k(k p - r_(k)), k the rank from 1 in release
       order, cached per count vector.  With a common start, release order
       minimizes max(C - r) (Jackson's rule), and no job starts before tau.
-    - Least cost: one order of the short resources, those that some class
-      with an unplaced job needs ordered after its last order's anchor, up
-      to that class's last release.  Every short resource is ordered again,
-      and one order of them all costs no more than several.
+    - Least further cost: C(F) = K max_i u_i(F) + sum_i c_i u_i(F), cached
+      per last-order anchors.  A placed job was released by the anchor of
+      every resource it needs, so the jobs released after resource i's
+      anchor are all unplaced, and each needs an i-order in [r, r + F - p]
+      for a flow of at most F.  The greedy from the back puts a point at
+      the latest release not yet served, the leftmost point of the window
+      that starts last: any stabbing set has a point in that window, and
+      the greedy's serves every window that one serves, so by induction no
+      set has fewer points (u_i(F)).  Each order event pays K once and each
+      i-order c_i, and C(F) does not increase with F, since wider windows
+      need no more points.  The counts of every suffix of each resource's
+      releases at every width where one can fall are built once per call,
+      only under max flow.  For large F, C is one order of the short
+      resources, those with a job released after their anchor.
     - Completion: that order at T, the later of tau and the last unplaced
       release, then every unplaced job back to back from T in release
-      order, for a flow of T + max_k(k p - r_(k)) at the least cost.  It
+      order, for a flow of T + max_k(k p - r_(k)) at C's least value.  It
       starts at T even when orders are free, because the jobs released
       after tau are only covered there.
+    - Incumbent, before layer 0: the best piercing schedule over every
+      width where a count can fall (:func:`_piercing`).  It is feasible,
+      so its value is never below the optimum, though it need not be a
+      path of the graph: an order may fall while the machine is busy,
+      where no layer places one.  Only its value is read, and only keys
+      and pairs whose every completion exceeds it are cut, ties kept, so
+      every optimal path and final flow survives and the output is the
+      same.
 
     When all jobs form one class, the Pareto pass also compares the states
     of one layer across anchors.  Take two states with the same count,
@@ -573,52 +748,76 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                 result.append(((alphas, betas), entries))
         return result
 
-    # per count vector: max_k(k p - r_(k)) over the unplaced jobs, k their
-    # rank in release order from 1, and their last release
-    tails: dict[tuple, tuple[int, int]] = {}
-
-    def bounds(idx: int):
-        """The four numbers of a key at layer ``idx`` (see :class:`_Graph`)."""
-        tau = layer_times[idx]
-
-        def bound_for(key: tuple) -> tuple[int, int, int, int]:
-            alphas, betas = key
-            tail = tails.get(alphas)
-            if tail is None:
-                rest = sorted(
-                    release for ell, done in enumerate(alphas)
-                    for release in class_releases[ell][done:]
-                )
-                tail = tails[alphas] = (
-                    max(k * p - release for k, release in enumerate(rest, start=1)), rest[-1]
-                )
-            jackson, last = tail
-            # short: the resources whose last anchor is before the last
-            # release of an unfinished class that needs them
-            short = 0
-            for ell, needs in enumerate(class_needs):
-                if alphas[ell] < len(class_releases[ell]):
-                    final = class_releases[ell][-1]
-                    for i in needs:
-                        if betas[i] < final:
-                            short |= 1 << i
-            cost = orders[short][1]
-            return tau + jackson, cost, (last if last > tau else tau) + jackson, cost
-
-        return bound_for
-
     # a resource never ordered has anchor -1, before every release
     graph = _Graph(
         num_layers, ((0,) * len(class_keys), (-1,) * s),
         [(mask, cost) for mask, (_, cost) in enumerate(orders)], edges,
-        bounds if use_max_flow else None,
     )
-    if use_max_flow:
+    if not use_max_flow:
+        _, starts, masks = _least(graph, math.inf, math.inf)
+    else:
+        # per resource, the sorted releases of the jobs that need it, and
+        # per start k of those and per width: the fewest stabbing points
+        needed = [
+            sorted(job.release for job in instance.jobs if i + 1 in job.resources)
+            for i in range(s)
+        ]
+        widths = _stab_widths(needed)
+        stabs = [_suffix_stabs(releases, widths) for releases in needed]
+        step_flows = [0] + [width + p - 1 for width in widths[1:]]
+        # per count vector: max_k(k p - r_(k)) over the unplaced jobs, k
+        # their rank in release order from 1, and their last release
+        tails: dict[tuple, tuple[int, int]] = {}
+        # per last-order anchors: the least further order cost
+        furthers: dict[tuple, _Cost] = {}
+
+        def further_for(betas: tuple) -> _Cost:
+            """C(F) = K max_i u_i(F) + sum_i c_i u_i(F), u_i(F) the fewest
+            i-orders that serve the jobs released after ``betas[i]``."""
+            most = items = None
+            for i, beta in enumerate(betas):
+                counts = stabs[i][bisect_right(needed[i], beta)]
+                if counts[0]:
+                    paid = [instance.item_costs[i] * u for u in counts]
+                    if most is None:
+                        most, items = counts, paid
+                    else:
+                        most, items = list(map(max, most, counts)), list(map(add, items, paid))
+            if most is None:
+                return _FREE
+            joint = instance.joint_cost
+            return _Cost(step_flows, [joint * u + paid for u, paid in zip(most, items)])
+
+        def bounds(idx: int):
+            """The four things of a key at layer ``idx`` (see :class:`_Graph`)."""
+            tau = layer_times[idx]
+
+            def bound_for(key: tuple) -> tuple[int, _Cost, int, int]:
+                alphas, betas = key
+                tail = tails.get(alphas)
+                if tail is None:
+                    rest = sorted(
+                        release for ell, done in enumerate(alphas)
+                        for release in class_releases[ell][done:]
+                    )
+                    tail = tails[alphas] = (
+                        max(k * p - release for k, release in enumerate(rest, start=1)), rest[-1]
+                    )
+                jackson, last = tail
+                further = furthers.get(betas)
+                if further is None:
+                    further = furthers[betas] = further_for(betas)
+                completion = (last if last > tau else tau) + jackson
+                return tau + jackson, further, completion, further.least
+
+            return bound_for
+
+        flow, cost, _, _ = _piercing(instance, needed, widths, orders)
         # states compare across anchors with one class only (see above)
         filtered = undominated if len(class_keys) == 1 else lambda states: states
-        _, starts, masks = _least_max_flow(graph, filtered)
-    else:
-        _, starts, masks = _least(graph, math.inf, math.inf)
+        _, starts, masks = _least_max_flow(
+            graph._replace(bounds=bounds, incumbent=flow + cost), filtered
+        )
 
     schedule = _decode_starts(instance, shifts, starts)
     events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
@@ -651,8 +850,8 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     its first i groups.  Each later block starts at the free time or
     later, so the least flow is free - prefix_p[lo] plus the largest tail
     of the later groups; at least one more order is placed, so the least
-    cost is its order cost; and the completion is the one block to the
-    last layer, ordered at the last release date.
+    further cost is its order cost at every final flow; and the completion
+    is the one block to the last layer, ordered at the last release date.
     """
     objective = Objective.MAX_FLOW
     order_cost = instance.single_resource_order_cost
@@ -720,6 +919,7 @@ def dp_fmax_s1(instance: Instance) -> Solution:
 
     # rest_tail[i]: the largest tail of groups i + 1 to m
     rest_tail = list(accumulate(reversed(group_tail[1:]), max))[::-1]
+    further = _Cost([0], [order_cost])
 
     def bounds(i: int):
         """The four numbers of a free time at layer ``i`` (see
@@ -728,9 +928,9 @@ def dp_fmax_s1(instance: Instance) -> Solution:
         lo = group_end[i]
         tail = rest_tail[i]
 
-        def bound_for(free: int) -> tuple[int, int, int, int]:
+        def bound_for(free: int) -> tuple[int, _Cost, int, int]:
             last = free if free > dates[-1] else dates[-1]
-            return free - prefix_p[lo] + tail, order_cost, last - prefix_p[lo] + tail, order_cost
+            return free - prefix_p[lo] + tail, further, last - prefix_p[lo] + tail, order_cost
 
         return bound_for
 

@@ -521,6 +521,11 @@ class TestInputErrors:
             # a declared cost checked against one of about 8,001 digits
             (["validate", "--input", "{huge_declared}"],
              "recomputed scheduling cost has more than"),
+            # an empty seed range used to print no rows and exit 0
+            (["ratio", "--policy", "sum-cj", "--K", "1", "--n", "3", "--seeds", "5:2"],
+             "empty --seeds range '5:2'"),
+            (["ratio", "--policy", "sum-cj", "--K", "1", "--n", "3", "--seeds", "2:2"],
+             "empty --seeds range '2:2'"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):

@@ -498,10 +498,40 @@ def test_dp_equalp_multi_class_sweep_is_pinned():
     assert digest.hexdigest() == GOLDEN_EQUALP_MULTI_CLASS_SWEEP_DIGEST
 
 
+def one_class_sweep_cases():
+    """Max-flow instances of one resource, n = 1-12, common p = 1-3,
+    releases up to n / 2, n or 2n with repeats, joint cost 0-30 and item
+    cost 0-3: where the order-count bound of the max-flow passes and their
+    piercing incumbent cut the most."""
+    rng = random.Random(2029)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        p = rng.randint(1, 3)
+        top = rng.choice([max(1, n // 2), n, 2 * n])
+        jobs = tuple(Job(job_id, rng.randint(0, top), p, R1) for job_id in range(1, n + 1))
+        yield Instance(1, rng.randint(0, 30), (rng.randint(0, 3),), jobs)
+
+
+# sha256 of the emitted max-flow solutions of one_class_sweep_cases,
+# computed before the max-flow passes had the order-count bound.
+GOLDEN_EQUALP_ONE_CLASS_SWEEP_DIGEST = (
+    "43e895881366cce429bb2cef21aefce357961596f28900182526ef4ab46309c3"
+)
+
+
+def test_dp_equalp_one_class_max_flow_sweep_is_pinned():
+    digest = hashlib.sha256()
+    for instance in one_class_sweep_cases():
+        digest.update(emit_solution(dp_equalp(instance, Objective.MAX_FLOW)).encode())
+    assert digest.hexdigest() == GOLDEN_EQUALP_ONE_CLASS_SWEEP_DIGEST
+
+
 def asked_bounds(monkeypatch, solve, instance):
     """Per (layer, key) that the max-flow passes reach while ``solve``
-    runs on ``instance``, in either pass, the four numbers of its bounds."""
+    runs on ``instance``, in either pass, the four things of its bounds;
+    and the incumbent of the graph the passes were given."""
     asked = {}
+    incumbents = []
     passes = offline_dp._least_max_flow
 
     def recorded(graph, undominated):
@@ -514,12 +544,14 @@ def asked_bounds(monkeypatch, solve, instance):
 
             return record
 
+        incumbents.append(graph.incumbent)
         return passes(graph._replace(bounds=bounds), undominated)
 
     with monkeypatch.context() as patch:
         patch.setattr(offline_dp, "_least_max_flow", recorded)
         solve(instance)
-    return asked
+    (incumbent,) = incumbents
+    return asked, incumbent
 
 
 def completion(instance, unplaced, start, orders):
@@ -534,13 +566,23 @@ def completion(instance, unplaced, start, orders):
     return rest, evaluate_solution(rest, Schedule(starts), events, Objective.MAX_FLOW)
 
 
+def frontier(pairs):
+    """The (flow, cost) pairs of ``pairs`` that no other is no worse than
+    in both, flows rising."""
+    kept = []
+    for flow, cost in sorted(set(pairs)):
+        if not kept or cost < kept[-1][1]:
+            kept.append((flow, cost))
+    return kept
+
+
 def equalp_rest(instance, times, idx, unplaced, betas, memo):
-    """(least flow, least order cost) of the jobs whose ids are in
+    """The (final flow, order cost) frontier of the jobs whose ids are in
     ``unplaced`` over every way dp_equalp's graph, less its skip, can
     place them from layer ``idx`` on, each resource's last order at
     release anchor ``betas`` (-1 if none): an order of any resource subset,
     then an empty block waiting one layer or a release-ordered prefix of
-    the ready jobs.  The two least values may come from different paths."""
+    the ready jobs."""
     state = (idx, unplaced, betas)
     if state in memo:
         return memo[state]
@@ -551,7 +593,7 @@ def equalp_rest(instance, times, idx, unplaced, betas, memo):
     waiting = sorted(
         (job for job in instance.jobs if job.id in unplaced), key=lambda job: (job.release, job.id)
     )
-    least = (math.inf, math.inf)
+    pairs = []
     for mask in range(1 << s):
         resources = frozenset(i + 1 for i in range(s) if mask >> i & 1)
         order_cost = instance.order_cost(resources) if mask else 0
@@ -568,21 +610,28 @@ def equalp_rest(instance, times, idx, unplaced, betas, memo):
             if not left or later:
                 blocks.append((flow, later[0] if left else None, left))
         for flow, target, left in blocks:
-            rest = (0, 0) if target is None else equalp_rest(
+            rest = [(0, 0)] if target is None else equalp_rest(
                 instance, times, target, left, after, memo
             )
-            least = (min(least[0], max(flow, rest[0])), min(least[1], order_cost + rest[1]))
-    memo[state] = least
-    return least
+            pairs += [(max(flow, rest_flow), order_cost + cost) for rest_flow, cost in rest]
+    memo[state] = frontier(pairs)
+    return memo[state]
 
 
 def test_dp_equalp_bounds_are_sound(monkeypatch):
-    """At every key the max-flow passes reach, on tiny instances: the
-    least flow and least cost are at most the least over every way to
-    place the rest, and the completion, built as its own solution, is
-    feasible at the flow and order cost claimed: the short resources ordered
-    once at the later of the layer time and the last unplaced release, then
-    every unplaced job back to back in release order."""
+    """At every key the max-flow passes reach, on tiny instances:
+
+    - the least flow is at most every final flow of a way to place the
+      rest, and at every F the least further cost C(F) is at most the
+      order cost of every way whose final flow is at most F;
+    - the Pareto pass keeps a pair of flow x and cost 0 at the incumbent
+      that the least completion of the rest reaches from x;
+    - the completion, built as its own solution, is feasible at the flow
+      and order cost claimed: the short resources ordered once at the later
+      of the layer time and the last unplaced release, then every unplaced
+      job back to back in release order;
+    - the incumbent the passes start from, the piercing schedule, is
+      feasible at the flow and order cost it claims, and their sum."""
     rng = random.Random(2718)
     checked = 0
     for _ in range(60):
@@ -591,7 +640,23 @@ def test_dp_equalp_bounds_are_sound(monkeypatch):
             equal_processing=rng.randint(1, 2), cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
         )
         solve = partial(dp_equalp, objective=Objective.MAX_FLOW)
-        asked = asked_bounds(monkeypatch, solve, instance)
+        pierced = []
+        piercing = offline_dp._piercing
+
+        def recorded(*args):
+            pierced.append(piercing(*args))
+            return pierced[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(offline_dp, "_piercing", recorded)
+            asked, incumbent = asked_bounds(monkeypatch, solve, instance)
+        ((flow, cost, starts, events),) = pierced
+        solution = evaluate_solution(
+            instance, Schedule(starts), ReplenishmentStructure(events), Objective.MAX_FLOW
+        )
+        assert check_feasible(instance, solution).ok
+        assert (solution.scheduling_cost, solution.replenishment_cost) == (flow, cost)
+        assert incumbent == flow + cost
         p = instance.jobs[0].processing
         times = sorted(
             {r + k * p for r in instance.release_grid for k in range(len(instance.jobs) + 1)}
@@ -605,12 +670,17 @@ def test_dp_equalp_bounds_are_sound(monkeypatch):
             for key in class_keys
         ]
         memo = {}
-        for (idx, (alphas, betas)), (least_flow, least_cost, flow, cost) in asked.items():
+        for (idx, (alphas, betas)), (least_flow, further, flow, cost) in asked.items():
             unplaced = tuple(job for jobs, done in zip(classes, alphas) for job in jobs[done:])
-            rest_flow, rest_cost = equalp_rest(
+            rest = equalp_rest(
                 instance, times, idx, frozenset(job.id for job in unplaced), betas, memo
             )
-            assert least_flow <= rest_flow and least_cost <= rest_cost
+            assert least_flow <= rest[0][0]
+            for final in range(max(rest[-1][0], further.flows[-2]) + 2):
+                paid = [rest_cost for rest_flow, rest_cost in rest if rest_flow <= final]
+                assert not paid or further.at(final) <= min(paid)
+                reached = min(max(final, rest_flow) + rest_cost for rest_flow, rest_cost in rest)
+                assert offline_dp._pareto([(final, 0)], reached, least_flow, further)
             short = frozenset(
                 r for job in unplaced for r in job.resources if betas[r - 1] < job.release
             )
@@ -666,11 +736,13 @@ def test_dp_fmax_s1_bounds_are_sound(monkeypatch):
             cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
         )
         dates = instance.release_grid
-        for (i, free), (least_flow, least_cost, flow, cost) in asked_bounds(
-            monkeypatch, dp_fmax_s1, instance
-        ).items():
+        asked, incumbent = asked_bounds(monkeypatch, dp_fmax_s1, instance)
+        assert incumbent == math.inf
+        for (i, free), (least_flow, further, flow, cost) in asked.items():
             rest_flow, rest_cost = fmax_rest(instance, i, free)
-            assert least_flow <= rest_flow and least_cost <= rest_cost
+            # the least further cost is one order at every final flow
+            assert further.costs == [instance.single_resource_order_cost]
+            assert least_flow <= rest_flow and further.costs[0] <= rest_cost
             unplaced = tuple(job for job in instance.jobs if not i or job.release > dates[i - 1])
             rest, solution = completion(instance, unplaced, max(free, dates[-1]), {dates[-1]: R1})
             assert check_feasible(rest, solution).ok
