@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Instance
+from .model import Instance, SolverError
 
 
 def lb_ceiling(instance: Instance) -> int:
@@ -39,4 +39,7 @@ def lb_ceiling(instance: Instance) -> int:
 
 def lb_sqrt(instance: Instance) -> float:
     """Relaxation 2*sqrt(K * p_sum); never exceeds :func:`lb_ceiling`."""
-    return 2.0 * math.sqrt(instance.single_resource_order_cost * instance.total_processing)
+    try:
+        return 2.0 * math.sqrt(instance.single_resource_order_cost * instance.total_processing)
+    except OverflowError:
+        raise SolverError("2*sqrt(K * p_sum) exceeds the float range") from None

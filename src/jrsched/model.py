@@ -16,6 +16,7 @@ function, so concurrent use on shared inputs is safe.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
@@ -585,31 +586,33 @@ def emit_solution(solution: Solution) -> str:
 def _dump_json(document: Any, what: str, error: type[Exception], indent: int | None = 2) -> str:
     """``document`` as JSON text with sorted keys, the one writer of every
     document.  An int with more digits than Python writes out
-    (``sys.get_int_max_str_digits``) raises ``error`` naming its field."""
+    (``sys.get_int_max_str_digits``), or a float that is not finite, which
+    JSON has no text for, raises ``error`` naming its field."""
     try:
-        return json.dumps(document, indent=indent, sort_keys=True)
+        return json.dumps(document, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError:
-        field = _unwritable_field(document, "")
-        if field is None:
+        found = _unwritable_field(document, "")
+        if found is None:
             raise
-        raise error(
-            f"{what}: field {field!r} has more than {sys.get_int_max_str_digits()} digits"
-            " and cannot be written"
-        ) from None
+        field, why = found
+        raise error(f"{what}: field {field!r} {why} and cannot be written") from None
 
 
-def _unwritable_field(value: Any, path: str) -> str | None:
-    """The path of the first int under ``value``, in the order ``json.dumps``
-    with sorted keys writes it, that has too many digits to be written."""
+def _unwritable_field(value: Any, path: str) -> tuple[str, str] | None:
+    """The path of the first number under ``value``, in the order
+    ``json.dumps`` with sorted keys writes it, that cannot be written, and
+    why: an int with too many digits or a float that is not finite."""
     if isinstance(value, Mapping):
         items = sorted(value.items())
     elif isinstance(value, list):
         items = enumerate(value)
+    elif isinstance(value, float) and not math.isfinite(value):
+        return path, f"is {value}, not a finite number,"
     else:
         try:
             str(value)
         except ValueError:
-            return path
+            return path, f"has more than {sys.get_int_max_str_digits()} digits"
         return None
     for key, item in items:
         label = key if isinstance(key, str) and not path else f"{path}[{key}]"

@@ -18,13 +18,11 @@ read:
   set); costs add up, so the value is the weighted completion time plus the
   ordering cost so far.
 - :func:`dp_equalp` keys on (scheduled count per class, last order's
-  release anchor per resource).  When all jobs form one class, its
-  max-flow Pareto pass also drops the pairs of a state dominated by a
-  state of the same count whose last orders are at the same or later
-  anchors.
+  release anchor per resource); only bounds prune its max-flow passes.
 - :func:`dp_fmax_s1` keys on the time the machine becomes free; its order
-  count is part of the order cost.  Its Pareto pass also drops the pairs
-  of a state dominated by a state that frees the machine earlier.
+  count is part of the order cost.  Only its graph filters across keys: its
+  Pareto pass drops the pairs that a state freeing the machine earlier
+  dominates.
 
 A partial solution is three ints: value, start code and order code.  In
 the start code, sorted-id position k owns the w-bit field at shift
@@ -80,7 +78,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Hashable, Iterable
 from itertools import accumulate
-from operator import add, ge
+from operator import add
 from typing import NamedTuple
 
 from .model import (
@@ -177,6 +175,7 @@ class _Graph(NamedTuple):
     cost of every way to place them with no flow above F; and the flow and
     further order cost of one way to place them.  ``incumbent`` is the
     value of a feasible solution, or infinite: it need not be a path.
+    ``undominated``, if any, filters the Pareto pass (:func:`_optimal_flows`).
     """
 
     layers: int
@@ -185,6 +184,7 @@ class _Graph(NamedTuple):
     edges: Callable[[int, bool], Callable[[Hashable, int, float], list[tuple]]]
     bounds: Callable[[int], Callable[[Hashable], tuple[int, _Cost, int, int]]] | None = None
     incumbent: float = math.inf
+    undominated: Callable[[list], list] | None = None
 
 
 def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple:
@@ -287,14 +287,14 @@ def _dominated(entry: tuple, frontier: list[tuple]) -> bool:
     return at > 0 and frontier[at - 1][1] <= entry[1]
 
 
-def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[float, set[int]]:
+def _optimal_flows(graph: _Graph) -> tuple[float, set[int]]:
     """The max-flow optimum of ``graph`` and every final flow of an optimal
     path, from per-key Pareto lists of (worst flow so far, order cost so far).
 
     What arrives at a key is reduced to its Pareto list once, by one sort,
-    when the key's layer is expanded; ``undominated`` then filters the
-    layer's (key, Pareto list) pairs, dropping a pair only where a kept one
-    completes its every path at no more flow and cost.
+    when the key's layer is expanded.  The graph's ``undominated``, if any,
+    then filters the layer's (key, Pareto list) pairs, dropping a pair only
+    where a kept one completes its every path at no more flow and cost.
 
     The incumbent ``optimum`` is the least value of a solution found so
     far: the graph's incumbent, a complete path, or the completion that the
@@ -325,11 +325,13 @@ def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[
                 reduced.append((key, entries, least_flow, further, then))
         layers[idx] = None
         # a list reduced at the present incumbent is already filtered
-        states = undominated([
+        states = [
             (key, kept) for key, entries, least_flow, further, then in reduced
             if (kept := entries if then == optimum
                 else _pareto(entries, optimum, least_flow, further))
-        ])
+        ]
+        if graph.undominated:
+            states = graph.undominated(states)
         for key, entries in states:
             for mask, order_cost in graph.orders:
                 for target_key, target, block_flow, _ in blocks_for(key, mask, optimum):
@@ -356,12 +358,12 @@ def _optimal_flows(graph: _Graph, undominated: Callable[[list], list]) -> tuple[
     return optimum, flows
 
 
-def _least_max_flow(graph: _Graph, undominated: Callable[[list], list]) -> tuple:
+def _least_max_flow(graph: _Graph) -> tuple:
     """Smallest (order cost, start code, orders) over the max-flow optima of
     ``graph``: one exact pass per optimal final flow F, blocks capped at F.
     Its least cost is the optimum minus F, reached only by paths of flow F,
     so the passes' answers differ in their codes alone."""
-    optimum, flows = _optimal_flows(graph, undominated)
+    optimum, flows = _optimal_flows(graph)
     return min((_least(graph, flow, optimum - flow) for flow in flows), key=lambda run: run[1:])
 
 
@@ -470,50 +472,30 @@ def _stab_widths(needed: list[list[int]]) -> list[int]:
     )))
 
 
-def _suffix_stabs(releases: list[int], widths: list[int]) -> list[list[int]]:
-    """Per start k from 0 to len(``releases``), the releases sorted, and
-    per width w of ``widths``: the fewest points stabbing the windows [r,
-    r + w - 1] of releases[k:].  For each w one greedy from the back, as in
-    :func:`equal_flow_cover`, counts every suffix: on releases[k:] it
-    takes the same points until the one that serves the k-th."""
-    counts = [[0] * len(widths) for _ in range(len(releases) + 1)]
-    for column, width in enumerate(widths):
-        idx = len(releases) - 1
-        points = 0
-        while idx >= 0:
-            points += 1
-            first = releases[idx] - width + 1
-            while idx >= 0 and releases[idx] >= first:
-                counts[idx][column] = points
-                idx -= 1
-    return counts
-
-
 def _piercing(
-    instance: Instance, needed: list[list[int]], widths: list[int], orders: list[tuple]
+    instance: Instance, covers: list[list[list[int]]], orders: list[tuple]
 ) -> tuple[int, int, dict[int, int], tuple]:
     """The least (flow, order cost) of the piercing schedules of
-    ``instance``, whose jobs share one processing time: per width w of
-    ``widths``, each resource is ordered at the fewest points that stab the
-    windows [r, r + w - 1] of its ``needed`` releases
-    (:func:`equal_flow_cover`), then the jobs run in (release, id) order,
-    each as early as the machine and its orders allow.  Returns the flow,
-    order cost, starts by job id and order events of the first least one.
-    Each job has an order of each resource it needs at or after its
-    release, so the schedule is feasible and its value is at least the
+    ``instance``, whose jobs share one processing time: per width w, each
+    resource i is ordered at its entry for w in ``covers[i]``, the fewest
+    points that stab the windows [r, r + w - 1] of the releases of the jobs
+    that need it (:func:`equal_flow_cover`), then the jobs run in (release,
+    id) order, each as early as the machine and its orders allow.  Returns
+    the flow, order cost, starts by job id and order events of the first
+    least one.  Each job has an order of each resource it needs at or after
+    its release, so the schedule is feasible and its value is at least the
     optimum, though it need not be a path of :func:`dp_equalp`'s graph."""
     p = instance.jobs[0].processing
     by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
     jobs = [(job.release, tuple(r - 1 for r in job.resources)) for job in by_release]
     best = None
     last = None
-    for width in widths:
-        covers = [equal_flow_cover(releases, width) for releases in needed]
-        if covers == last:
+    for points in zip(*covers):
+        if points == last:
             continue
-        last = covers
+        last = points
         masks: dict[int, int] = {}
-        for i, times in enumerate(covers):
+        for i, times in enumerate(points):
             for t in times:
                 masks[t] = masks.get(t, 0) | 1 << i
         cost = sum(orders[mask][1] for mask in masks.values())
@@ -522,7 +504,7 @@ def _piercing(
         for release, needs in jobs:
             start = free
             for i in needs:
-                ordered = covers[i][bisect_left(covers[i], release)]
+                ordered = points[i][bisect_left(points[i], release)]
                 if ordered > start:
                     start = ordered
             starts.append(start)
@@ -561,8 +543,10 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     module's two shared passes for max flow.  Blocks above the cap, or
     above the Pareto pass's incumbent, are not built.
 
-    The max-flow passes bound each key by the jobs it has not placed, all
-    of which start at the layer time tau or later:
+    The max-flow passes are pruned by bounds alone, with no filter across
+    keys as only :func:`dp_fmax_s1`'s graph has.  They bound each key by
+    the jobs it has not placed, all of which start at the layer time tau
+    or later:
 
     - Least flow: tau + max_k(k p - r_(k)), k the rank from 1 in release
       order, cached per count vector.  With a common start, release order
@@ -577,10 +561,10 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
       the greedy's serves every window that one serves, so by induction no
       set has fewer points (u_i(F)).  Each order event pays K once and each
       i-order c_i, and C(F) does not increase with F, since wider windows
-      need no more points.  The counts of every suffix of each resource's
-      releases at every width where one can fall are built once per call,
-      only under max flow.  For large F, C is one order of the short
-      resources, those with a job released after their anchor.
+      need no more points.  One cover per resource and per width where a
+      count can fall is built once per call, only under max flow, and each
+      suffix's count is read off it.  For large F, C is one order of the
+      short resources, those with a job released after their anchor.
     - Completion: that order at T, the later of tau and the last unplaced
       release, then every unplaced job back to back from T in release
       order, for a flow of T + max_k(k p - r_(k)) at C's least value.  It
@@ -594,19 +578,6 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
       and pairs whose every completion exceeds it are cut, ties kept, so
       every optimal path and final flow survives and the output is the
       same.
-
-    When all jobs form one class, the Pareto pass also compares the states
-    of one layer across anchors.  Take two states with the same count,
-    where the last orders of the first are at the same or later anchors
-    than the second's on every resource.  The first's ready list extends
-    the second's with the same release-ordered prefixes, so it can run
-    every block the second can, after the same orders, with the same flows
-    and costs into keys that compare the same way.  A pair of the second
-    is therefore dropped when a pair of the first is no worse in (worst
-    flow, order cost).  The capped passes do not compare across anchors;
-    measured, it saved them under 1 %.  With several classes, later anchors
-    can put a job of one class between two of another, so the prefixes
-    differ and the comparison would change tied outputs; it is not made.
 
     An empty block waits for the next layer whose time is a release date.
     Between two release dates every order covers the same jobs, so a block
@@ -728,26 +699,6 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
 
         return blocks_for
 
-    def undominated(states: list[tuple]) -> list[tuple]:
-        """One layer's (key, Pareto list) ``states``, less the pairs that a
-        pair kept at the same counts and the same or later anchors is no
-        worse than.  Later anchors are taken first, so they are kept."""
-        result = []
-        group = None
-        kept: list[tuple] = []
-        for (alphas, betas), entries in sorted(states, reverse=True):
-            if alphas != group:
-                group, kept = alphas, []
-            for other_betas, other in kept:
-                if all(map(ge, other_betas, betas)):
-                    entries = [entry for entry in entries if not _dominated(entry, other)]
-                    if not entries:
-                        break
-            else:
-                kept.append((betas, entries))
-                result.append(((alphas, betas), entries))
-        return result
-
     # a resource never ordered has anchor -1, before every release
     graph = _Graph(
         num_layers, ((0,) * len(class_keys), (-1,) * s),
@@ -756,14 +707,21 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     if not use_max_flow:
         _, starts, masks = _least(graph, math.inf, math.inf)
     else:
-        # per resource, the sorted releases of the jobs that need it, and
-        # per start k of those and per width: the fewest stabbing points
+        # per resource, the sorted releases of the jobs that need it, per
+        # width their fewest stabbing points, and per start k the count for
+        # releases[k:]: on these the greedy from the back takes the same
+        # points, from the first one at or after releases[k] onward
         needed = [
             sorted(job.release for job in instance.jobs if i + 1 in job.resources)
             for i in range(s)
         ]
         widths = _stab_widths(needed)
-        stabs = [_suffix_stabs(releases, widths) for releases in needed]
+        covers = [[equal_flow_cover(releases, width) for width in widths] for releases in needed]
+        stabs = [
+            [[len(points) - bisect_left(points, release) for points in per_width]
+             for release in releases] + [[0] * len(widths)]
+            for releases, per_width in zip(needed, covers)
+        ]
         step_flows = [0] + [width + p - 1 for width in widths[1:]]
         # per count vector: max_k(k p - r_(k)) over the unplaced jobs, k
         # their rank in release order from 1, and their last release
@@ -812,12 +770,8 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
 
             return bound_for
 
-        flow, cost, _, _ = _piercing(instance, needed, widths, orders)
-        # states compare across anchors with one class only (see above)
-        filtered = undominated if len(class_keys) == 1 else lambda states: states
-        _, starts, masks = _least_max_flow(
-            graph._replace(bounds=bounds, incumbent=flow + cost), filtered
-        )
+        flow, cost, _, _ = _piercing(instance, covers, orders)
+        _, starts, masks = _least_max_flow(graph._replace(bounds=bounds, incumbent=flow + cost))
 
     schedule = _decode_starts(instance, shifts, starts)
     events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
@@ -934,8 +888,8 @@ def dp_fmax_s1(instance: Instance) -> Solution:
 
         return bound_for
 
-    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds)
-    _, starts, masks = _least_max_flow(graph, undominated)
+    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds, undominated=undominated)
+    _, starts, masks = _least_max_flow(graph)
     left = [i for i, mask in enumerate(masks) if mask]
     events = tuple((dates[j - 1], frozenset({1})) for j in left[1:] + [m])
     schedule = _decode_starts(instance, shifts, starts)

@@ -79,6 +79,12 @@ class TestInstanceBounds:
                 inst = regular_instance(n, order_cost)
                 assert lb_ceiling(inst) == dp_fmax_s1(inst).total
 
+    def test_sqrt_past_the_float_range_is_refused(self):
+        inst = Instance(1, 10**400, (0,), (Job(1, 0, 1, R1),))
+        assert lb_ceiling(inst) == 10**400 + 1
+        with pytest.raises(SolverError, match=r"2\*sqrt\(K \* p_sum\) exceeds the float range"):
+            lb_sqrt(inst)
+
     def test_requires_single_resource(self):
         for jobs in ((Job(1, 0, 1, R1),), ()):
             inst = Instance(2, 1, (0, 0), jobs)

@@ -526,6 +526,12 @@ class TestInputErrors:
              "empty --seeds range '5:2'"),
             (["ratio", "--policy", "sum-cj", "--K", "1", "--n", "3", "--seeds", "2:2"],
              "empty --seeds range '2:2'"),
+            # a curve past the float range used to print NaN, which is not JSON, and exit 0
+            (["bounds", "--curve", "weighted_golden", "--w2", "1e308", "--K", "1"],
+             "document: field 'bound' is nan, not a finite number, and cannot be written"),
+            # a square root past the float range used to end in a traceback
+            (["bounds", "--input", "{huge_order_cost}"],
+             "2*sqrt(K * p_sum) exceeds the float range"),
         ],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
@@ -555,6 +561,9 @@ class TestInputErrors:
                              "starts": {"1": 10**4000},
                              "replenishments": [{"time": 10**4000, "resources": [1]}],
                              "scheduling_cost": 0, "replenishment_cost": 1, "total": 1}})),
+            "huge_order_cost": write(tmp_path, "huge_order_cost.json", json.dumps(
+                {"s": 1, "joint_cost": 10**400, "item_costs": [0], "jobs": [
+                    {"id": 1, "release": 0, "processing": 1, "resources": [1]}]})),
             "trace": str(tmp_path / "trace.jsonl"),
         }
         out, err = run_cli(capsys, [arg.format(**paths) for arg in argv], expect=1)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from functools import partial
 
 import pytest
@@ -534,7 +535,7 @@ def asked_bounds(monkeypatch, solve, instance):
     incumbents = []
     passes = offline_dp._least_max_flow
 
-    def recorded(graph, undominated):
+    def recorded(graph):
         def bounds(idx):
             bound_for = graph.bounds(idx)
 
@@ -545,7 +546,7 @@ def asked_bounds(monkeypatch, solve, instance):
             return record
 
         incumbents.append(graph.incumbent)
-        return passes(graph._replace(bounds=bounds), undominated)
+        return passes(graph._replace(bounds=bounds))
 
     with monkeypatch.context() as patch:
         patch.setattr(offline_dp, "_least_max_flow", recorded)
@@ -616,6 +617,21 @@ def equalp_rest(instance, times, idx, unplaced, betas, memo):
             pairs += [(max(flow, rest_flow), order_cost + cost) for rest_flow, cost in rest]
     memo[state] = frontier(pairs)
     return memo[state]
+
+
+def test_suffix_stab_counts_read_off_one_cover():
+    """dp_equalp counts the fewest points stabbing the windows of a suffix
+    releases[k:] as the points of the whole list's cover at or after
+    releases[k]; that is the size of the suffix's own cover, at every width
+    where a count can fall, repeated releases included."""
+    rng = random.Random(30)
+    for _ in range(300):
+        releases = sorted(rng.randint(0, rng.choice((3, 8, 20))) for _ in range(rng.randint(1, 12)))
+        for width in offline_dp._stab_widths([releases]):
+            points = equal_flow_cover(releases, width)
+            for k, release in enumerate(releases):
+                count = len(points) - bisect_left(points, release)
+                assert count == len(equal_flow_cover(releases[k:], width)), (releases, width, k)
 
 
 def test_dp_equalp_bounds_are_sound(monkeypatch):
