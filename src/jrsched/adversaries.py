@@ -172,10 +172,17 @@ def _weighted_curve(K: int, w2: float | None):
     if w2 is None or not math.isfinite(w2) or w2 <= 0:
         raise SolverError(f"the weighted curve needs a finite w2 > 0, got {w2}")
 
-    def c2(t: int) -> float:
-        return (2 * K + t + 1 + (t + 2) * w2) / (K + t + 2 + (t + 3) * w2)
+    # for a large w2 both fractions are divided through by it, so that no
+    # term passes the float range; at w2 <= 1 every operation is unchanged
+    scale = w2 if w2 > 1 else 1
+    share = w2 / scale
 
-    limit = (math.sqrt(4 * w2 + 5) + 2 * w2 + 1) / (2 * (w2 + 1))
+    def c2(t: int) -> float:
+        return ((2 * K + t + 1) / scale + (t + 2) * share) / ((K + t + 2) / scale + (t + 3) * share)
+
+    limit = (math.sqrt((4 * share + 5 / scale) / scale) + 2 * share + 1 / scale) / (
+        2 * (share + 1 / scale)
+    )
     return _no_strike(K), c2, limit
 
 

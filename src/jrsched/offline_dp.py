@@ -18,11 +18,9 @@ read:
   set); costs add up, so the value is the weighted completion time plus the
   ordering cost so far.
 - :func:`dp_equalp` keys on (scheduled count per class, last order's
-  release anchor per resource); only bounds prune its max-flow passes.
+  release anchor per resource).
 - :func:`dp_fmax_s1` keys on the time the machine becomes free; its order
-  count is part of the order cost.  Only its graph filters across keys: its
-  Pareto pass drops the pairs that a state freeing the machine earlier
-  dominates.
+  count is part of the order cost.
 
 A partial solution is three ints: value, start code and order code.  In
 the start code, sorted-id position k owns the w-bit field at shift
@@ -33,31 +31,33 @@ holds its order mask.  Fields never overlap and the first is the most
 significant, so codes compare as ints as their vectors do as tuples.
 All three layered DPs run on :func:`_least`, an exact pass that keeps
 per key the smallest (value, start code, order code).  The max-flow DPs
-first find the optimum and every optimal final flow F by a Pareto pass
-over (worst flow, order cost), then one exact pass per F, capped at F.
+run it capped, with blocks of flow at most a cap F and the order cost as
+the value, and :func:`_least_max_flow` scans the caps.
 
-Both max-flow passes are a branch and bound over the layered graph
-(Morin & Marsten, 1976).  Each max-flow graph bounds the jobs a key has
-not placed: a least final flow, a least further order cost C(F) that
-depends on the final flow F and does not increase with it, and one
-complete path from the key, whose value is an incumbent; a graph may also
-start from the value of any feasible solution as its incumbent.  The
-Pareto pass drops a pair (f, c) when c plus the least F + C(F) over F at
-least f and the least flow exceeds the incumbent, and the capped pass at
-F skips a key whose value plus C(F) exceeds the budget or whose least
-flow exceeds F.  Only paths of no optimal value are cut, so every optimal
-path and every optimal F survive, and the tie rule below is decided
-among the same survivors.
+The capped passes are a branch and bound over the layered graph (Morin &
+Marsten, 1976).  Each max-flow graph bounds the jobs a key has not
+placed by a least final flow and a least further order cost C(F) that
+depends on the final flow F and does not increase with it, and starts
+from the value of a feasible solution as its incumbent.  The pass at F
+skips a key whose value plus C(F) exceeds the budget or whose least flow
+exceeds F; the scan runs passes only where F + C(F) at the start key can
+reach the best total.  Only paths of no optimal value are cut, so every
+optimal path survives, and the tie rule below is decided among the same
+survivors.
 
-In :func:`dp_equalp`, C(F) counts orders.  A job released after the
-anchor of the last i-order of a key needs a later i-order at a time from
-its release r up to r + F - p, or its flow exceeds F.  The fewest points
-that stab these windows, u_i(F), is what the greedy from the back of
-:func:`equal_flow_cover` gives, so every completion of flow at most F
-places at least u_i(F) i-orders, at distinct times.  Each order event
-pays the joint cost K once and each i-order its item cost c_i, so it
-pays at least C(F) = K max_i u_i(F) + sum_i c_i u_i(F).  Its incumbent
-is the best piercing schedule (:func:`_piercing`).
+C(F) counts orders.  Each graph fixes an order of the jobs it runs: all
+of them by release in :func:`dp_fmax_s1`, each class by release in
+:func:`dp_equalp`.  Under flow F a job completes by r + F and before the
+next job of that order starts, so it starts by d + F, d = min(r, next
+d) - p (:func:`_dues`), and it needs an order of each resource it uses
+in [r, d + F].  The fewest points that stab the windows of the jobs a
+key has not served, u_i(F) per resource i, is what the greedy from the
+back (:func:`_stab`) gives, so every completion of flow at most F places
+at least u_i(F) i-orders, at distinct times.  Each order event pays the
+joint cost K once and each i-order its item cost c_i, so it pays at
+least C(F) = K max_i u_i(F) + sum_i c_i u_i(F).  The incumbent is the
+best piercing schedule (:func:`_piercing`), which orders at one F's
+stabbing points.
 
 One tie rule holds for every solver: it returns the smallest (total, start
 vector, order vector) over the solutions its graph represents.  Two
@@ -76,7 +76,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Iterator
+from functools import partial
 from itertools import accumulate
 from operator import add
 from typing import NamedTuple
@@ -119,6 +120,13 @@ def _decode_starts(instance: Instance, shifts: dict[int, int], code: int) -> Sch
     return Schedule({job_id: code >> shift & field for job_id, shift in shifts.items()})
 
 
+def _flow_of(instance: Instance, shifts: dict[int, int]) -> Callable[[int], int]:
+    """The maximum flow of the schedule of a start code."""
+    field = (1 << instance.horizon.bit_length()) - 1
+    tails = [(shifts[job.id], job.processing - job.release) for job in instance.jobs]
+    return lambda code: max((code >> shift & field) + tail for shift, tail in tails)
+
+
 # ---------------------------------------------------------------------------
 # Layered graphs
 
@@ -126,33 +134,27 @@ def _decode_starts(instance: Instance, shifts: dict[int, int], code: int) -> Sch
 class _Cost:
     """A least further order cost C(F) that does not increase with the
     final flow F, as steps: ``costs[j]`` from ``flows[j]`` up to
-    ``flows[j + 1]``, flows rising from 0 to a last one that is infinite
-    and costs falling.  ``values[j]`` is the least F + C(F) over F >=
-    ``flows[j]``, infinite at the last flow; ``most`` and ``least`` are the
-    first cost and the last."""
+    ``flows[j + 1]``, flows rising to a last one that is infinite and costs
+    falling.  Below ``flows[0]`` it is ``costs[0]``, which a least cost
+    that does not increase with F is at least there."""
 
-    __slots__ = ("flows", "costs", "values", "most", "least")
+    __slots__ = ("flows", "costs")
 
     def __init__(self, flows: list[int], costs: list[int]) -> None:
-        """The steps of the costs ``costs`` at the rising ``flows``, the
-        first 0, less every step that does not fall."""
+        """The steps of the costs ``costs`` at the rising ``flows``, less
+        every step that does not fall."""
         self.flows: list[float] = []
         self.costs: list[int] = []
         for flow, cost in zip(flows, costs):
             if not self.costs or cost < self.costs[-1]:
                 self.flows.append(flow)
                 self.costs.append(cost)
-        values = [math.inf]
-        for flow, cost in zip(reversed(self.flows), reversed(self.costs)):
-            values.append(min(values[-1], flow + cost))
         self.flows.append(math.inf)
-        self.values = values[::-1]
-        self.most = self.costs[0]
-        self.least = self.costs[-1]
 
-    def at(self, flow: float) -> int:
+    def __call__(self, flow: float) -> int:
         """C(``flow``)."""
-        return self.costs[bisect_right(self.flows, flow) - 1]
+        step = bisect_right(self.flows, flow)
+        return self.costs[step - 1 if step else 0]
 
 
 _FREE = _Cost([0], [0])
@@ -161,40 +163,39 @@ _FREE = _Cost([0], [0])
 class _Graph(NamedTuple):
     """A layered graph whose complete paths are the solutions of one DP.
 
-    ``edges(idx, exact)`` maps (key, order mask, cap) at layer ``idx`` to
-    the blocks that may follow, as (target key, target layer or None when
+    ``edges(idx)`` maps (key, order mask, cap) at layer ``idx`` to the
+    blocks that may follow, as (target key, target layer or None when
     complete, value, start code), less those of worst flow above ``cap``.
-    In an exact pass the value is what the block adds to the path's value
+    The value is what the block adds to the path's value, 0 under max flow,
     and the code, added to the path's, holds the block's starts in their
-    fields (0 if it is empty); otherwise the value is its worst flow and the
-    code is not read.  The largest mask of ``orders`` sets the field width.
+    fields (0 if it is empty).  The largest mask of ``orders`` sets the
+    field width.
 
     A max-flow graph also has ``bounds(idx)``, which maps a key at layer
-    ``idx`` to four things about the jobs its paths have not placed: a
-    least final flow; a :class:`_Cost` C, where C(F) is at most the order
-    cost of every way to place them with no flow above F; and the flow and
-    further order cost of one way to place them.  ``incumbent`` is the
-    value of a feasible solution, or infinite: it need not be a path.
-    ``undominated``, if any, filters the Pareto pass (:func:`_optimal_flows`).
+    ``idx`` to two things about the jobs its paths have not placed: a least
+    final flow, and a callable C, where C(F) is at most the order cost of
+    every way to place them with no flow above F.  The start key's C is a
+    :class:`_Cost` whose first flow no path's flow is below.  ``incumbent``
+    is the value of a feasible solution, or infinite: it need not be a path.
     """
 
     layers: int
     start: Hashable  # the key of layer 0
     orders: list[tuple[int, int]]  # (mask, cost) of each order a layer may place
-    edges: Callable[[int, bool], Callable[[Hashable, int, float], list[tuple]]]
-    bounds: Callable[[int], Callable[[Hashable], tuple[int, _Cost, int, int]]] | None = None
+    edges: Callable[[int], Callable[[Hashable, int, float], list[tuple]]]
+    bounds: Callable[[int], Callable[[Hashable], tuple[int, Callable[[float], int]]]] | None = None
     incumbent: float = math.inf
-    undominated: Callable[[list], list] | None = None
 
 
-def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple:
+def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple | None:
     """Smallest (value, start code, order code) over the complete paths of
     ``graph`` with blocks under ``cap`` and value at most ``budget``, the
-    order code decoded into its masks.  A path's value is its order costs
-    plus what its blocks add; ``sizes`` receives each layer's state count.
-    With bounds, a key whose least flow exceeds ``cap``, or whose value
-    plus least cost C(``cap``) exceeds ``budget``, is not expanded: none of
-    its complete paths is counted, so the smallest one is the same."""
+    order code decoded into its masks, or None if there is none.  A path's
+    value is its order costs plus what its blocks add; ``sizes`` receives
+    each layer's state count.  With bounds, a key whose least flow exceeds
+    ``cap``, or whose value plus least cost C(``cap``) exceeds ``budget``,
+    is not expanded: none of its complete paths is counted, so the smallest
+    one is the same."""
     width = max(mask for mask, _ in graph.orders).bit_length()
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
     layers[0][graph.start] = (0, 0, 0)
@@ -202,7 +203,7 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
     for idx in range(graph.layers):
         if sizes is not None:
             sizes.append(len(layers[idx]))
-        blocks_for = graph.edges(idx, True)
+        blocks_for = graph.edges(idx)
         shift = (graph.layers - 1 - idx) * width
         states = layers[idx].items()
         if graph.bounds:
@@ -225,6 +226,8 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
                         else:
                             layers[target][target_key] = state
         layers[idx] = None
+    if best is None:
+        return None
     value, starts, masks = best
     fields = range((graph.layers - 1) * width, -1, -width)
     return value, starts, [masks >> shift & (1 << width) - 1 for shift in fields]
@@ -235,136 +238,57 @@ def _within(states: Iterable[tuple], bound_for: Callable, cap: float, budget: fl
     ``cap`` and ``budget`` may pass, by the keys' bounds."""
     last = None
     for key, state in states:
-        least_flow, further, _, _ = bound_for(key)
+        least_flow, further = bound_for(key)
         # keys share least further costs, so C(cap) is read once per run
         if further is not last:
-            last, room = further, budget - further.at(cap)
+            last, room = further, budget - further(cap)
         if least_flow <= cap and state[0] <= room:
             yield key, state
 
 
-def _pareto(
-    bucket: list[tuple], optimum: float, least_flow: int = 0, further: _Cost = _FREE
-) -> list[tuple]:
-    """The undominated (flow, cost) pairs of ``bucket``, flows rising and
-    costs strictly falling, less those whose every completion exceeds
-    ``optimum``: a path completing a pair (f, c) ends with a flow F of at
-    least max(f, ``least_flow``) and pays at least c + C(F) in all, C the
-    least further cost ``further``."""
-    # sorted, a pair is undominated when its cost is below every earlier one's
-    entries = []
-    lowest = math.inf
-    # C lies between its least cost and its most, so most pairs are decided
-    # by their least final flow plus cost alone
-    kept_below = optimum - further.most
-    dropped_above = optimum - further.least
-    for flow, cost in sorted(bucket):
-        if cost >= lowest:
-            continue
-        reach = (flow if flow > least_flow else least_flow) + cost
-        if reach > kept_below:
-            if reach > dropped_above:
-                continue
-            # the least F + C(F) over F >= final: on its step, or where a
-            # later one starts
-            final = reach - cost
-            step = bisect_right(further.flows, final)
-            value = final + further.costs[step - 1]
-            if further.values[step] < value:
-                value = further.values[step]
-            if value + cost > optimum:
-                continue
-        entries.append((flow, cost))
-        lowest = cost
-    return entries
+def _least_max_flow(graph: _Graph, flow_of: Callable[[int], int]) -> tuple:
+    """Smallest (total, start code, orders) over the complete paths of the
+    max-flow graph ``graph``, a path's total its order cost plus its flow,
+    which ``flow_of`` decodes from its start code.
 
-
-def _dominated(entry: tuple, frontier: list[tuple]) -> bool:
-    """Whether a pair of the Pareto list ``frontier`` is no worse than
-    ``entry`` in flow and cost."""
-    # the pair with the largest flow at most the entry's has the least cost
-    at = bisect_right(frontier, (entry[0], math.inf))
-    return at > 0 and frontier[at - 1][1] <= entry[1]
-
-
-def _optimal_flows(graph: _Graph) -> tuple[float, set[int]]:
-    """The max-flow optimum of ``graph`` and every final flow of an optimal
-    path, from per-key Pareto lists of (worst flow so far, order cost so far).
-
-    What arrives at a key is reduced to its Pareto list once, by one sort,
-    when the key's layer is expanded.  The graph's ``undominated``, if any,
-    then filters the layer's (key, Pareto list) pairs, dropping a pair only
-    where a kept one completes its every path at no more flow and cost.
-
-    The incumbent ``optimum`` is the least value of a solution found so
-    far: the graph's incumbent, a complete path, or the completion that the
-    graph's bounds give each reduced pair; ``flows`` holds the final flows
-    of the complete paths found at that value, and empties when a path or
-    a completion lowers it.  A pair is dropped when the least value of its
-    completions, from the key's least flow and least further cost, exceeds
-    the incumbent.  The comparison is strict and the incumbent is never
-    below the optimum, so every optimal path and final flow survives.
-    """
-    layers: list[dict | None] = [dict() for _ in range(graph.layers)]
-    layers[0][graph.start] = [(0, 0)]
-    optimum = graph.incumbent
-    flows: set[int] = set()
-    for idx in range(graph.layers):
-        blocks_for = graph.edges(idx, False)
-        bound_for = graph.bounds(idx)
-        reduced = []
-        for key, bucket in layers[idx].items():
-            least_flow, further, flow_after, cost_after = bound_for(key)
-            then = optimum
-            entries = _pareto(bucket, then, least_flow, further)
-            for crit, cost in entries:
-                value = (crit if crit > flow_after else flow_after) + cost + cost_after
-                if value < optimum:
-                    optimum, flows = value, set()
-            if entries:
-                reduced.append((key, entries, least_flow, further, then))
-        layers[idx] = None
-        # a list reduced at the present incumbent is already filtered
-        states = [
-            (key, kept) for key, entries, least_flow, further, then in reduced
-            if (kept := entries if then == optimum
-                else _pareto(entries, optimum, least_flow, further))
-        ]
-        if graph.undominated:
-            states = graph.undominated(states)
-        for key, entries in states:
-            for mask, order_cost in graph.orders:
-                for target_key, target, block_flow, _ in blocks_for(key, mask, optimum):
-                    if target is None:
-                        for crit, cost in entries:
-                            flow = crit if crit > block_flow else block_flow
-                            value = flow + cost + order_cost
-                            if value < optimum:
-                                optimum, flows = value, {flow}
-                            elif value == optimum:
-                                flows.add(flow)
-                        continue
-                    bucket = layers[target].setdefault(target_key, [])
-                    # flows falling and costs rising: once a flow is at most
-                    # the block's, the rest reach it at higher cost
-                    for crit, cost in reversed(entries):
-                        if crit < block_flow:
-                            crit = block_flow
-                        cost += order_cost
-                        if crit + cost <= optimum:
-                            bucket.append((crit, cost))
-                        if crit == block_flow:
-                            break
-    return optimum, flows
-
-
-def _least_max_flow(graph: _Graph) -> tuple:
-    """Smallest (order cost, start code, orders) over the max-flow optima of
-    ``graph``: one exact pass per optimal final flow F, blocks capped at F.
-    Its least cost is the optimum minus F, reached only by paths of flow F,
-    so the passes' answers differ in their codes alone."""
-    optimum, flows = _optimal_flows(graph)
-    return min((_least(graph, flow, optimum - flow) for flow in flows), key=lambda run: run[1:])
+    The scan walks the final flow F up C's steps at the start key, from
+    its least flow, in rising F + C(F), and stops once that exceeds the
+    best total found; the graph's incumbent is the first best.  Within a
+    step, from its lowest flow ``low``, a pass of :func:`_least` at cap
+    ``low + w - 1`` gives the least order cost c of the paths of flow at
+    most the cap, and every path above the budget best - ``low`` totals
+    more than the best.  No path: w doubles and the scan goes on above the
+    cap.  A path of flow f: a path of flow in (f, cap] costs at least c, so
+    totals more, and the passes go down at cap f - 1, while ``low`` + c can
+    still reach the best (an epsilon-constraint scan, Haimes, Lasdon &
+    Wismer, 1971).  Each optimal F is some step's, and that step's passes
+    reach a cap at or above F whose least path has flow at most F: its cost
+    is the optimum less F, so it is the smallest optimal path of flow F,
+    and the scan keeps the smallest (total, start code, orders) it sees."""
+    least_flow, curve = graph.bounds(0)(graph.start)
+    best = (graph.incumbent, math.inf, None)
+    steps = sorted(
+        (max(flow, least_flow) + cost, max(flow, least_flow), end - 1, cost)
+        for flow, end, cost in zip(curve.flows, curve.flows[1:], curve.costs)
+        if end > least_flow
+    )
+    for reach, low, high, cost in steps:
+        if reach > best[0]:
+            break
+        width = 1
+        while low <= high and low + cost <= best[0]:
+            cap = min(low + width - 1, high)
+            found = _least(graph, cap, best[0] - low)
+            if found is None:
+                width *= 2
+            while found is not None:
+                flow = flow_of(found[1])
+                best = min(best, (flow + found[0], *found[1:]))
+                if flow <= low or low + found[0] > best[0]:
+                    break
+                found = _least(graph, flow - 1, best[0] - low)
+            low = cap + 1
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +335,9 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
         for job in sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
     ]
 
-    def edges(idx: int, exact: bool):
+    def edges(idx: int):
         """The one block of each (key, mask) at layer ``idx`` (see
-        :class:`_Graph`); every pass is exact."""
+        :class:`_Graph`)."""
         tau = layer_times[idx]
         window = layer_times[idx + 1] - tau
         target = None if idx + 2 == len(layer_times) else idx + 1
@@ -462,60 +386,83 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
 # Equal processing times
 
 
-def _stab_widths(needed: list[list[int]]) -> list[int]:
-    """Ascending, every window width w at which the fewest points stabbing
-    the windows [r, r + w - 1] of one list of ``needed`` releases may fall:
-    1, and each positive difference of two releases of one list plus 1."""
-    return sorted({1}.union(*(
-        {later - release + 1 for release in releases for later in releases if later > release}
-        for releases in needed
-    )))
+def _dues(jobs: list) -> list[int]:
+    """Per job of ``jobs``, which run in this order, its d: a schedule of
+    maximum flow at most F starts it by d + F.  It completes by r + F and
+    before the next job starts, so d = min(r, next d) - p."""
+    dues = []
+    due = math.inf
+    for job in reversed(jobs):
+        due = min(job.release, due) - job.processing
+        dues.append(due)
+    return dues[::-1]
 
 
-def _piercing(
-    instance: Instance, covers: list[list[list[int]]], orders: list[tuple]
-) -> tuple[int, int, dict[int, int], tuple]:
-    """The least (flow, order cost) of the piercing schedules of
-    ``instance``, whose jobs share one processing time: per width w, each
-    resource i is ordered at its entry for w in ``covers[i]``, the fewest
-    points that stab the windows [r, r + w - 1] of the releases of the jobs
-    that need it (:func:`equal_flow_cover`), then the jobs run in (release,
-    id) order, each as early as the machine and its orders allow.  Returns
-    the flow, order cost, starts by job id and order events of the first
-    least one.  Each job has an order of each resource it needs at or after
-    its release, so the schedule is feasible and its value is at least the
-    optimum, though it need not be a path of :func:`dp_equalp`'s graph."""
-    p = instance.jobs[0].processing
-    by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
-    jobs = [(job.release, tuple(r - 1 for r in job.resources)) for job in by_release]
-    best = None
-    last = None
-    for points in zip(*covers):
-        if points == last:
-            continue
-        last = points
-        masks: dict[int, int] = {}
-        for i, times in enumerate(points):
-            for t in times:
-                masks[t] = masks.get(t, 0) | 1 << i
-        cost = sum(orders[mask][1] for mask in masks.values())
-        free = flow = 0
-        starts = []
-        for release, needs in jobs:
-            start = free
-            for i in needs:
-                ordered = points[i][bisect_left(points[i], release)]
-                if ordered > start:
-                    start = ordered
-            starts.append(start)
-            free = start + p
-            if free - release > flow:
-                flow = free - release
-        if best is None or flow + cost < best[0]:
-            best = (flow + cost, flow, cost, starts, masks)
-    _, flow, cost, starts, masks = best
-    events = tuple((t, orders[masks[t]][0]) for t in sorted(masks))
-    return flow, cost, {job.id: start for job, start in zip(by_release, starts)}, events
+def _stab(windows: list[tuple[int, int]], flow: float) -> list[int]:
+    """Ascending, the fewest points that stab the windows [r, d + ``flow``]
+    of the (r, d) pairs ``windows``, sorted by r, greedily from the back: a
+    point at the latest release whose window no point stabs yet.  It is
+    the leftmost point of the window that starts last, which any stabbing
+    set needs a point in, and it stabs every window that point would, so
+    by induction no set has fewer (the mirror of the interval-stabbing
+    greedy, Kleinberg & Tardos, Algorithm Design, 2005, ch. 4).  A suffix's
+    windows come first, so the points at or after a release are the cover
+    of the windows from that release on."""
+    points = []
+    last = math.inf
+    for release, due in reversed(windows):
+        if last > due + flow:
+            last = release
+            points.append(release)
+    points.reverse()
+    return points
+
+
+def _count_steps(
+    count_at: Callable[[int], int], low: int, high: int, worth: Callable[[int], bool]
+) -> Iterator[tuple[int, int]]:
+    """For each count c = 1, 2, ... while ``worth(c)``: the least flow F in
+    [``low``, ``high``] whose ``count_at(F)`` is at most c, and that count.
+    ``count_at`` must not increase with F and be 1 at ``high``, so the
+    flows fall, and each binary search starts below the last flow."""
+    for target in range(1, count_at(low) + 1):
+        if not worth(target):
+            return
+        lo = low
+        while lo < high:
+            mid = (lo + high) // 2
+            if count_at(mid) <= target:
+                high = mid
+            else:
+                lo = mid + 1
+        yield high, count_at(high)
+
+
+def _piercing(jobs: list, points: tuple, orders: list[tuple]) -> tuple[int, int, dict, tuple]:
+    """The flow, order cost, starts by job id and order events of the
+    piercing schedule that orders each resource i at ``points[i]``, at
+    least one at or after each release of a job that needs it, and runs
+    ``jobs`` in their (release, id) order, each as early as the machine and
+    its orders allow.  It is feasible, so its value is at least the
+    optimum, though it need not be a path of a DP's graph."""
+    masks: dict[int, int] = {}
+    for i, times in enumerate(points):
+        for t in times:
+            masks[t] = masks.get(t, 0) | 1 << i
+    free = flow = 0
+    starts = {}
+    for job in jobs:
+        start = free
+        for r in job.resources:
+            ordered = points[r - 1][bisect_left(points[r - 1], job.release)]
+            if ordered > start:
+                start = ordered
+        starts[job.id] = start
+        free = start + job.processing
+        if free - job.release > flow:
+            flow = free - job.release
+    cost = sum(orders[mask][1] for mask in masks.values())
+    return flow, cost, starts, tuple((t, orders[masks[t]][0]) for t in sorted(masks))
 
 
 def dp_equalp(instance: Instance, objective: Objective) -> Solution:
@@ -540,13 +487,11 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     The answer is the smallest (total, start vector, order vector) over the
     solutions the layered graph represents: one pass for total completion,
     each key keeping its smallest (total, start code, order code), and the
-    module's two shared passes for max flow.  Blocks above the cap, or
-    above the Pareto pass's incumbent, are not built.
+    module's max-flow scan (:func:`_least_max_flow`) for max flow.  Blocks
+    above the cap are not built.
 
-    The max-flow passes are pruned by bounds alone, with no filter across
-    keys as only :func:`dp_fmax_s1`'s graph has.  They bound each key by
-    the jobs it has not placed, all of which start at the layer time tau
-    or later:
+    The max-flow passes bound each key by the jobs it has not placed, all
+    of which start at the layer time tau or later:
 
     - Least flow: tau + max_k(k p - r_(k)), k the rank from 1 in release
       order, cached per count vector.  With a common start, release order
@@ -554,30 +499,15 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     - Least further cost: C(F) = K max_i u_i(F) + sum_i c_i u_i(F), cached
       per last-order anchors.  A placed job was released by the anchor of
       every resource it needs, so the jobs released after resource i's
-      anchor are all unplaced, and each needs an i-order in [r, r + F - p]
-      for a flow of at most F.  The greedy from the back puts a point at
-      the latest release not yet served, the leftmost point of the window
-      that starts last: any stabbing set has a point in that window, and
-      the greedy's serves every window that one serves, so by induction no
-      set has fewer points (u_i(F)).  Each order event pays K once and each
-      i-order c_i, and C(F) does not increase with F, since wider windows
-      need no more points.  One cover per resource and per width where a
-      count can fall is built once per call, only under max flow, and each
-      suffix's count is read off it.  For large F, C is one order of the
-      short resources, those with a job released after their anchor.
-    - Completion: that order at T, the later of tau and the last unplaced
-      release, then every unplaced job back to back from T in release
-      order, for a flow of T + max_k(k p - r_(k)) at C's least value.  It
-      starts at T even when orders are free, because the jobs released
-      after tau are only covered there.
-    - Incumbent, before layer 0: the best piercing schedule over every
-      width where a count can fall (:func:`_piercing`).  It is feasible,
-      so its value is never below the optimum, though it need not be a
-      path of the graph: an order may fall while the machine is busy,
-      where no layer places one.  Only its value is read, and only keys
-      and pairs whose every completion exceeds it are cut, ties kept, so
-      every optimal path and final flow survives and the output is the
-      same.
+      anchor are all unplaced, and each needs an i-order in its window
+      [r, d + F], d chained along its class's release order (not across
+      classes, whose jobs the blocks may interleave in any order).  One
+      cover per resource and per flow where a count can fall, each r - d
+      from the largest up, is built once per call, only under max flow,
+      and each suffix's count is read off it.
+    - Incumbent, before layer 0: the best piercing schedule over those
+      flows (:func:`_piercing`).  It need not be a path of the graph: an
+      order may fall while the machine is busy, where no layer places one.
 
     An empty block waits for the next layer whose time is a release date.
     Between two release dates every order covers the same jobs, so a block
@@ -634,7 +564,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     class_needs = [tuple(r - 1 for r in key) for key in class_keys]
     anchors = [release_anchor(grid, tau) for tau in layer_times]
 
-    def edges(idx: int, exact: bool):
+    def edges(idx: int):
         """The blocks of layer ``idx`` (see :class:`_Graph`), built once per
         (scheduled counts, last orders) for all the states and masks that
         reach the pair: the empty block first, then by size, so the flows
@@ -642,8 +572,6 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         above it."""
         built: dict[tuple, list[tuple]] = {}
         anchor = anchors[idx]
-        # an exact max-flow pass minimizes the order cost alone
-        weigh = not (exact and use_max_flow)
 
         def blocks_for(key: tuple, mask: int, cap: float) -> list[tuple]:
             alphas, betas = key
@@ -692,9 +620,9 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                     target = bisect_left(layer_times, start)
                     if target >= num_layers:
                         continue
-                blocks.append(
-                    ((tuple(new_alphas), betas), target, block_value if weigh else 0, placed)
-                )
+                # a max-flow path's value is its order cost alone
+                added = 0 if use_max_flow else block_value
+                blocks.append(((tuple(new_alphas), betas), target, added, placed))
             return blocks
 
         return blocks_for
@@ -707,25 +635,34 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     if not use_max_flow:
         _, starts, masks = _least(graph, math.inf, math.inf)
     else:
-        # per resource, the sorted releases of the jobs that need it, per
-        # width their fewest stabbing points, and per start k the count for
-        # releases[k:]: on these the greedy from the back takes the same
-        # points, from the first one at or after releases[k] onward
-        needed = [
-            sorted(job.release for job in instance.jobs if i + 1 in job.resources)
+        # per resource, the (release, d) windows of the jobs that need it,
+        # sorted, d chained along each class's release order (see _dues);
+        # per flow F where a count can fall, their fewest stabbing points;
+        # and per start k the count for windows[k:]: on these the greedy
+        # from the back takes the same points, from releases[k] onward
+        dues: dict[int, int] = {}
+        for jobs in class_jobs:
+            chain = [job for _, _, job, _ in jobs]
+            dues.update(zip((job.id for job in chain), _dues(chain)))
+        windows = [
+            sorted((job.release, dues[job.id]) for job in instance.jobs if i + 1 in job.resources)
             for i in range(s)
         ]
-        widths = _stab_widths(needed)
-        covers = [[equal_flow_cover(releases, width) for width in widths] for releases in needed]
+        needed = [[release for release, _ in per] for per in windows]
+        # a count can fall only where a release meets some d + F; below the
+        # largest r - d some window is empty, so no path has that flow
+        breaks = {release - due for per in windows for release, _ in per for _, due in per}
+        least = max(release - due for per in windows for release, due in per)
+        step_flows = sorted(flow for flow in breaks if flow >= least)
+        covers = [[_stab(per, flow) for flow in step_flows] for per in windows]
         stabs = [
-            [[len(points) - bisect_left(points, release) for points in per_width]
-             for release in releases] + [[0] * len(widths)]
-            for releases, per_width in zip(needed, covers)
+            [[len(points) - bisect_left(points, release) for points in per_flow]
+             for release in releases] + [[0] * len(step_flows)]
+            for releases, per_flow in zip(needed, covers)
         ]
-        step_flows = [0] + [width + p - 1 for width in widths[1:]]
         # per count vector: max_k(k p - r_(k)) over the unplaced jobs, k
-        # their rank in release order from 1, and their last release
-        tails: dict[tuple, tuple[int, int]] = {}
+        # their rank in release order from 1
+        tails: dict[tuple, int] = {}
         # per last-order anchors: the least further order cost
         furthers: dict[tuple, _Cost] = {}
 
@@ -747,31 +684,35 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             return _Cost(step_flows, [joint * u + paid for u, paid in zip(most, items)])
 
         def bounds(idx: int):
-            """The four things of a key at layer ``idx`` (see :class:`_Graph`)."""
+            """The least flow and C of a key at layer ``idx`` (see :class:`_Graph`)."""
             tau = layer_times[idx]
 
-            def bound_for(key: tuple) -> tuple[int, _Cost, int, int]:
+            def bound_for(key: tuple) -> tuple[int, _Cost]:
                 alphas, betas = key
-                tail = tails.get(alphas)
-                if tail is None:
+                jackson = tails.get(alphas)
+                if jackson is None:
                     rest = sorted(
                         release for ell, done in enumerate(alphas)
                         for release in class_releases[ell][done:]
                     )
-                    tail = tails[alphas] = (
-                        max(k * p - release for k, release in enumerate(rest, start=1)), rest[-1]
+                    jackson = tails[alphas] = max(
+                        k * p - release for k, release in enumerate(rest, start=1)
                     )
-                jackson, last = tail
                 further = furthers.get(betas)
                 if further is None:
                     further = furthers[betas] = further_for(betas)
-                completion = (last if last > tau else tau) + jackson
-                return tau + jackson, further, completion, further.least
+                return tau + jackson, further
 
             return bound_for
 
-        flow, cost, _, _ = _piercing(instance, covers, orders)
-        _, starts, masks = _least_max_flow(graph._replace(bounds=bounds, incumbent=flow + cost))
+        incumbent = min(
+            flow + cost for flow, cost, _, _ in (
+                _piercing(by_release, points, orders) for points in zip(*covers)
+            )
+        )
+        _, starts, masks = _least_max_flow(
+            graph._replace(bounds=bounds, incumbent=incumbent), _flow_of(instance, shifts)
+        )
 
     schedule = _decode_starts(instance, shifts, starts)
     events = tuple((layer_times[idx], orders[mask][0]) for idx, mask in enumerate(masks) if mask)
@@ -794,7 +735,7 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     serving groups i+1 to j as one back-to-back block, started once both
     the machine and the order are ready.
 
-    The DP runs on the max-flow passes shared with :func:`dp_equalp` and
+    The DP runs on the max-flow scan shared with :func:`dp_equalp` and
     returns the smallest (total, start vector, order vector) over its
     graph.  The order vector marks each layer a solution leaves; every
     solution leaves layer 0 and orders at the last release date, so these
@@ -803,9 +744,13 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     The max-flow passes bound a free time at layer i by the jobs after
     its first i groups.  Each later block starts at the free time or
     later, so the least flow is free - prefix_p[lo] plus the largest tail
-    of the later groups; at least one more order is placed, so the least
-    further cost is its order cost at every final flow; and the completion
-    is the one block to the last layer, ordered at the last release date.
+    of the later groups, and no job starts before its release, so it is
+    at least the largest r - d of those jobs.  C(F) is the order cost
+    times the fewest points stabbing their windows [r, d + F]: one greedy
+    per cap gives every layer's count.  At the start key C is built by
+    count thresholds (:func:`_count_steps`), and each step's piercing
+    schedule (:func:`_piercing`) is an incumbent; the thresholds stop once
+    K times the count plus the least flow exceeds the incumbent.
     """
     objective = Objective.MAX_FLOW
     order_cost = instance.single_resource_order_cost
@@ -832,7 +777,7 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     cum_p = [0, *accumulate(prefix_p[k] << shifts[job.id] for k, job in enumerate(ordered))]
     cum_u = [0, *accumulate(1 << shifts[job.id] for job in ordered)]
 
-    def edges(i: int, exact: bool):
+    def edges(i: int):
         """The blocks leaving layer ``i`` (see :class:`_Graph`), one per
         later layer, whose flows never fall."""
         lo = group_end[i]
@@ -845,51 +790,68 @@ def dp_fmax_s1(instance: Instance) -> Solution:
                     tail = group_tail[j]
                 order_time = dates[j - 1]
                 offset = (free if free > order_time else order_time) - prefix_p[lo]
-                worst = offset + tail
-                if worst > cap:
+                if offset + tail > cap:
                     break
                 hi = group_end[j]
-                if exact:
-                    placed = cum_p[hi] - cum_p[lo] + offset * (cum_u[hi] - cum_u[lo])
-                    blocks.append((offset + prefix_p[hi], j if j < m else None, 0, placed))
-                else:
-                    blocks.append((offset + prefix_p[hi], j if j < m else None, worst, 0))
+                placed = cum_p[hi] - cum_p[lo] + offset * (cum_u[hi] - cum_u[lo])
+                blocks.append((offset + prefix_p[hi], j if j < m else None, 0, placed))
             return blocks
 
         return blocks_for
 
-    def undominated(states: list[tuple]) -> list[tuple]:
-        """One layer's (free time, Pareto list) ``states``, less the pairs
-        that a pair kept at an earlier free time is no worse than: after
-        it, every block starts no later."""
-        result = []
-        frontier: list[tuple] = []
-        for free, entries in sorted(states):
-            entries = [entry for entry in entries if not _dominated(entry, frontier)]
-            if entries:
-                result.append((free, entries))
-                frontier = _pareto(frontier + entries, math.inf)
-        return result
-
-    # rest_tail[i]: the largest tail of groups i + 1 to m
+    # every job runs in release order, so under flow F it starts, after
+    # an order, within its window [r, d + F] (see _dues)
+    windows = list(zip(releases, _dues(ordered)))
+    # rest_tail[i]: the largest tail of groups i + 1 to m; rest_floor[k]: the
+    # largest r - d of jobs k on, below which a window of theirs is empty
     rest_tail = list(accumulate(reversed(group_tail[1:]), max))[::-1]
-    further = _Cost([0], [order_cost])
+    rest_floor = list(accumulate((release - due for release, due in reversed(windows)), max))[::-1]
+    least = rest_floor[0]
+
+    # the start key's C by count thresholds; each step's piercing schedule
+    # is an incumbent, which cuts the counts that cannot reach it
+    orders = _order_table(instance)
+    incumbent = math.inf
+    steps = []
+    for flow, count in _count_steps(
+        lambda flow: len(_stab(windows, flow)), least, releases[-1] - windows[0][1],
+        lambda target: order_cost * target + least <= incumbent,
+    ):
+        steps.append((flow, order_cost * count))
+        pierced, cost, _, _ = _piercing(ordered, (_stab(windows, flow),), orders)
+        incumbent = min(incumbent, pierced + cost)
+    # below the last step's flow every count is above the last target
+    steps.append((least, order_cost * (len(steps) + 1)))
+    curve = _Cost(*zip(*reversed(steps)))
+    # per cap, each layer's fewest orders, from one greedy over every job
+    counts: dict[float, list[int]] = {}
+
+    def further(i: int, cap: float) -> int:
+        per_layer = counts.get(cap)
+        if per_layer is None:
+            points = _stab(windows, cap)
+            per_layer = counts[cap] = [
+                len(points) - bisect_left(points, releases[lo]) for lo in group_end[:m]
+            ]
+        return order_cost * per_layer[i]
 
     def bounds(i: int):
-        """The four numbers of a free time at layer ``i`` (see
-        :class:`_Graph`): every later block starts at ``free`` or later, and one
-        order at the last release date completes the path."""
+        """The least flow and C of a free time at layer ``i`` (see
+        :class:`_Graph`): every later block starts at ``free`` or later,
+        and no later job starts before its release."""
         lo = group_end[i]
         tail = rest_tail[i]
+        floor = rest_floor[lo]
+        cost = curve if i == 0 else partial(further, i)
 
-        def bound_for(free: int) -> tuple[int, _Cost, int, int]:
-            last = free if free > dates[-1] else dates[-1]
-            return free - prefix_p[lo] + tail, further, last - prefix_p[lo] + tail, order_cost
+        def bound_for(free: int) -> tuple[int, Callable[[float], int]]:
+            flow = free - prefix_p[lo] + tail
+            return (flow if flow > floor else floor), cost
 
         return bound_for
 
-    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds, undominated=undominated)
-    _, starts, masks = _least_max_flow(graph)
+    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds, incumbent)
+    _, starts, masks = _least_max_flow(graph, _flow_of(instance, shifts))
     left = [i for i, mask in enumerate(masks) if mask]
     events = tuple((dates[j - 1], frozenset({1})) for j in left[1:] + [m])
     schedule = _decode_starts(instance, shifts, starts)
@@ -908,15 +870,7 @@ def equal_flow_cover(releases: list[int], flow: int) -> list[int]:
     flow-window ending there.  The returned count is the minimum possible
     for this flow value.  ``releases`` must be sorted ascending.
     """
-    times: list[int] = []
-    idx = len(releases) - 1
-    while idx >= 0:
-        anchor = releases[idx]
-        times.append(anchor)
-        while idx >= 0 and releases[idx] >= anchor - flow + 1:
-            idx -= 1
-    times.reverse()
-    return times
+    return _stab([(release, release - 1) for release in releases], flow)
 
 
 def fmax_unit_distinct(instance: Instance) -> Solution:
@@ -926,15 +880,14 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
     problem reduces to minimizing F plus the order cost times the greedy
     cover count u(F).  u(F) is non-increasing in F, and for a fixed cover
     count the smallest F is cheapest, so it suffices to evaluate, for every
-    possible count, the smallest F attaining it (found by binary search; F
+    possible count, the smallest F attaining it (:func:`_count_steps`; F
     can exceed the number of jobs when releases are sparse).  Ties go to
     the smaller F, whose start vector is smaller, as the module's one tie
     rule asks of the candidates.
 
-    The counts are tried in ascending order, so their F falls, and each
-    search starts below the last F.  A count c prices every F not yet
-    tried at K c + 1 or more, so the search stops once that exceeds the
-    best total; the stop is strict, so a tie at a smaller F is still found.
+    A count c prices every F not yet tried at K c + 1 or more, so the
+    search stops once that exceeds the best total; the stop is strict, so
+    a tie at a smaller F is still found.
     """
     objective = Objective.MAX_FLOW
     order_cost = instance.single_resource_order_cost
@@ -948,26 +901,18 @@ def fmax_unit_distinct(instance: Instance) -> Solution:
     if len(set(releases)) != n:
         raise SolverError("release dates must be pairwise distinct")
 
+    windows = [(release, release - 1) for release in releases]
     best = None
-    hi = releases[-1] - releases[0] + 1  # one order suffices from here on
-    for target in range(1, len(equal_flow_cover(releases, 1)) + 1):
-        # every F not yet tried needs at least ``target`` orders
-        if best is not None and order_cost * target + 1 > best[0]:
-            break
-        # the smallest F needing at most ``target`` orders, at most the last one
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if len(equal_flow_cover(releases, mid)) <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        candidate = (hi + order_cost * len(equal_flow_cover(releases, hi)), hi)
+    for flow, count in _count_steps(
+        lambda flow: len(_stab(windows, flow)), 1, releases[-1] - releases[0] + 1,
+        lambda target: best is None or order_cost * target + 1 <= best[0],
+    ):
+        candidate = (flow + order_cost * count, flow)
         if best is None or candidate < best:
             best = candidate
     _, flow = best
     starts = {job.id: job.release + flow - 1 for job in instance.jobs}
-    events = tuple((t, frozenset({1})) for t in equal_flow_cover(releases, flow))
+    events = tuple((t, frozenset({1})) for t in _stab(windows, flow))
     return evaluate_solution(
         instance, Schedule(starts), ReplenishmentStructure(events), objective
     )

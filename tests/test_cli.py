@@ -198,6 +198,14 @@ class TestBounds:
         _, err = run_cli(capsys, ["bounds"], expect=1)
         assert "--input or --curve" in err
 
+    def test_curve_stays_finite_for_the_largest_w2(self, capsys):
+        """A w2 near the float range used to give NaN, which the writer
+        refuses; the weighted curve divides through by a large w2."""
+        out, _ = run_cli(capsys, ["bounds", "--curve", "weighted_golden", "--w2", "1e308",
+                                  "--K", "1"])
+        document = json.loads(out)
+        assert document["bound"] == document["limit"] == 1.0
+
     @pytest.mark.parametrize("w2", ["nan", "inf"])
     def test_curve_rejects_w2_not_finite(self, capsys, w2):
         out, err = run_cli(capsys, ["bounds", "--curve", "weighted_golden", "--K", "5",
@@ -526,9 +534,6 @@ class TestInputErrors:
              "empty --seeds range '5:2'"),
             (["ratio", "--policy", "sum-cj", "--K", "1", "--n", "3", "--seeds", "2:2"],
              "empty --seeds range '2:2'"),
-            # a curve past the float range used to print NaN, which is not JSON, and exit 0
-            (["bounds", "--curve", "weighted_golden", "--w2", "1e308", "--K", "1"],
-             "document: field 'bound' is nan, not a finite number, and cannot be written"),
             # a square root past the float range used to end in a traceback
             (["bounds", "--input", "{huge_order_cost}"],
              "2*sqrt(K * p_sum) exceeds the float range"),

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,7 @@ from jrsched import (
     replenishment_cost,
     scheduling_cost,
 )
-from jrsched.model import job_ready, solution_from_document
+from jrsched.model import _dump_json, job_ready, solution_from_document
 from conftest import R1, random_instance, walkthrough_instance
 
 
@@ -424,6 +425,17 @@ class TestCosts:
 
 
 class TestSolution:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_writer_refuses_a_float_that_is_not_finite(self, value):
+        """JSON has no text for NaN or infinity, so the one writer refuses
+        it and names the field rather than print what no reader parses."""
+        with pytest.raises(SolutionError) as exc:
+            _dump_json({"bound": 1.5, "rows": [{"limit": value}]}, "document", SolutionError)
+        assert str(exc.value) == (
+            f"document: field 'rows[0][limit]' is {value}, not a finite number,"
+            " and cannot be written"
+        )
+
     def test_total_must_add_up(self):
         with pytest.raises(SolutionError, match="total"):
             Solution(Schedule({}), events(), Objective.TOTAL_COMPLETION, 3, 4, 8)

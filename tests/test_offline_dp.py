@@ -1,8 +1,9 @@
 import hashlib
-import math
 import random
+import time
 from bisect import bisect_left
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -252,10 +253,11 @@ class TestPastOracleCap:
                 assert sol.total == fmax_unit_distinct(inst).total
                 assert_well_formed(inst, sol)
 
-    @pytest.mark.parametrize("order_cost", [100, 200, 300])
+    @pytest.mark.parametrize("order_cost", [100, 200, 300, 1000])
     def test_fmax_matches_unit_distinct_on_the_4_3_game(self, order_cost):
         """The instances the 4/3 max-flow game realizes, 2K + 1 jobs, which
-        the game prices with fmax_unit_distinct."""
+        the game prices with fmax_unit_distinct.  At K = 1000 the order-count
+        bound and the piercing incumbent leave one or two capped passes."""
         outcome = adversary_run(AdversarySpec("fmax_regular_4_3", order_cost))
         assert len(outcome.instance.jobs) == 2 * order_cost + 1
         assert outcome.offline.total == dp_fmax_s1(outcome.instance).total
@@ -528,14 +530,17 @@ def test_dp_equalp_one_class_max_flow_sweep_is_pinned():
 
 
 def asked_bounds(monkeypatch, solve, instance):
-    """Per (layer, key) that the max-flow passes reach while ``solve``
-    runs on ``instance``, in either pass, the four things of its bounds;
-    and the incumbent of the graph the passes were given."""
+    """While ``solve`` runs on ``instance``: per (layer, key) that the
+    max-flow scan reaches, in any pass, its least flow and least further
+    cost C; the incumbent of the graph the scan was given; and every
+    piercing schedule built, as (flow, order cost, starts, order events)."""
     asked = {}
     incumbents = []
-    passes = offline_dp._least_max_flow
+    pierced = []
+    scan = offline_dp._least_max_flow
+    piercing = offline_dp._piercing
 
-    def recorded(graph):
+    def recorded(graph, flow_of):
         def bounds(idx):
             bound_for = graph.bounds(idx)
 
@@ -546,25 +551,44 @@ def asked_bounds(monkeypatch, solve, instance):
             return record
 
         incumbents.append(graph.incumbent)
-        return passes(graph._replace(bounds=bounds))
+        return scan(graph._replace(bounds=bounds), flow_of)
+
+    def recorded_piercing(*args):
+        pierced.append(piercing(*args))
+        return pierced[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(offline_dp, "_least_max_flow", recorded)
+        patch.setattr(offline_dp, "_piercing", recorded_piercing)
         solve(instance)
     (incumbent,) = incumbents
-    return asked, incumbent
+    return asked, incumbent, pierced
 
 
-def completion(instance, unplaced, start, orders):
-    """The rest of a schedule: the ``unplaced`` jobs alone, back to back
-    from ``start`` in release order, under the order events ``orders``."""
-    rest = Instance(instance.num_resources, instance.joint_cost, instance.item_costs, unplaced)
-    starts = {}
-    for job in sorted(unplaced, key=lambda job: (job.release, job.id)):
-        starts[job.id] = start
-        start += job.processing
-    events = ReplenishmentStructure(tuple(sorted(orders.items())))
-    return rest, evaluate_solution(rest, Schedule(starts), events, Objective.MAX_FLOW)
+def assert_piercing_is_sound(instance, incumbent, pierced):
+    """Every piercing schedule is feasible at the flow and order cost it
+    claims, and the incumbent is the least of their sums."""
+    for flow, cost, starts, events in pierced:
+        solution = evaluate_solution(
+            instance, Schedule(starts), ReplenishmentStructure(events), Objective.MAX_FLOW
+        )
+        assert check_feasible(instance, solution).ok
+        assert (solution.scheduling_cost, solution.replenishment_cost) == (flow, cost)
+    assert incumbent == min(flow + cost for flow, cost, _, _ in pierced)
+
+
+def assert_bound_is_sound(instance, idx, least_flow, further, rest):
+    """Against the (final flow, order cost) frontier ``rest`` of every way
+    to place a key's unplaced jobs: the least flow is at most every final
+    flow, and at every F up past the horizon, where no count falls any
+    more, C(F) is at most the cost of every way of final flow at most F.
+    At the start key no way's flow is below the first flow of C's steps."""
+    assert least_flow <= rest[0][0]
+    for final in range(instance.horizon + 2):
+        paid = [cost for flow, cost in rest if flow <= final]
+        assert not paid or further(final) <= min(paid), (final, rest)
+    if idx == 0:
+        assert further.flows[0] <= rest[0][0]
 
 
 def frontier(pairs):
@@ -619,35 +643,69 @@ def equalp_rest(instance, times, idx, unplaced, betas, memo):
     return memo[state]
 
 
+def random_windows(rng):
+    """The (release, d) windows of up to 12 jobs that run in release order,
+    releases up to 3, 8 or 20 with repeats, p up to 3, and every flow where
+    a count can fall, from the largest r - d up."""
+    jobs = sorted(
+        (Job(job_id, rng.randint(0, rng.choice((3, 8, 20))), rng.randint(1, 3), R1)
+         for job_id in range(1, rng.randint(1, 12) + 1)),
+        key=lambda job: (job.release, job.id),
+    )
+    windows = list(zip((job.release for job in jobs), offline_dp._dues(jobs)))
+    least = max(release - due for release, due in windows)
+    breaks = {release - due for release, _ in windows for _, due in windows}
+    return windows, sorted(flow for flow in breaks if flow >= least)
+
+
 def test_suffix_stab_counts_read_off_one_cover():
-    """dp_equalp counts the fewest points stabbing the windows of a suffix
-    releases[k:] as the points of the whole list's cover at or after
-    releases[k]; that is the size of the suffix's own cover, at every width
-    where a count can fall, repeated releases included."""
+    """The max-flow bounds count the fewest points stabbing the windows of
+    a suffix windows[k:], from a release on, as the points of the whole
+    list's cover at or after that release; that is the size of the
+    suffix's own cover, at every flow where a count can fall, repeated
+    releases included."""
     rng = random.Random(30)
     for _ in range(300):
-        releases = sorted(rng.randint(0, rng.choice((3, 8, 20))) for _ in range(rng.randint(1, 12)))
-        for width in offline_dp._stab_widths([releases]):
-            points = equal_flow_cover(releases, width)
-            for k, release in enumerate(releases):
+        windows, flows = random_windows(rng)
+        for flow in flows:
+            points = offline_dp._stab(windows, flow)
+            for k, (release, _) in enumerate(windows):
+                if k and windows[k - 1][0] == release:
+                    continue
                 count = len(points) - bisect_left(points, release)
-                assert count == len(equal_flow_cover(releases[k:], width)), (releases, width, k)
+                assert count == len(offline_dp._stab(windows[k:], flow)), (windows, flow, k)
+
+
+def test_stab_takes_the_fewest_points():
+    """The greedy from the back stabs every window [r, d + F] with points
+    at releases, and no fewer points do, by brute force over every set of
+    candidate points, each an r or a d + F."""
+    rng = random.Random(31)
+    for _ in range(200):
+        windows, flows = random_windows(rng)
+        windows = windows[:7]
+        for flow in flows:
+            if any(release > due + flow for release, due in windows):
+                continue
+            points = offline_dp._stab(windows, flow)
+            assert points == sorted(points)
+            assert all(
+                any(release <= t <= due + flow for t in points) for release, due in windows
+            )
+            candidates = sorted({t for release, due in windows for t in (release, due + flow)})
+            for size in range(len(points)):
+                for chosen in combinations(candidates, size):
+                    assert not all(
+                        any(release <= t <= due + flow for t in chosen) for release, due in windows
+                    ), (windows, flow, chosen)
 
 
 def test_dp_equalp_bounds_are_sound(monkeypatch):
-    """At every key the max-flow passes reach, on tiny instances:
-
-    - the least flow is at most every final flow of a way to place the
-      rest, and at every F the least further cost C(F) is at most the
-      order cost of every way whose final flow is at most F;
-    - the Pareto pass keeps a pair of flow x and cost 0 at the incumbent
-      that the least completion of the rest reaches from x;
-    - the completion, built as its own solution, is feasible at the flow
-      and order cost claimed: the short resources ordered once at the later
-      of the layer time and the last unplaced release, then every unplaced
-      job back to back in release order;
-    - the incumbent the passes start from, the piercing schedule, is
-      feasible at the flow and order cost it claims, and their sum."""
+    """On tiny instances, each job's window chained along its class's
+    release order: at every key the max-flow scan reaches, the least flow
+    and C(F) at every F are at most what every way to place the rest
+    reaches; every piercing schedule is feasible as it claims, and the
+    incumbent is the least of their values."""
     rng = random.Random(2718)
     checked = 0
     for _ in range(60):
@@ -656,23 +714,8 @@ def test_dp_equalp_bounds_are_sound(monkeypatch):
             equal_processing=rng.randint(1, 2), cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
         )
         solve = partial(dp_equalp, objective=Objective.MAX_FLOW)
-        pierced = []
-        piercing = offline_dp._piercing
-
-        def recorded(*args):
-            pierced.append(piercing(*args))
-            return pierced[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(offline_dp, "_piercing", recorded)
-            asked, incumbent = asked_bounds(monkeypatch, solve, instance)
-        ((flow, cost, starts, events),) = pierced
-        solution = evaluate_solution(
-            instance, Schedule(starts), ReplenishmentStructure(events), Objective.MAX_FLOW
-        )
-        assert check_feasible(instance, solution).ok
-        assert (solution.scheduling_cost, solution.replenishment_cost) == (flow, cost)
-        assert incumbent == flow + cost
+        asked, incumbent, pierced = asked_bounds(monkeypatch, solve, instance)
+        assert_piercing_is_sound(instance, incumbent, pierced)
         p = instance.jobs[0].processing
         times = sorted(
             {r + k * p for r in instance.release_grid for k in range(len(instance.jobs) + 1)}
@@ -686,43 +729,24 @@ def test_dp_equalp_bounds_are_sound(monkeypatch):
             for key in class_keys
         ]
         memo = {}
-        for (idx, (alphas, betas)), (least_flow, further, flow, cost) in asked.items():
-            unplaced = tuple(job for jobs, done in zip(classes, alphas) for job in jobs[done:])
-            rest = equalp_rest(
-                instance, times, idx, frozenset(job.id for job in unplaced), betas, memo
+        for (idx, (alphas, betas)), (least_flow, further) in asked.items():
+            unplaced = frozenset(
+                job.id for jobs, done in zip(classes, alphas) for job in jobs[done:]
             )
-            assert least_flow <= rest[0][0]
-            for final in range(max(rest[-1][0], further.flows[-2]) + 2):
-                paid = [rest_cost for rest_flow, rest_cost in rest if rest_flow <= final]
-                assert not paid or further.at(final) <= min(paid)
-                reached = min(max(final, rest_flow) + rest_cost for rest_flow, rest_cost in rest)
-                assert offline_dp._pareto([(final, 0)], reached, least_flow, further)
-            short = frozenset(
-                r for job in unplaced for r in job.resources if betas[r - 1] < job.release
-            )
-            start = max(times[idx], *(job.release for job in unplaced))
-            orders = {}
-            for i, beta in enumerate(betas):
-                if beta >= 0:
-                    orders[beta] = orders.get(beta, frozenset()) | {i + 1}
-            if short:
-                orders[start] = orders.get(start, frozenset()) | short
-            rest, solution = completion(instance, unplaced, start, orders)
-            assert check_feasible(rest, solution).ok
-            assert solution.scheduling_cost == flow
-            assert (instance.order_cost(short) if short else 0) == cost
+            rest = equalp_rest(instance, times, idx, unplaced, betas, memo)
+            assert_bound_is_sound(instance, idx, least_flow, further, rest)
             checked += 1
     assert checked > 500
 
 
 def fmax_rest(instance, i, free):
-    """(least flow, least order cost) of the jobs after dp_fmax_s1's first
-    ``i`` groups, the machine free at ``free``, over every set of later
-    order dates that holds the last one, each order serving the jobs
+    """The (final flow, order cost) frontier of the jobs after dp_fmax_s1's
+    first ``i`` groups, the machine free at ``free``, over every set of
+    later order dates that holds the last one, each order serving the jobs
     released since the previous one as one block in (release, id) order."""
     dates = instance.release_grid
     by_release = sorted(instance.jobs, key=lambda job: (job.release, job.id))
-    least_flow = least_cost = math.inf
+    pairs = []
     for subset in range(1 << (len(dates) - 1 - i)):
         chosen = [date for k, date in enumerate(dates[i:-1]) if subset >> k & 1] + [dates[-1]]
         served = dates[i - 1] if i else -1
@@ -735,15 +759,14 @@ def fmax_rest(instance, i, free):
                     end += job.processing
                     flow = max(flow, end - job.release)
             served = date
-        least_flow = min(least_flow, flow)
-        least_cost = min(least_cost, instance.single_resource_order_cost * len(chosen))
-    return least_flow, least_cost
+        pairs.append((flow, instance.single_resource_order_cost * len(chosen)))
+    return frontier(pairs)
 
 
 def test_dp_fmax_s1_bounds_are_sound(monkeypatch):
-    """dp_fmax_s1's bounds at every key its max-flow passes reach, as for
-    dp_equalp above; the completion orders once at the last release date
-    and runs every unplaced job from then, or from the free time if later."""
+    """dp_fmax_s1's bounds at every key its max-flow scan reaches and its
+    piercing incumbent, as for dp_equalp above, every job's window chained
+    along the release order of all jobs."""
     rng = random.Random(1828)
     checked = 0
     for _ in range(60):
@@ -751,21 +774,62 @@ def test_dp_fmax_s1_bounds_are_sound(monkeypatch):
             rng, rng.randint(1, 6), max_processing=rng.randint(1, 3), max_release=6,
             cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
         )
-        dates = instance.release_grid
-        asked, incumbent = asked_bounds(monkeypatch, dp_fmax_s1, instance)
-        assert incumbent == math.inf
-        for (i, free), (least_flow, further, flow, cost) in asked.items():
-            rest_flow, rest_cost = fmax_rest(instance, i, free)
-            # the least further cost is one order at every final flow
-            assert further.costs == [instance.single_resource_order_cost]
-            assert least_flow <= rest_flow and further.costs[0] <= rest_cost
-            unplaced = tuple(job for job in instance.jobs if not i or job.release > dates[i - 1])
-            rest, solution = completion(instance, unplaced, max(free, dates[-1]), {dates[-1]: R1})
-            assert check_feasible(rest, solution).ok
-            assert solution.scheduling_cost == flow
-            assert instance.single_resource_order_cost == cost
+        asked, incumbent, pierced = asked_bounds(monkeypatch, dp_fmax_s1, instance)
+        assert_piercing_is_sound(instance, incumbent, pierced)
+        for (i, free), (least_flow, further) in asked.items():
+            assert_bound_is_sound(instance, i, least_flow, further, fmax_rest(instance, i, free))
             checked += 1
     assert checked > 200
+
+
+def scaled(instance, factor):
+    """``instance`` with every release, processing time and order cost
+    multiplied by ``factor``."""
+    jobs = tuple(
+        Job(job.id, job.release * factor, job.processing * factor, job.resources, job.weight)
+        for job in instance.jobs
+    )
+    return Instance(
+        instance.num_resources, instance.joint_cost * factor,
+        tuple(cost * factor for cost in instance.item_costs), jobs,
+    )
+
+
+def test_max_flow_scan_is_scale_free():
+    """Loose multi-class dp_equalp instances, and one-resource dp_fmax_s1
+    ones, with every time and cost scaled exactly by 10^6 give the unscaled
+    solution scaled, tie-breaks included, in under a second.  The scan
+    jumps along C's steps and the flows its passes realize; stepping the
+    final flow one integer at a time would take about 10^6 passes here."""
+    rng = random.Random(1971)
+    factor = 10**6
+    cases = []
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        instance = random_instance(
+            rng, n, s=rng.randint(2, 3), max_release=4 * n, equal_processing=rng.randint(1, 3),
+            cost_choices=(1, 2, 5, 10),
+        )
+        cases.append((partial(dp_equalp, objective=Objective.MAX_FLOW), instance))
+    for _ in range(10):
+        n = rng.randint(4, 12)
+        instance = random_instance(
+            rng, n, max_processing=3, max_release=4 * n, cost_choices=(1, 2, 5, 10)
+        )
+        cases.append((dp_fmax_s1, instance))
+    expected = [solve(instance) for solve, instance in cases]
+    began = time.perf_counter()
+    got = [solve(scaled(instance, factor)) for solve, instance in cases]
+    elapsed = time.perf_counter() - began
+    for want, have in zip(expected, got):
+        assert have.total == want.total * factor
+        assert dict(have.schedule.starts) == {
+            job_id: start * factor for job_id, start in want.schedule.starts.items()
+        }
+        assert have.replenishments.events == tuple(
+            (t * factor, resources) for t, resources in want.replenishments.events
+        )
+    assert elapsed < 1.0
 
 
 def least_graph_path(instance, objective):
