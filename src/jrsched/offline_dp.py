@@ -38,12 +38,13 @@ The capped passes are a branch and bound over the layered graph (Morin &
 Marsten, 1976).  Each max-flow graph bounds the jobs a key has not
 placed by a least final flow and a least further order cost C(F) that
 depends on the final flow F and does not increase with it, and starts
-from the value of a feasible solution as its incumbent.  The pass at F
-skips a key whose value plus C(F) exceeds the budget or whose least flow
-exceeds F; the scan runs passes only where F + C(F) at the start key can
-reach the best total.  Only paths of no optimal value are cut, so every
-optimal path survives, and the tie rule below is decided among the same
-survivors.
+from the value of a feasible solution as its incumbent.  The pass at cap
+F reads each key's C at F alone, and skips a key whose value plus C(F)
+exceeds the budget or whose least flow exceeds F; only the start key's C
+is built at every F, as the steps the scan walks, and the scan runs
+passes only where F + C(F) there can reach the best total.  Only paths
+of no optimal value are cut, so every optimal path survives, and the tie
+rule below is decided among the same survivors.
 
 C(F) counts orders.  Each graph fixes an order of the jobs it runs: all
 of them by release in :func:`dp_fmax_s1`, each class by release in
@@ -55,9 +56,10 @@ key has not served, u_i(F) per resource i, is what the greedy from the
 back (:func:`_stab`) gives, so every completion of flow at most F places
 at least u_i(F) i-orders, at distinct times.  Each order event pays the
 joint cost K once and each i-order its item cost c_i, so it pays at
-least C(F) = K max_i u_i(F) + sum_i c_i u_i(F).  The incumbent is the
-best piercing schedule (:func:`_piercing`), which orders at one F's
-stabbing points.
+least C(F) = K max_i u_i(F) + sum_i c_i u_i(F).  One cover per resource
+and cap gives every key's count, the points after its last order
+(:class:`_Further`).  The incumbent is the best piercing schedule
+(:func:`_piercing`), which orders at one F's stabbing points.
 
 One tie rule holds for every solver: it returns the smallest (total, start
 vector, order vector) over the solutions its graph represents.  Two
@@ -76,10 +78,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Hashable, Iterable, Iterator
-from functools import partial
+from collections.abc import Callable, Hashable, Iterator
+from functools import cache
 from itertools import accumulate
-from operator import add
 from typing import NamedTuple
 
 from .model import (
@@ -132,11 +133,10 @@ def _flow_of(instance: Instance, shifts: dict[int, int]) -> Callable[[int], int]
 
 
 class _Cost:
-    """A least further order cost C(F) that does not increase with the
-    final flow F, as steps: ``costs[j]`` from ``flows[j]`` up to
-    ``flows[j + 1]``, flows rising to a last one that is infinite and costs
-    falling.  Below ``flows[0]`` it is ``costs[0]``, which a least cost
-    that does not increase with F is at least there."""
+    """The start key's least further order cost C(F), which does not
+    increase with the final flow F, as steps: ``costs[j]`` from
+    ``flows[j]`` up to ``flows[j + 1]``, flows rising to a last one that is
+    infinite and costs falling."""
 
     __slots__ = ("flows", "costs")
 
@@ -151,13 +151,30 @@ class _Cost:
                 self.costs.append(cost)
         self.flows.append(math.inf)
 
-    def __call__(self, flow: float) -> int:
-        """C(``flow``)."""
-        step = bisect_right(self.flows, flow)
-        return self.costs[step - 1 if step else 0]
 
+class _Further(dict):
+    """C(F) at one cap F, by last-order anchors, one per resource:
+    K max_i u_i + sum_i c_i u_i, where u_i counts the points of resource
+    i's cover at F (:func:`_stab`) after its anchor.  The jobs released
+    since form a suffix of its windows, and those points are the suffix's
+    cover.  Each anchor vector's C is read off at its first lookup."""
 
-_FREE = _Cost([0], [0])
+    __slots__ = ("instance", "covers")
+
+    def __init__(self, instance: Instance, covers: list[list[int]]) -> None:
+        super().__init__()
+        self.instance = instance
+        self.covers = covers
+
+    def __missing__(self, anchors: tuple) -> int:
+        most = items = 0
+        for points, anchor, item_cost in zip(self.covers, anchors, self.instance.item_costs):
+            count = len(points) - bisect_right(points, anchor)
+            if count > most:
+                most = count
+            items += item_cost * count
+        cost = self[anchors] = self.instance.joint_cost * most + items
+        return cost
 
 
 class _Graph(NamedTuple):
@@ -171,11 +188,11 @@ class _Graph(NamedTuple):
     fields (0 if it is empty).  The largest mask of ``orders`` sets the
     field width.
 
-    A max-flow graph also has ``bounds(idx)``, which maps a key at layer
-    ``idx`` to two things about the jobs its paths have not placed: a least
-    final flow, and a callable C, where C(F) is at most the order cost of
-    every way to place them with no flow above F.  The start key's C is a
-    :class:`_Cost` whose first flow no path's flow is below.  ``incumbent``
+    A max-flow graph also has ``bounds(idx, cap)``, which maps a key at
+    layer ``idx`` to two ints about the jobs its paths have not placed: a
+    least final flow, and C(``cap``), at most the order cost of every way
+    to place them with no flow above ``cap``.  ``curve`` is the start key's
+    C at every F, whose first flow no path's flow is below.  ``incumbent``
     is the value of a feasible solution, or infinite: it need not be a path.
     """
 
@@ -183,7 +200,8 @@ class _Graph(NamedTuple):
     start: Hashable  # the key of layer 0
     orders: list[tuple[int, int]]  # (mask, cost) of each order a layer may place
     edges: Callable[[int], Callable[[Hashable, int, float], list[tuple]]]
-    bounds: Callable[[int], Callable[[Hashable], tuple[int, Callable[[float], int]]]] | None = None
+    bounds: Callable[[int, float], Callable[[Hashable], tuple[int, int]]] | None = None
+    curve: _Cost | None = None
     incumbent: float = math.inf
 
 
@@ -193,9 +211,9 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
     order code decoded into its masks, or None if there is none.  A path's
     value is its order costs plus what its blocks add; ``sizes`` receives
     each layer's state count.  With bounds, a key whose least flow exceeds
-    ``cap``, or whose value plus least cost C(``cap``) exceeds ``budget``,
-    is not expanded: none of its complete paths is counted, so the smallest
-    one is the same."""
+    ``cap``, or whose value plus its least further cost at ``cap`` exceeds
+    ``budget``, is not expanded: none of its complete paths is counted, so
+    the smallest one is the same."""
     width = max(mask for mask, _ in graph.orders).bit_length()
     layers: list[dict | None] = [dict() for _ in range(graph.layers)]
     layers[0][graph.start] = (0, 0, 0)
@@ -205,10 +223,12 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
             sizes.append(len(layers[idx]))
         blocks_for = graph.edges(idx)
         shift = (graph.layers - 1 - idx) * width
-        states = layers[idx].items()
-        if graph.bounds:
-            states = _within(states, graph.bounds(idx), cap, budget)
-        for key, (value, starts, masks) in states:
+        bound_for = graph.bounds(idx, cap) if graph.bounds else None
+        for key, (value, starts, masks) in layers[idx].items():
+            if bound_for is not None:
+                least_flow, further = bound_for(key)
+                if least_flow > cap or value + further > budget:
+                    continue
             for mask, order_cost in graph.orders:
                 value_after = value + order_cost
                 if value_after > budget:
@@ -233,31 +253,18 @@ def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) 
     return value, starts, [masks >> shift & (1 << width) - 1 for shift in fields]
 
 
-def _within(states: Iterable[tuple], bound_for: Callable, cap: float, budget: float):
-    """The (key, state) pairs of ``states`` that some complete path under
-    ``cap`` and ``budget`` may pass, by the keys' bounds."""
-    last = None
-    for key, state in states:
-        least_flow, further = bound_for(key)
-        # keys share least further costs, so C(cap) is read once per run
-        if further is not last:
-            last, room = further, budget - further(cap)
-        if least_flow <= cap and state[0] <= room:
-            yield key, state
-
-
 def _least_max_flow(graph: _Graph, flow_of: Callable[[int], int]) -> tuple:
     """Smallest (total, start code, orders) over the complete paths of the
     max-flow graph ``graph``, a path's total its order cost plus its flow,
     which ``flow_of`` decodes from its start code.
 
-    The scan walks the final flow F up C's steps at the start key, from
-    its least flow, in rising F + C(F), and stops once that exceeds the
-    best total found; the graph's incumbent is the first best.  Within a
-    step, from its lowest flow ``low``, a pass of :func:`_least` at cap
-    ``low + w - 1`` gives the least order cost c of the paths of flow at
-    most the cap, and every path above the budget best - ``low`` totals
-    more than the best.  No path: w doubles and the scan goes on above the
+    The scan walks the final flow F up the steps of the graph's ``curve``,
+    from the start key's least flow, in rising F + C(F), and stops once
+    that exceeds the best total found; the graph's incumbent is the first
+    best.  Within a step, from its lowest flow ``low``, a pass of
+    :func:`_least` at cap ``low + w - 1`` gives the least order cost c of
+    the paths of flow at most the cap, and every path above the budget
+    best - ``low`` totals more than the best.  No path: w doubles and the scan goes on above the
     cap.  A path of flow f: a path of flow in (f, cap] costs at least c, so
     totals more, and the passes go down at cap f - 1, while ``low`` + c can
     still reach the best (an epsilon-constraint scan, Haimes, Lasdon &
@@ -265,7 +272,8 @@ def _least_max_flow(graph: _Graph, flow_of: Callable[[int], int]) -> tuple:
     reach a cap at or above F whose least path has flow at most F: its cost
     is the optimum less F, so it is the smallest optimal path of flow F,
     and the scan keeps the smallest (total, start code, orders) it sees."""
-    least_flow, curve = graph.bounds(0)(graph.start)
+    curve = graph.curve
+    least_flow, _ = graph.bounds(0, curve.flows[0])(graph.start)
     best = (graph.incumbent, math.inf, None)
     steps = sorted(
         (max(flow, least_flow) + cost, max(flow, least_flow), end - 1, cost)
@@ -496,15 +504,17 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
     - Least flow: tau + max_k(k p - r_(k)), k the rank from 1 in release
       order, cached per count vector.  With a common start, release order
       minimizes max(C - r) (Jackson's rule), and no job starts before tau.
-    - Least further cost: C(F) = K max_i u_i(F) + sum_i c_i u_i(F), cached
-      per last-order anchors.  A placed job was released by the anchor of
-      every resource it needs, so the jobs released after resource i's
-      anchor are all unplaced, and each needs an i-order in its window
-      [r, d + F], d chained along its class's release order (not across
-      classes, whose jobs the blocks may interleave in any order).  One
-      cover per resource and per flow where a count can fall, each r - d
-      from the largest up, is built once per call, only under max flow,
-      and each suffix's count is read off it.
+    - Least further cost at the pass's cap F: C(F) = K max_i u_i(F) +
+      sum_i c_i u_i(F), cached per cap and last-order anchors.  A placed
+      job was released by the anchor of every resource it needs, so the
+      jobs released after resource i's anchor are all unplaced, and each
+      needs an i-order in its window [r, d + F], d chained along its
+      class's release order (not across classes, whose jobs the blocks
+      may interleave in any order).  One cover per resource and cap is
+      built, and u_i(F) is its points after the anchor.
+    - The start key's C at every F, the steps the scan walks: one cover
+      per resource and per flow where a count can fall, each r - d from
+      the largest up.
     - Incumbent, before layer 0: the best piercing schedule over those
       flows (:func:`_piercing`).  It need not be a path of the graph: an
       order may fall while the machine is busy, where no layer places one.
@@ -636,10 +646,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         _, starts, masks = _least(graph, math.inf, math.inf)
     else:
         # per resource, the (release, d) windows of the jobs that need it,
-        # sorted, d chained along each class's release order (see _dues);
-        # per flow F where a count can fall, their fewest stabbing points;
-        # and per start k the count for windows[k:]: on these the greedy
-        # from the back takes the same points, from releases[k] onward
+        # sorted, d chained along each class's release order (see _dues)
         dues: dict[int, int] = {}
         for jobs in class_jobs:
             chain = [job for _, _, job, _ in jobs]
@@ -648,46 +655,26 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             sorted((job.release, dues[job.id]) for job in instance.jobs if i + 1 in job.resources)
             for i in range(s)
         ]
-        needed = [[release for release, _ in per] for per in windows]
-        # a count can fall only where a release meets some d + F; below the
-        # largest r - d some window is empty, so no path has that flow
+        further_at = cache(lambda cap: _Further(instance, [_stab(per, cap) for per in windows]))
+        # the start key's C and the piercing schedules come from the covers
+        # at each flow where a count can fall: where a release meets some
+        # d + F, and not below the largest r - d, where a window is empty
         breaks = {release - due for per in windows for release, _ in per for _, due in per}
         least = max(release - due for per in windows for release, due in per)
         step_flows = sorted(flow for flow in breaks if flow >= least)
         covers = [[_stab(per, flow) for flow in step_flows] for per in windows]
-        stabs = [
-            [[len(points) - bisect_left(points, release) for points in per_flow]
-             for release in releases] + [[0] * len(step_flows)]
-            for releases, per_flow in zip(needed, covers)
-        ]
+        curve = _Cost(step_flows, [_Further(instance, at)[graph.start[1]] for at in zip(*covers)])
         # per count vector: max_k(k p - r_(k)) over the unplaced jobs, k
         # their rank in release order from 1
         tails: dict[tuple, int] = {}
-        # per last-order anchors: the least further order cost
-        furthers: dict[tuple, _Cost] = {}
 
-        def further_for(betas: tuple) -> _Cost:
-            """C(F) = K max_i u_i(F) + sum_i c_i u_i(F), u_i(F) the fewest
-            i-orders that serve the jobs released after ``betas[i]``."""
-            most = items = None
-            for i, beta in enumerate(betas):
-                counts = stabs[i][bisect_right(needed[i], beta)]
-                if counts[0]:
-                    paid = [instance.item_costs[i] * u for u in counts]
-                    if most is None:
-                        most, items = counts, paid
-                    else:
-                        most, items = list(map(max, most, counts)), list(map(add, items, paid))
-            if most is None:
-                return _FREE
-            joint = instance.joint_cost
-            return _Cost(step_flows, [joint * u + paid for u, paid in zip(most, items)])
-
-        def bounds(idx: int):
-            """The least flow and C of a key at layer ``idx`` (see :class:`_Graph`)."""
+        def bounds(idx: int, cap: float):
+            """The least flow and C(``cap``) of a key at layer ``idx`` (see
+            :class:`_Graph`)."""
             tau = layer_times[idx]
+            further = further_at(cap)
 
-            def bound_for(key: tuple) -> tuple[int, _Cost]:
+            def bound_for(key: tuple) -> tuple[int, int]:
                 alphas, betas = key
                 jackson = tails.get(alphas)
                 if jackson is None:
@@ -698,10 +685,7 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
                     jackson = tails[alphas] = max(
                         k * p - release for k, release in enumerate(rest, start=1)
                     )
-                further = furthers.get(betas)
-                if further is None:
-                    further = furthers[betas] = further_for(betas)
-                return tau + jackson, further
+                return tau + jackson, further[betas]
 
             return bound_for
 
@@ -711,7 +695,8 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             )
         )
         _, starts, masks = _least_max_flow(
-            graph._replace(bounds=bounds, incumbent=incumbent), _flow_of(instance, shifts)
+            graph._replace(bounds=bounds, curve=curve, incumbent=incumbent),
+            _flow_of(instance, shifts),
         )
 
     schedule = _decode_starts(instance, shifts, starts)
@@ -745,9 +730,10 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     its first i groups.  Each later block starts at the free time or
     later, so the least flow is free - prefix_p[lo] plus the largest tail
     of the later groups, and no job starts before its release, so it is
-    at least the largest r - d of those jobs.  C(F) is the order cost
-    times the fewest points stabbing their windows [r, d + F]: one greedy
-    per cap gives every layer's count.  At the start key C is built by
+    at least the largest r - d of those jobs.  C at the pass's cap F is
+    the order cost times the fewest points stabbing their windows
+    [r, d + F]: one greedy per cap gives every layer's count, the points
+    after the i-th release date.  The start key's C at every F is built by
     count thresholds (:func:`_count_steps`), and each step's piercing
     schedule (:func:`_piercing`) is an incumbent; the thresholds stop once
     K times the count plus the least flow exceeds the incumbent.
@@ -823,34 +809,25 @@ def dp_fmax_s1(instance: Instance) -> Solution:
     # below the last step's flow every count is above the last target
     steps.append((least, order_cost * (len(steps) + 1)))
     curve = _Cost(*zip(*reversed(steps)))
-    # per cap, each layer's fewest orders, from one greedy over every job
-    counts: dict[float, list[int]] = {}
+    further_at = cache(lambda cap: _Further(instance, [_stab(windows, cap)]))
 
-    def further(i: int, cap: float) -> int:
-        per_layer = counts.get(cap)
-        if per_layer is None:
-            points = _stab(windows, cap)
-            per_layer = counts[cap] = [
-                len(points) - bisect_left(points, releases[lo]) for lo in group_end[:m]
-            ]
-        return order_cost * per_layer[i]
-
-    def bounds(i: int):
-        """The least flow and C of a free time at layer ``i`` (see
+    def bounds(i: int, cap: float):
+        """The least flow and C(``cap``) of a free time at layer ``i`` (see
         :class:`_Graph`): every later block starts at ``free`` or later,
-        and no later job starts before its release."""
+        and no later job starts before its release.  The first ``i``
+        groups are served, so the last order is at the i-th release date."""
         lo = group_end[i]
         tail = rest_tail[i]
         floor = rest_floor[lo]
-        cost = curve if i == 0 else partial(further, i)
+        cost = further_at(cap)[(dates[i - 1] if i else -1,)]
 
-        def bound_for(free: int) -> tuple[int, Callable[[float], int]]:
+        def bound_for(free: int) -> tuple[int, int]:
             flow = free - prefix_p[lo] + tail
             return (flow if flow > floor else floor), cost
 
         return bound_for
 
-    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds, incumbent)
+    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds, curve, incumbent)
     _, starts, masks = _least_max_flow(graph, _flow_of(instance, shifts))
     left = [i for i, mask in enumerate(masks) if mask]
     events = tuple((dates[j - 1], frozenset({1})) for j in left[1:] + [m])
@@ -860,17 +837,6 @@ def dp_fmax_s1(instance: Instance) -> Solution:
 
 # ---------------------------------------------------------------------------
 # Unit jobs, distinct release dates
-
-
-def equal_flow_cover(releases: list[int], flow: int) -> list[int]:
-    """Order times covering the equal-flow schedule, greedily from the back.
-
-    Every job starts at release + flow - 1, so an order at the release of
-    the last unserved job serves exactly the jobs released within the
-    flow-window ending there.  The returned count is the minimum possible
-    for this flow value.  ``releases`` must be sorted ascending.
-    """
-    return _stab([(release, release - 1) for release in releases], flow)
 
 
 def fmax_unit_distinct(instance: Instance) -> Solution:

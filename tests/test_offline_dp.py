@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import combinations
 
@@ -29,7 +29,6 @@ from jrsched import (
 from jrsched.adversaries import AdversarySpec, adversary_run
 from jrsched.model import CRITERIA, release_anchor
 from jrsched import offline_dp
-from jrsched.offline_dp import equal_flow_cover
 from conftest import R1, random_instance, walkthrough_instance
 
 
@@ -181,7 +180,8 @@ class TestMaxFlowSingleResource:
 
 class TestUnitDistinct:
     def test_cover_for_fixed_flow(self):
-        assert equal_flow_cover([1, 2, 3, 5, 7, 8], 3) == [2, 5, 8]
+        releases = [1, 2, 3, 5, 7, 8]
+        assert offline_dp._stab([(r, r - 1) for r in releases], 3) == [2, 5, 8]
 
     def test_six_jobs(self):
         inst = Instance(
@@ -530,27 +530,27 @@ def test_dp_equalp_one_class_max_flow_sweep_is_pinned():
 
 
 def asked_bounds(monkeypatch, solve, instance):
-    """While ``solve`` runs on ``instance``: per (layer, key) that the
-    max-flow scan reaches, in any pass, its least flow and least further
-    cost C; the incumbent of the graph the scan was given; and every
-    piercing schedule built, as (flow, order cost, starts, order events)."""
-    asked = {}
-    incumbents = []
+    """While ``solve`` runs on ``instance``: every (layer, key) that the
+    max-flow scan reaches, in any pass; the graph the scan was given; and
+    every piercing schedule built, as (flow, order cost, starts, order
+    events)."""
+    asked = set()
+    graphs = []
     pierced = []
     scan = offline_dp._least_max_flow
     piercing = offline_dp._piercing
 
     def recorded(graph, flow_of):
-        def bounds(idx):
-            bound_for = graph.bounds(idx)
+        def bounds(idx, cap):
+            bound_for = graph.bounds(idx, cap)
 
             def record(key):
-                asked[idx, key] = bound_for(key)
-                return asked[idx, key]
+                asked.add((idx, key))
+                return bound_for(key)
 
             return record
 
-        incumbents.append(graph.incumbent)
+        graphs.append(graph)
         return scan(graph._replace(bounds=bounds), flow_of)
 
     def recorded_piercing(*args):
@@ -561,8 +561,8 @@ def asked_bounds(monkeypatch, solve, instance):
         patch.setattr(offline_dp, "_least_max_flow", recorded)
         patch.setattr(offline_dp, "_piercing", recorded_piercing)
         solve(instance)
-    (incumbent,) = incumbents
-    return asked, incumbent, pierced
+    (graph,) = graphs
+    return asked, graph, pierced
 
 
 def assert_piercing_is_sound(instance, incumbent, pierced):
@@ -577,18 +577,26 @@ def assert_piercing_is_sound(instance, incumbent, pierced):
     assert incumbent == min(flow + cost for flow, cost, _, _ in pierced)
 
 
-def assert_bound_is_sound(instance, idx, least_flow, further, rest):
+def assert_bound_is_sound(instance, graph, idx, key, rest):
     """Against the (final flow, order cost) frontier ``rest`` of every way
-    to place a key's unplaced jobs: the least flow is at most every final
-    flow, and at every F up past the horizon, where no count falls any
-    more, C(F) is at most the cost of every way of final flow at most F.
-    At the start key no way's flow is below the first flow of C's steps."""
-    assert least_flow <= rest[0][0]
+    to place the unplaced jobs of ``key`` at layer ``idx`` of ``graph``: at
+    every cap F up past the horizon, where no count falls any more, the
+    least flow is at most every final flow, and C(F) is at most the cost
+    of every way of final flow at most F.  At the start key the same holds
+    for the graph's curve at every F, and no way's flow is below the
+    curve's first flow."""
+    curve = graph.curve
     for final in range(instance.horizon + 2):
+        least_flow, further = graph.bounds(idx, final)(key)
+        assert least_flow <= rest[0][0]
         paid = [cost for flow, cost in rest if flow <= final]
-        assert not paid or further(final) <= min(paid), (final, rest)
+        if paid:
+            assert further <= min(paid), (final, rest)
+            if idx == 0:
+                step = bisect_right(curve.flows, final) - 1
+                assert curve.costs[step] <= min(paid), (final, rest)
     if idx == 0:
-        assert further.flows[0] <= rest[0][0]
+        assert curve.flows[0] <= rest[0][0]
 
 
 def frontier(pairs):
@@ -714,8 +722,8 @@ def test_dp_equalp_bounds_are_sound(monkeypatch):
             equal_processing=rng.randint(1, 2), cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
         )
         solve = partial(dp_equalp, objective=Objective.MAX_FLOW)
-        asked, incumbent, pierced = asked_bounds(monkeypatch, solve, instance)
-        assert_piercing_is_sound(instance, incumbent, pierced)
+        asked, graph, pierced = asked_bounds(monkeypatch, solve, instance)
+        assert_piercing_is_sound(instance, graph.incumbent, pierced)
         p = instance.jobs[0].processing
         times = sorted(
             {r + k * p for r in instance.release_grid for k in range(len(instance.jobs) + 1)}
@@ -729,12 +737,12 @@ def test_dp_equalp_bounds_are_sound(monkeypatch):
             for key in class_keys
         ]
         memo = {}
-        for (idx, (alphas, betas)), (least_flow, further) in asked.items():
+        for idx, (alphas, betas) in asked:
             unplaced = frozenset(
                 job.id for jobs, done in zip(classes, alphas) for job in jobs[done:]
             )
             rest = equalp_rest(instance, times, idx, unplaced, betas, memo)
-            assert_bound_is_sound(instance, idx, least_flow, further, rest)
+            assert_bound_is_sound(instance, graph, idx, (alphas, betas), rest)
             checked += 1
     assert checked > 500
 
@@ -774,10 +782,10 @@ def test_dp_fmax_s1_bounds_are_sound(monkeypatch):
             rng, rng.randint(1, 6), max_processing=rng.randint(1, 3), max_release=6,
             cost_choices=rng.choice([(0,), (0, 1), (1, 2, 5)]),
         )
-        asked, incumbent, pierced = asked_bounds(monkeypatch, dp_fmax_s1, instance)
-        assert_piercing_is_sound(instance, incumbent, pierced)
-        for (i, free), (least_flow, further) in asked.items():
-            assert_bound_is_sound(instance, i, least_flow, further, fmax_rest(instance, i, free))
+        asked, graph, pierced = asked_bounds(monkeypatch, dp_fmax_s1, instance)
+        assert_piercing_is_sound(instance, graph.incumbent, pierced)
+        for i, free in asked:
+            assert_bound_is_sound(instance, graph, i, free, fmax_rest(instance, i, free))
             checked += 1
     assert checked > 200
 
@@ -830,6 +838,49 @@ def test_max_flow_scan_is_scale_free():
             (t * factor, resources) for t, resources in want.replenishments.events
         )
     assert elapsed < 1.0
+
+
+def test_max_flow_passes_start_at_the_start_keys_least_flow(monkeypatch):
+    """No capped pass of the max-flow scan runs below the start key's least
+    flow, on multi-class dp_equalp and one-resource dp_fmax_s1 instances,
+    though the first flow of the start key's curve is often below it:
+    a pass there finds no path and only doubles its width."""
+    rng = random.Random(4448)
+    cases = []
+    for _ in range(20):
+        instance = random_instance(
+            rng, rng.randint(4, 9), s=rng.randint(2, 3), max_release=rng.choice((3, 10)),
+            equal_processing=rng.randint(1, 3), cost_choices=rng.choice([(0, 1), (1, 2, 5)]),
+        )
+        cases.append((partial(dp_equalp, objective=Objective.MAX_FLOW), instance))
+    for _ in range(20):
+        instance = random_instance(
+            rng, rng.randint(4, 12), max_processing=3, max_release=rng.choice((4, 12)),
+            cost_choices=rng.choice([(0, 1), (1, 2, 5)]),
+        )
+        cases.append((dp_fmax_s1, instance))
+    scans = []
+    scan = offline_dp._least_max_flow
+    least = offline_dp._least
+
+    def recorded_scan(graph, flow_of):
+        least_flow, _ = graph.bounds(0, graph.curve.flows[0])(graph.start)
+        scans.append((least_flow, graph.curve.flows[0], []))
+        return scan(graph, flow_of)
+
+    def recorded_least(graph, cap, budget, sizes=None):
+        scans[-1][2].append(cap)
+        return least(graph, cap, budget, sizes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(offline_dp, "_least_max_flow", recorded_scan)
+        patch.setattr(offline_dp, "_least", recorded_least)
+        for solve, instance in cases:
+            solve(instance)
+    assert len(scans) == len(cases)
+    assert sum(first < least_flow for least_flow, first, _ in scans) >= 10
+    for least_flow, _, caps in scans:
+        assert all(cap >= least_flow for cap in caps), (least_flow, caps)
 
 
 def least_graph_path(instance, objective):
