@@ -14,9 +14,10 @@ Four solvers, each exact within its stated problem class:
 States are deduplicated by a key tuple that holds only what later layers
 read:
 
-- :func:`dp_wjcj_unit` keys on (last order time per resource, scheduled
-  set); costs add up, so the value is the weighted completion time plus the
-  ordering cost so far.
+- :func:`dp_wjcj_unit` keys on (per resource, the unscheduled jobs that
+  wait for its next order; scheduled set), each a job bit mask; costs add
+  up, so the value is the weighted completion time plus the ordering cost
+  so far.
 - :func:`dp_equalp` keys on (scheduled count per class, last order's
   release anchor per resource).
 - :func:`dp_fmax_s1` keys on the time the machine becomes free; its order
@@ -192,8 +193,10 @@ class _Graph(NamedTuple):
     layer ``idx`` to two ints about the jobs its paths have not placed: a
     least final flow, and C(``cap``), at most the order cost of every way
     to place them with no flow above ``cap``.  ``curve`` is the start key's
-    C at every F, whose first flow no path's flow is below.  ``incumbent``
-    is the value of a feasible solution, or infinite: it need not be a path.
+    C at every F, whose first flow no path's flow is below, and
+    ``least_flow`` the start key's least flow, so that the scan needs no
+    cover to start.  ``incumbent`` is the value of a feasible solution, or
+    infinite: it need not be a path.
     """
 
     layers: int
@@ -203,6 +206,7 @@ class _Graph(NamedTuple):
     bounds: Callable[[int, float], Callable[[Hashable], tuple[int, int]]] | None = None
     curve: _Cost | None = None
     incumbent: float = math.inf
+    least_flow: int = 0
 
 
 def _least(graph: _Graph, cap: float, budget: float, sizes: list | None = None) -> tuple | None:
@@ -259,7 +263,7 @@ def _least_max_flow(graph: _Graph, flow_of: Callable[[int], int]) -> tuple:
     which ``flow_of`` decodes from its start code.
 
     The scan walks the final flow F up the steps of the graph's ``curve``,
-    from the start key's least flow, in rising F + C(F), and stops once
+    from the graph's ``least_flow``, in rising F + C(F), and stops once
     that exceeds the best total found; the graph's incumbent is the first
     best.  Within a step, from its lowest flow ``low``, a pass of
     :func:`_least` at cap ``low + w - 1`` gives the least order cost c of
@@ -273,7 +277,7 @@ def _least_max_flow(graph: _Graph, flow_of: Callable[[int], int]) -> tuple:
     is the optimum less F, so it is the smallest optimal path of flow F,
     and the scan keeps the smallest (total, start code, orders) it sees."""
     curve = graph.curve
-    least_flow, _ = graph.bounds(0, curve.flows[0])(graph.start)
+    least_flow = graph.least_flow
     best = (graph.incumbent, math.inf, None)
     steps = sorted(
         (max(flow, least_flow) + cost, max(flow, least_flow), end - 1, cost)
@@ -306,14 +310,28 @@ def _least_max_flow(graph: _Graph, flow_of: Callable[[int], int]) -> tuple:
 def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
     """Optimal weighted total completion time plus ordering cost, unit jobs.
 
-    The layers are the distinct release dates.  A state is keyed on the last
-    ordering time per resource and the set of scheduled jobs, which is all
-    that later layers read; its value is the weighted completion time plus
-    the ordering cost so far, both of which add up.  Each order mask at the
-    layer date leads to one block: the largest-weight ready jobs, as many as
-    fit before the next date, or the horizon after the last.  There the block
-    completes the path if it schedules every job, and otherwise it has no
-    edge.  One exact pass of the shared driver keeps the module's tie rule.
+    The layers are the distinct release dates.  Job k is bit k of a job
+    set, the jobs numbered by (-weight, id).  A state is keyed on, per
+    resource, its waiting set (the unscheduled jobs that need it and were
+    released after its last order) and on the set of scheduled jobs; its
+    value is the weighted completion time plus the ordering cost so far,
+    both of which add up.  Later layers read a last order time only
+    through the jobs it still blocks: a waiting job cannot run before its
+    resource is ordered again, and that order sets the waiting set to the
+    jobs that need the resource released after it, whatever came before.
+    So two histories with one key have the same continuations.  Each order
+    mask at the layer date leads to one block: the ready jobs (unscheduled
+    and in no waiting set) with the lowest bits, as many as fit before the
+    next date, or the horizon after the last.  There the block completes
+    the path if it schedules every job, and otherwise it has no edge.  One
+    exact pass of the shared driver keeps the module's tie rule.
+
+    A mask that orders a resource whose waiting set holds no job released
+    by the layer date has no block.  Without that resource the mask
+    reaches the same key with the same block, costs no more and has a
+    smaller code, so the smallest (total, start vector, order vector)
+    never takes it.  The tests compare the answer with a walk over every
+    path of the graph keyed on last order times, without this skip.
 
     The key holds the scheduled set itself, not just how many jobs of each
     class (jobs sharing a required resource subset) are done.  Counts alone
@@ -332,53 +350,68 @@ def dp_wjcj_unit(instance: Instance, stats: dict | None = None) -> Solution:
         return empty_solution(objective)
 
     s = instance.num_resources
-    n = len(instance.jobs)
     layer_times = instance.release_grid + (instance.horizon,)
     orders = _order_table(instance)
     shifts = _start_shifts(instance)
-    # (weight, start-code shift, release, 0-based resource indices),
-    # heaviest first, ties to the smaller id
-    by_weight = [
-        (job.weight, shifts[job.id], job.release, tuple(r - 1 for r in sorted(job.resources)))
-        for job in sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
-    ]
+    # bit k: the k-th job by (-weight, id), as (weight, start-code shift)
+    by_weight = sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
+    fields = [(job.weight, shifts[job.id]) for job in by_weight]
+    every = (1 << len(by_weight)) - 1
+    ordered = [[i for i in range(s) if mask >> i & 1] for mask in range(1 << s)]
 
     def edges(idx: int):
         """The one block of each (key, mask) at layer ``idx`` (see
-        :class:`_Graph`)."""
+        :class:`_Graph`), built once per ready set."""
         tau = layer_times[idx]
         window = layer_times[idx + 1] - tau
         target = None if idx + 2 == len(layer_times) else idx + 1
+        # the jobs released after tau wait on every resource they need
+        later = sum(1 << k for k, job in enumerate(by_weight) if job.release > tau)
+        released = every ^ later
+        built: dict[int, tuple[int, int, int]] = {}
 
         def blocks_for(key: tuple, mask: int, cap: float) -> list[tuple]:
-            betas, scheduled = key
+            waiting, scheduled = key
             if mask:
-                betas = tuple(tau if mask >> i & 1 else betas[i] for i in range(s))
-            chosen: list = []
-            for weight, shift, release, needs in by_weight:
-                if shift in scheduled:
-                    continue
-                for i in needs:
-                    if release > betas[i]:
+                waiting = list(waiting)
+                for i in ordered[mask]:
+                    if not waiting[i] & released:
+                        return []  # the order serves no job
+                    waiting[i] &= later
+                waiting = tuple(waiting)
+            ready = every ^ scheduled
+            for jobs in waiting:
+                ready &= ~jobs
+            block = built.get(ready)
+            if block is None:
+                chosen = added = placed = 0
+                rest = ready
+                for start in range(tau, tau + window):
+                    if not rest:
                         break
-                else:
-                    chosen.append((weight, shift))
-                    if len(chosen) == window:
-                        break
-            done = scheduled.union(shift for _, shift in chosen)
-            if target is None and len(done) < n:
+                    job = rest & -rest
+                    rest ^= job
+                    chosen |= job
+                    weight, shift = fields[job.bit_length() - 1]
+                    added += weight * (start + 1)
+                    placed += start << shift
+                block = built[ready] = (chosen, added, placed)
+            chosen, added, placed = block
+            done = scheduled | chosen
+            if target is None and done != every:
                 return []
-            added = placed = 0
-            for offset, (weight, shift) in enumerate(chosen):
-                added += weight * (tau + offset + 1)
-                placed += (tau + offset) << shift
-            return [((betas, done), target, added, placed)]
+            return [((waiting, done), target, added, placed)]
 
         return blocks_for
 
-    # key: (last order time per resource, -1 if never, scheduled shifts)
+    # key: (waiting set per resource, scheduled set), both as job bit masks;
+    # before any order every job waits on each resource it needs
+    needs = tuple(
+        sum(1 << k for k, job in enumerate(by_weight) if i + 1 in job.resources)
+        for i in range(s)
+    )
     graph = _Graph(
-        len(layer_times) - 1, ((-1,) * s, frozenset()),
+        len(layer_times) - 1, (needs, 0),
         [(mask, cost) for mask, (_, cost) in enumerate(orders)], edges,
     )
     sizes = None
@@ -668,26 +701,24 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
         # their rank in release order from 1
         tails: dict[tuple, int] = {}
 
+        def jackson(alphas: tuple) -> int:
+            tail = tails.get(alphas)
+            if tail is None:
+                rest = sorted(
+                    release for ell, done in enumerate(alphas)
+                    for release in class_releases[ell][done:]
+                )
+                tail = tails[alphas] = max(
+                    k * p - release for k, release in enumerate(rest, start=1)
+                )
+            return tail
+
         def bounds(idx: int, cap: float):
             """The least flow and C(``cap``) of a key at layer ``idx`` (see
             :class:`_Graph`)."""
             tau = layer_times[idx]
             further = further_at(cap)
-
-            def bound_for(key: tuple) -> tuple[int, int]:
-                alphas, betas = key
-                jackson = tails.get(alphas)
-                if jackson is None:
-                    rest = sorted(
-                        release for ell, done in enumerate(alphas)
-                        for release in class_releases[ell][done:]
-                    )
-                    jackson = tails[alphas] = max(
-                        k * p - release for k, release in enumerate(rest, start=1)
-                    )
-                return tau + jackson, further[betas]
-
-            return bound_for
+            return lambda key: (tau + jackson(key[0]), further[key[1]])
 
         incumbent = min(
             flow + cost for flow, cost, _, _ in (
@@ -695,7 +726,10 @@ def dp_equalp(instance: Instance, objective: Objective) -> Solution:
             )
         )
         _, starts, masks = _least_max_flow(
-            graph._replace(bounds=bounds, curve=curve, incumbent=incumbent),
+            graph._replace(
+                bounds=bounds, curve=curve, incumbent=incumbent,
+                least_flow=layer_times[0] + jackson(graph.start[0]),
+            ),
             _flow_of(instance, shifts),
         )
 
@@ -827,7 +861,9 @@ def dp_fmax_s1(instance: Instance) -> Solution:
 
         return bound_for
 
-    graph = _Graph(m, 0, [(1, order_cost)], edges, bounds, curve, incumbent)
+    graph = _Graph(
+        m, 0, [(1, order_cost)], edges, bounds, curve, incumbent, max(rest_tail[0], least)
+    )
     _, starts, masks = _least_max_flow(graph, _flow_of(instance, shifts))
     left = [i for i, mask in enumerate(masks) if mask]
     events = tuple((dates[j - 1], frozenset({1})) for j in left[1:] + [m])

@@ -86,7 +86,7 @@ class TestWeightedUnit:
             assert all(count <= bound for count in stats["states_per_layer"])
         stats = {}
         dp_wjcj_unit(random_instance(random.Random(7), 7, s=2, max_weight=3), stats)
-        assert stats["states_per_layer"] == [1, 4, 9, 20, 45, 66]
+        assert stats["states_per_layer"] == [1, 2, 3, 5, 9, 11]
 
 
 class TestEqualProcessing:
@@ -352,6 +352,29 @@ def test_dp_wjcj_unit_tie_heavy_outputs_are_pinned():
     assert digest.hexdigest() == GOLDEN_WJCJ_TIE_DIGEST
 
 
+def wjcj_scale_cases():
+    """Weighted unit-job instances at the sizes the benchmark times:
+    n = 10-14, s = 2-3, weights up to 3 and releases up to 10."""
+    rng = random.Random(3310)
+    for _ in range(30):
+        n = rng.randint(10, 14)
+        s = rng.randint(2, 3)
+        yield random_instance(rng, n, s=s, max_weight=3, max_release=10)
+
+
+# sha256 of the emitted dp_wjcj_unit solutions of wjcj_scale_cases, computed
+# while dp_wjcj_unit keyed on the last order time per resource; keying on
+# each resource's waiting jobs kept every byte.
+GOLDEN_WJCJ_SCALE_DIGEST = "4810fbb51f430727164566e74b3373f8fa19c3e5994783e1cc67c4e298d3db05"
+
+
+def test_dp_wjcj_unit_scale_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for instance in wjcj_scale_cases():
+        digest.update(emit_solution(dp_wjcj_unit(instance)).encode())
+    assert digest.hexdigest() == GOLDEN_WJCJ_SCALE_DIGEST
+
+
 def equalp_pin_cases():
     """(instance, objective) pairs for dp_equalp past the small golden cases:
     n = 6-10, s = 1-3, common p = 1-3, every cost from {0}, from {0, 1} or
@@ -583,12 +606,14 @@ def assert_bound_is_sound(instance, graph, idx, key, rest):
     every cap F up past the horizon, where no count falls any more, the
     least flow is at most every final flow, and C(F) is at most the cost
     of every way of final flow at most F.  At the start key the same holds
-    for the graph's curve at every F, and no way's flow is below the
-    curve's first flow."""
+    for the graph's curve at every F, no way's flow is below the curve's
+    first flow, and the graph's least flow is the key's at every F."""
     curve = graph.curve
     for final in range(instance.horizon + 2):
         least_flow, further = graph.bounds(idx, final)(key)
         assert least_flow <= rest[0][0]
+        if idx == 0:
+            assert graph.least_flow == least_flow
         paid = [cost for flow, cost in rest if flow <= final]
         if paid:
             assert further <= min(paid), (final, rest)
@@ -988,6 +1013,86 @@ def test_dp_equalp_is_the_least_path_of_its_graph(objective):
                     )
                     expected = emit_solution(least_graph_path(instance, objective))
                     assert emit_solution(dp_equalp(instance, objective)) == expected
+
+
+def least_wjcj_path(instance):
+    """dp_wjcj_unit's answer found by walking every path of its layered
+    graph keyed on last order times.
+
+    Per release date an order of any resource subset, then one block: the
+    ready unscheduled jobs by (-weight, id), as many as fit before the next
+    date, or the horizon after the last.  A job is ready once every
+    resource it needs was last ordered at or after its release.  No two
+    paths are merged and no order mask is skipped, and a path that leaves
+    a job unscheduled at the horizon is dropped.  The answer is the path
+    with the smallest (total, start vector by job id, order mask per
+    release date).
+
+    One kind of path is cut, which cannot be that smallest one: a path
+    whose value so far plus each unscheduled job's weight times its
+    earliest completion already exceeds a complete path's total.
+    """
+    s = instance.num_resources
+    times = instance.release_grid + (instance.horizon,)
+    ids = sorted(job.id for job in instance.jobs)
+    by_weight = sorted(instance.jobs, key=lambda job: (-job.weight, job.id))
+    best = None
+
+    def walk(idx, lasts, starts, value, masks):
+        nonlocal best
+        tau = times[idx]
+        waiting = [job for job in by_weight if job.id not in starts]
+        least = value + sum(job.weight * (max(tau, job.release) + 1) for job in waiting)
+        if best is not None and least > best[0]:
+            return
+        for mask in range(1 << s):
+            resources = frozenset(i + 1 for i in range(s) if mask >> i & 1)
+            new_lasts = tuple(tau if i + 1 in resources else last for i, last in enumerate(lasts))
+            ready = [
+                job for job in waiting
+                if all(new_lasts[r - 1] >= job.release for r in job.resources)
+            ]
+            block = dict(starts)
+            new_value = value + instance.order_cost(resources) if mask else value
+            for start, job in zip(range(tau, times[idx + 1]), ready):
+                block[job.id] = start
+                new_value += job.weight * (start + 1)
+            if idx + 2 < len(times):
+                walk(idx + 1, new_lasts, block, new_value, masks + (mask,))
+            elif len(block) == len(ids):
+                path = (new_value, tuple(block[job_id] for job_id in ids), masks + (mask,))
+                if best is None or path < best:
+                    best = path
+
+    walk(0, (-1,) * s, {}, 0, ())
+    total, starts, masks = best
+    events = tuple(
+        (times[k], frozenset(i + 1 for i in range(s) if mask >> i & 1))
+        for k, mask in enumerate(masks) if mask
+    )
+    solution = evaluate_solution(
+        instance, Schedule(dict(zip(ids, starts))), ReplenishmentStructure(events),
+        Objective.WEIGHTED_COMPLETION,
+    )
+    assert solution.total == total
+    return solution
+
+
+def test_dp_wjcj_unit_is_the_least_path_of_its_graph():
+    """Byte for byte, on tiny instances where optima often tie: every cost
+    from {0} or from {0, 1}, s = 1-3, n <= 6, weights up to 3 and releases
+    up to 2 or 4."""
+    rng = random.Random(2033)
+    for s in (1, 2, 3):
+        for n in range(1, 7):
+            for costs in ((0,), (0, 1)):
+                for _ in range(3):
+                    instance = random_instance(
+                        rng, n, s=s, max_weight=3, max_release=rng.choice((2, 4)),
+                        cost_choices=costs,
+                    )
+                    expected = emit_solution(least_wjcj_path(instance))
+                    assert emit_solution(dp_wjcj_unit(instance)) == expected
 
 
 def least_fmax_path(instance):
